@@ -35,6 +35,7 @@ from .ratio import (
     LinearForm,
     binomial_ratio,
     claim_holds,
+    integral_for_all_n,
     is_integral_at,
     ratio_level_term,
     ratio_level_terms,

@@ -250,15 +250,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cert = verify_triple(triple)
     seconds = time.perf_counter() - started
 
-    result = {
-        "a": args.a,
-        "b": args.b,
-        "n": args.n,
-        "verdict": cert.verdict,
-        "witness_prime": cert.witness,
-        "certificate": _certificate_dict(cert),
-    }
     if config.format == "json":
+        result = {
+            "a": args.a,
+            "b": args.b,
+            "n": args.n,
+            "verdict": cert.verdict,
+            "witness_prime": cert.witness,
+            "certificate": _certificate_dict(cert),
+        }
         text = _json_text(_report_doc(config, [result], 1, 0 if cert.holds else 1, seconds))
     elif config.format == "csv":
         text = _csv_text(

@@ -22,7 +22,7 @@ from .theorem import (
     minimal_multiplier,
     sweep_pairs,
 )
-from .ratio import claim_holds
+from .ratio import claim_holds, verify_claim
 from .valuation import (
     fractional_part,
     kummer_binomial_valuation,
@@ -113,7 +113,11 @@ def suite_rational_floor(samples: int = 20_000, seed: int = 42) -> SuiteResult:
 
 
 def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
-    """Valuation verdicts equal exact big-integer divisibility."""
+    """Valuation verdicts equal exact big-integer divisibility.
+
+    Both valuation routes are pinned: ``claim_holds`` (the reduced path
+    for these certified claims) and the full ledger of ``verify_claim``.
+    """
     failures = []
     checked = 0
     for a, b in sweep_pairs(a_max, a_max - 1):
@@ -133,8 +137,11 @@ def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
                 * oracle.big_binomial(2 * a * n, a * n)
                 * oracle.big_binomial(a * n, b * n)
             )
-            if holds != oracle.divides(divisor, dividend):
+            exact = oracle.divides(divisor, dividend)
+            if holds != exact:
                 failures.append(f"verdict mismatch at a={a} b={b} n={n}")
+            elif verify_claim(claim, n).holds != exact:
+                failures.append(f"full-ledger verdict mismatch at a={a} b={b} n={n}")
             elif not holds:
                 failures.append(f"claim unexpectedly fails at a={a} b={b} n={n}")
     return SuiteResult("claims-vs-bigint", checked, tuple(failures))

@@ -17,6 +17,21 @@ up to max(moduli values, divisor factorial arguments) can impose a
 positive requirement, which is what keeps verification feasible at
 n ~ 10^6 where the dividend's own primes would number in the millions.
 
+Landau certificates.  ``integral_for_all_n`` proves a ratio
+prod ((c_i n)!)^(e_i) integral for every n >= 1 (Landau 1900; Bober
+2009): with zero offsets, coeffs >= 0 and sum e_i c_i = 0, the step
+function f(t) = sum e_i floor(c_i t) has period 1 and
+nu_p(r(n)) = sum_{i>=1} f(n / p^i), so f >= 0 on [0, 1) suffices.  f is
+right-continuous and constant between the breakpoints k/c_i, so
+checking it there with exact integers is a proof.
+
+Reduced verdicts.  When the claim's core ratio dividend/divisor is
+certified, no prime outside the moduli values can fail, and
+``claim_holds`` decides the claim from those primes alone (ascending,
+so the witness is the same least prime).  ``is_integral_at`` likewise
+answers a certified ratio without enumerating primes.  Other inputs
+take the full prime enumeration, which ``verify_claim`` always uses.
+
 Canonical text form (also documented in the CLI):
 
     ratio := "1" | term (" " term)*
@@ -29,6 +44,7 @@ with terms sorted by (coeff, offset) descending and exponents nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -36,6 +52,10 @@ import numpy as np
 from .valuation import factorize, nu_factorial, nu_factorial_over_primes, primes_upto
 
 _I64_MAX = 2**63
+
+#: Landau certificates with more breakpoints than this are not attempted
+#: (the ratio then takes the per-n path); it bounds a pure-Python loop.
+LANDAU_MAX_BREAKPOINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,19 +195,48 @@ def ratio_level_terms(r: FactorialRatio, n: int, p: int) -> list[int]:
     return out
 
 
+def _check_int64_budget(r: FactorialRatio, args: list[int]) -> None:
+    # nu_p(a!) < a, so this bounds every partial sum the int64 engine sees
+    if sum(abs(e) * a for (_, e), a in zip(r.terms, args)) >= _I64_MAX:
+        raise OverflowError("ratio valuations would not fit in 64 bits")
+
+
 def ratio_valuation_over_primes(
     r: FactorialRatio, n: int, primes: np.ndarray
 ) -> np.ndarray:
     """Vectorized ``ratio_valuation`` over an ascending prime array."""
     _check_n(n)
     args = r.arguments(n)
-    # nu_p(a!) < a, so this bounds every partial sum the int64 engine sees
-    if sum(abs(e) * a for (_, e), a in zip(r.terms, args)) >= _I64_MAX:
-        raise OverflowError("ratio valuations would not fit in 64 bits")
+    _check_int64_budget(r, args)
     total = np.zeros(primes.shape[0], dtype=np.int64)
     for (_, e), arg in zip(r.terms, args):
         total += e * nu_factorial_over_primes(arg, primes)
     return total
+
+
+@lru_cache(maxsize=4096)
+def integral_for_all_n(r: FactorialRatio) -> bool:
+    """Whether a Landau certificate proves r(n) integral for every n >= 1.
+
+    True only when every form is c*n with c >= 0, sum e*c == 0 and
+    f(t) = sum e*floor(c*t) >= 0 at every breakpoint k/c in [0, 1).
+    False means "not certified", not "non-integral": unbalanced ratios
+    such as (2n)!/n! are integral yet never certified, and ratios with
+    more than ``LANDAU_MAX_BREAKPOINTS`` breakpoints are not attempted.
+    """
+    if any(form.offset != 0 or form.coeff < 0 for form, _ in r.terms):
+        return False
+    if sum(e * form.coeff for form, e in r.terms) != 0:
+        return False
+    terms = [(form.coeff, e) for form, e in r.terms if form.coeff > 0]
+    denominators = {c for c, _ in terms}
+    if sum(denominators) > LANDAU_MAX_BREAKPOINTS:
+        return False
+    return all(
+        sum(e * (c * k // den) for c, e in terms) >= 0
+        for den in denominators
+        for k in range(den)
+    )
 
 
 class IntegralityResult(NamedTuple):
@@ -198,14 +247,18 @@ class IntegralityResult(NamedTuple):
 def is_integral_at(r: FactorialRatio, n: int) -> IntegralityResult:
     """Whether the ratio evaluates to an integer at n.
 
-    Checks nu_p >= 0 for every prime p up to the largest positive
-    factorial argument (larger primes divide nothing on either side).
-    This is a per-n check only: it cannot certify integrality for all n.
+    A ratio certified by ``integral_for_all_n`` is integral without
+    further work.  Otherwise checks nu_p >= 0 for every prime p up to
+    the largest positive factorial argument (larger primes divide
+    nothing on either side).
     """
     _check_n(n)
     args = r.arguments(n)
     bound = max((a for a in args if a > 0), default=0)
     if bound < 2:
+        return IntegralityResult(True, None)
+    if integral_for_all_n(r):
+        _check_int64_budget(r, args)
         return IntegralityResult(True, None)
     primes = primes_upto(bound)
     vals = ratio_valuation_over_primes(r, n, primes)
@@ -242,6 +295,18 @@ class DivisibilityClaim:
             # coeff >= 0 and value at n=1 >= 1 together give >= 1 for all n >= 1
             if m.coeff < 0 or m.coeff + m.offset < 1:
                 raise ValueError(f"modulus ({m}) is not >= 1 for all n >= 1")
+
+    @cached_property
+    def _reduction(self) -> tuple[FactorialRatio, dict[int, int]] | None:
+        """(core ratio, multiplier exponents by prime) if the core is certified."""
+        core = self.dividend_ratio / self.divisor_ratio
+        if not integral_for_all_n(core):
+            return None
+        multiplier_nu: dict[int, int] = {}
+        for constant in self.multiplier_constants:
+            for p, e in factorize(constant):
+                multiplier_nu[p] = multiplier_nu.get(p, 0) + e
+        return core, multiplier_nu
 
     def __str__(self) -> str:
         left = "".join(f"({m})" for m in self.divisor_moduli) or "1"
@@ -300,11 +365,37 @@ def _claim_valuations(
 
 
 def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
-    """Fast verdict-only path: (holds, least witness prime or None)."""
-    primes, required, available = _claim_valuations(claim, n)
-    violations = np.flatnonzero(available < required)
-    if violations.size:
-        return False, int(primes[violations[0]])
+    """Fast verdict-only path: (holds, least witness prime or None).
+
+    When ``integral_for_all_n`` certifies dividend_ratio / divisor_ratio,
+    no prime outside the moduli values can fail, so only those primes
+    are checked: nu_p(multipliers) + nu_p(core) against the modulus
+    exponent, ascending.  Other claims enumerate every prime that
+    matters, as ``verify_claim`` does; both give the same verdict and
+    witness.
+    """
+    _check_n(n)
+    moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
+    divisor_args = claim.divisor_ratio.arguments(n)
+    dividend_args = claim.dividend_ratio.arguments(n)
+    reduction = claim._reduction
+    if reduction is None:
+        primes, required, available = _claim_valuations(claim, n)
+        violations = np.flatnonzero(available < required)
+        if violations.size:
+            return False, int(primes[violations[0]])
+        return True, None
+
+    _check_int64_budget(claim.divisor_ratio, divisor_args)
+    _check_int64_budget(claim.dividend_ratio, dividend_args)
+    core, multiplier_nu = reduction
+    modulus_nu: dict[int, int] = {}
+    for value in moduli_values:
+        for p, e in factorize(value):
+            modulus_nu[p] = modulus_nu.get(p, 0) + e
+    for p in sorted(modulus_nu):
+        if multiplier_nu.get(p, 0) + ratio_valuation(core, n, p) < modulus_nu[p]:
+            return False, p
     return True, None
 
 

@@ -1,5 +1,6 @@
 """Tests for factorial-ratio symbolics, valuations and claim certificates."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,18 +9,27 @@ import pytest
 
 from binomdiv.oracle import big_binomial
 from binomdiv.ratio import (
+    LANDAU_MAX_BREAKPOINTS,
     Certificate,
     DivisibilityClaim,
     FactorialRatio,
     LinearForm,
     binomial_ratio,
     claim_holds,
+    integral_for_all_n,
     is_integral_at,
     ratio_level_term,
     ratio_level_terms,
     ratio_valuation,
     ratio_valuation_over_primes,
     verify_claim,
+)
+from binomdiv.theorem import (
+    conjecture_claim,
+    conjecture_ratio,
+    s_binomial_ratio,
+    sweep_pairs,
+    t_binomial_ratio,
 )
 from binomdiv.valuation import primes_upto
 
@@ -209,6 +219,45 @@ def test_is_integral_agrees_with_exact_arithmetic():
             assert value.denominator % result.witness == 0
 
 
+def test_landau_certificate_covers_the_papers_ratios():
+    assert all(integral_for_all_n(conjecture_ratio(a, b)) for a, b in sweep_pairs(25, 24))
+    chebyshev = FactorialRatio.from_terms(
+        [(form(30), 1), (form(1), 1), (form(15), -1), (form(10), -1), (form(6), -1)]
+    )
+    assert integral_for_all_n(chebyshev)
+    assert integral_for_all_n(s_binomial_ratio())
+
+
+def test_landau_certificate_refuses_what_it_cannot_prove():
+    inverse_central = FactorialRatio.from_terms([(form(1), 2), (form(2), -1)])
+    assert not integral_for_all_n(inverse_central)  # f(1/2) = -1
+    # (2n)!/n! is integral but unbalanced, so it is not certified
+    assert not integral_for_all_n(FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]))
+    assert not integral_for_all_n(t_binomial_ratio())  # offsets
+    # C(2mn, mn) with m = 2^16 is integral, but has too many breakpoints to try
+    wide = binomial_ratio(form(2 * LANDAU_MAX_BREAKPOINTS), form(LANDAU_MAX_BREAKPOINTS))
+    assert not integral_for_all_n(wide)
+    assert is_integral_at(wide, 1) == (True, None)
+
+
+def test_landau_certificate_is_sound():
+    rng = random.Random(7)
+    certified = 0
+    for _ in range(300):
+        tops = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
+        bottoms = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        bottoms[-1] += sum(tops) - sum(bottoms)
+        if bottoms[-1] < 1:
+            continue
+        r = FactorialRatio.from_terms(
+            [(form(c), 1) for c in tops] + [(form(c), -1) for c in bottoms]
+        )
+        if integral_for_all_n(r):
+            certified += 1
+            assert all(exact_ratio_value(r, n).denominator == 1 for n in range(1, 21))
+    assert certified >= 20
+
+
 def test_is_integral_empty_and_tiny_ratios():
     assert is_integral_at(FactorialRatio.from_terms([]), 3).integral
     assert is_integral_at(FactorialRatio.from_terms([(form(0, 1), 5)]), 1).integral
@@ -290,6 +339,19 @@ def test_certificate_entries_sorted_and_positive_required():
     ps = [p for p, _, _ in cert.entries]
     assert ps == sorted(ps)
     assert all(req > 0 for _, req, _ in cert.entries)
+
+
+def test_reduced_verdict_matches_full_ledger_on_failing_claims():
+    failing = 0
+    for a, b in sweep_pairs(8, 7):
+        claim = conjecture_claim(a, b)
+        for constants in ((1,), (3,), (a - b,), (3 * a - b,)):
+            weaker = dataclasses.replace(claim, multiplier_constants=constants)
+            for n in range(1, 31):
+                cert = verify_claim(weaker, n)
+                assert claim_holds(weaker, n) == (cert.holds, cert.witness)
+                failing += not cert.holds
+    assert failing > 0
 
 
 def random_binomial_product(rng):
