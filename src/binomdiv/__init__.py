@@ -10,11 +10,11 @@ an independent arbitrary-precision oracle for desk-scale cross checks.
 """
 
 from .errors import IntegrityError, ResourceLimitError
+from .oracle import minimal_multiplier
 from .valuation import (
     INFINITE,
     Lemma1Result,
     LemmaFuzzReport,
-    PrimeTable,
     factorize,
     fractional_part,
     kummer_binomial_valuation,
@@ -25,7 +25,6 @@ from .valuation import (
     nu_int,
     primes_upto,
     rational_floor,
-    sieve,
 )
 from .ratio import (
     Certificate,
@@ -37,6 +36,7 @@ from .ratio import (
     claim_holds,
     integral_for_all_n,
     is_integral_at,
+    modulus_rows,
     ratio_level_term,
     ratio_level_terms,
     ratio_valuation,
@@ -55,7 +55,6 @@ from .theorem import (
     conjecture_claim,
     conjecture_ratio,
     crt_split_check,
-    minimal_multiplier,
     omitted_branch_trace,
     proof_trace,
     run_sweep,

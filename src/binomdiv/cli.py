@@ -390,9 +390,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
         )
     else:
-        modulus_value = (2 * args.b * args.n + 3) if side is ModulusSide.TWO_BN_PLUS_3 else (2 * args.b * args.n + 1)
         lines = [
-            f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {modulus_value}"
+            f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {side.at(triple)}"
         ]
         for tr in traces:
             lines.extend(_trace_lines(tr))

@@ -15,11 +15,9 @@ import numpy as np
 
 from . import oracle
 from .theorem import (
-    ParamTriple,
     check_s_congruence,
     check_t_congruence,
     conjecture_claim,
-    minimal_multiplier,
     sweep_pairs,
 )
 from .ratio import claim_holds, verify_claim
@@ -31,7 +29,6 @@ from .valuation import (
     nu_int,
     primes_upto,
     rational_floor,
-    sieve,
 )
 
 
@@ -62,9 +59,9 @@ def suite_sieve(limit: int = 2000) -> SuiteResult:
     """Sieve output equals brute-force trial-division enumeration."""
     failures = []
     expected = _trial_division_primes(limit)
-    got = sieve(limit).as_list()
+    got = primes_upto(limit).tolist()
     if got != expected:
-        failures.append(f"sieve({limit}) disagrees with trial division")
+        failures.append(f"primes_upto({limit}) disagrees with trial division")
     return SuiteResult("sieve-vs-trial-division", limit, tuple(failures))
 
 
@@ -173,7 +170,7 @@ def suite_minimal_multiplier(a_max: int = 5, n_max: int = 5) -> SuiteResult:
     for a, b in sweep_pairs(a_max, a_max - 1):
         for n in range(1, n_max + 1):
             checked += 1
-            m_min = minimal_multiplier(ParamTriple(a, b, n))
+            m_min = oracle.minimal_multiplier(a, b, n)
             if (3 * (a - b) * (3 * a - b)) % m_min:
                 failures.append(f"minimal multiplier does not divide at a={a} b={b} n={n}")
     return SuiteResult("minimal-multiplier", checked, tuple(failures))

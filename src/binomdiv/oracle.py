@@ -7,6 +7,8 @@ valuation machinery it is used to validate.  Guarded to desk scale
 
 from __future__ import annotations
 
+import math
+
 from .errors import IntegrityError, ResourceLimitError
 
 #: Largest binomial argument the oracle will touch.
@@ -63,6 +65,27 @@ def exact_t(n: int) -> int:
     numerator = big_binomial(15 * n, 5 * n) * big_binomial(5 * n - 1, n - 1)
     denominator = (10 * n + 1) * big_binomial(3 * n, n)
     return _exact_quotient(numerator, denominator, f"t_{n}")
+
+
+def minimal_multiplier(a: int, b: int, n: int) -> int:
+    """Smallest constant M with divisor | M * dividend-binomials, exactly.
+
+    M = D / gcd(D, B) for D = (2bn+1)(2bn+3)C(2bn,bn) and
+    B = C(2an,an)C(an,bn).  The theorem guarantees M | 3(a-b)(3a-b); a
+    violation is surfaced as ``IntegrityError``.
+    """
+    if b < 1 or a <= b or n < 1:
+        raise ValueError(f"need a > b >= 1 and n >= 1, got a={a}, b={b}, n={n}")
+    divisor = (2 * b * n + 1) * (2 * b * n + 3) * big_binomial(2 * b * n, b * n)
+    dividend = big_binomial(2 * a * n, a * n) * big_binomial(a * n, b * n)
+    m_min = divisor // math.gcd(divisor, dividend)
+    bound = 3 * (a - b) * (3 * a - b)
+    if bound % m_min:
+        raise IntegrityError(
+            f"minimal multiplier {m_min} does not divide 3(a-b)(3a-b) = {bound} "
+            f"at a={a}, b={b}, n={n}; the divisibility theorem would be false"
+        )
+    return m_min
 
 
 def divides(d: int, m: int) -> bool:

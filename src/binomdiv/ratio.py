@@ -26,9 +26,12 @@ right-continuous and constant between the breakpoints k/c_i, so
 checking it there with exact integers is a proof.
 
 Reduced verdicts.  When the claim's core ratio dividend/divisor is
-certified, no prime outside the moduli values can fail, and
-``claim_holds`` decides the claim from those primes alone (ascending,
-so the witness is the same least prime).  ``is_integral_at`` likewise
+certified, no prime outside the moduli values can fail.
+``modulus_rows`` then yields, for each prime of the moduli values, the
+modulus exponent against nu_p(multipliers) + nu_p(core); this module is
+the only place that comparison is made.  ``claim_holds`` stops at the
+first failing row (ascending, so the witness is the same least prime),
+and ``Certificate.from_rows`` keeps them all.  ``is_integral_at``
 answers a certified ratio without enumerating primes.  Other inputs
 take the full prime enumeration, which ``verify_claim`` always uses.
 
@@ -43,9 +46,10 @@ with terms sorted by (coeff, offset) descending and exponents nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -277,7 +281,8 @@ class DivisibilityClaim:
 
     Moduli are affine forms that must evaluate >= 1 for every n >= 1
     (constant factors on the divisor side are coeff-0 forms); multiplier
-    constants are positive integers on the dividend side.
+    constants are positive integers on the dividend side whose product
+    fits in 64 bits.
     """
 
     divisor_moduli: tuple[LinearForm, ...]
@@ -291,6 +296,11 @@ class DivisibilityClaim:
         for c in self.multiplier_constants:
             if c < 1:
                 raise ValueError(f"multiplier constants must be >= 1, got {c}")
+        if math.prod(self.multiplier_constants) >= _I64_MAX:
+            raise OverflowError(
+                f"multiplier {'*'.join(map(str, self.multiplier_constants))} "
+                "does not fit in 64 bits"
+            )
         for m in self.divisor_moduli:
             # coeff >= 0 and value at n=1 >= 1 together give >= 1 for all n >= 1
             if m.coeff < 0 or m.coeff + m.offset < 1:
@@ -333,6 +343,13 @@ class Certificate:
     def verdict(self) -> str:
         return "Holds" if self.holds else f"Fails(p={self.witness})"
 
+    @classmethod
+    def from_rows(cls, n: int, rows: Iterable[tuple[int, int, int]]) -> "Certificate":
+        """Certificate over (prime, required, available) rows, ascending by prime."""
+        entries = tuple(rows)
+        witness = next((p for p, req, av in entries if av < req), None)
+        return cls(n=n, entries=entries, holds=witness is None, witness=witness)
+
     def min_margin(self) -> int | None:
         """Smallest available - required over the entries (None if empty)."""
         if not self.entries:
@@ -364,28 +381,24 @@ def _claim_valuations(
     return primes, required, available
 
 
-def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
-    """Fast verdict-only path: (holds, least witness prime or None).
+def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, required, available) for each prime p of the moduli values, ascending.
 
-    When ``integral_for_all_n`` certifies dividend_ratio / divisor_ratio,
-    no prime outside the moduli values can fail, so only those primes
-    are checked: nu_p(multipliers) + nu_p(core) against the modulus
-    exponent, ascending.  Other claims enumerate every prime that
-    matters, as ``verify_claim`` does; both give the same verdict and
-    witness.
+    required is the exponent of p in the product of the moduli values;
+    available is nu_p(multipliers) + nu_p(core) for the core
+    dividend_ratio / divisor_ratio.  When ``integral_for_all_n``
+    certifies the core, no other prime can fail, so these rows decide
+    the claim at n.  Rows are produced lazily, so a caller can stop at
+    the first failing one; a claim whose core is not certified raises
+    ``ValueError``.
     """
+    reduction = claim._reduction
+    if reduction is None:
+        raise ValueError(f"core ratio of {claim} has no Landau certificate")
     _check_n(n)
     moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
     divisor_args = claim.divisor_ratio.arguments(n)
     dividend_args = claim.dividend_ratio.arguments(n)
-    reduction = claim._reduction
-    if reduction is None:
-        primes, required, available = _claim_valuations(claim, n)
-        violations = np.flatnonzero(available < required)
-        if violations.size:
-            return False, int(primes[violations[0]])
-        return True, None
-
     _check_int64_budget(claim.divisor_ratio, divisor_args)
     _check_int64_budget(claim.dividend_ratio, dividend_args)
     core, multiplier_nu = reduction
@@ -394,7 +407,26 @@ def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
         for p, e in factorize(value):
             modulus_nu[p] = modulus_nu.get(p, 0) + e
     for p in sorted(modulus_nu):
-        if multiplier_nu.get(p, 0) + ratio_valuation(core, n, p) < modulus_nu[p]:
+        yield p, modulus_nu[p], multiplier_nu.get(p, 0) + ratio_valuation(core, n, p)
+
+
+def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
+    """Fast verdict-only path: (holds, least witness prime or None).
+
+    A claim whose core dividend_ratio / divisor_ratio is certified by
+    ``integral_for_all_n`` is decided by its ``modulus_rows``, stopping
+    at the first failing row.  Other claims enumerate every prime that
+    matters, as ``verify_claim`` does; both give the same verdict and
+    witness.
+    """
+    if claim._reduction is None:
+        primes, required, available = _claim_valuations(claim, n)
+        violations = np.flatnonzero(available < required)
+        if violations.size:
+            return False, int(primes[violations[0]])
+        return True, None
+    for p, required, available in modulus_rows(claim, n):
+        if available < required:
             return False, p
     return True, None
 

@@ -22,25 +22,25 @@ comparable case analysis is worked out for the 2bn+1 modulus, so its
 trace records level data informationally and asserts only the
 end-to-end inequality.
 
-Two classic congruences of the same flavor run through the same
-valuation engine,
+Two classic congruences of the same flavor are stated as claims too,
 
     3 * S_n == 0 (mod 2n+3),   S_n = C(6n,3n)C(3n,n) / (2(2n+1)C(2n,n))
     21 * t_n == 0 (mod 10n+3), t_n = C(15n,5n)C(5n-1,n-1) / ((10n+1)C(3n,n))
 
-the first of which follows from the theorem at (a,b) = (3,1).
+the first of which follows from the theorem at (a,b) = (3,1).  This
+module only states claims and replays proofs; ``ratio`` decides them.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import oracle
 from .ratio import (
     Certificate,
     DivisibilityClaim,
@@ -49,13 +49,12 @@ from .ratio import (
     binomial_ratio,
     claim_holds,
     is_integral_at,
+    modulus_rows,
     ratio_level_term,
     ratio_valuation,
     verify_claim,
 )
 from .valuation import factorize, nu_int
-
-_I64_MAX = 2**63
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ def _check_pair(a: int, b: int) -> None:
 def conjecture_claim(a: int, b: int) -> DivisibilityClaim:
     """The divisibility claim for fixed (a, b), with n left symbolic."""
     _check_pair(a, b)
-    if 3 * (a - b) * (3 * a - b) >= _I64_MAX:
-        raise OverflowError(f"multiplier 3(a-b)(3a-b) overflows 64 bits at a={a}, b={b}")
     dividend = binomial_ratio(LinearForm(2 * a, 0), LinearForm(a, 0)) * binomial_ratio(
         LinearForm(a, 0), LinearForm(b, 0)
     )
@@ -120,36 +117,23 @@ def check_ratio_integrality(t: ParamTriple) -> bool:
 def crt_split_check(t: ParamTriple) -> tuple[Certificate, Certificate]:
     """Split the claim over the coprime moduli 2bn+1 and 2bn+3.
 
-    Returns one certificate per modulus, each over the primes dividing
-    that modulus only: required is the prime's exponent in the modulus,
-    available is nu_p(3(a-b)(3a-b)) + nu_p(R).  Given that R is
-    integral, both certificates hold iff ``verify_triple`` holds.
+    Returns one certificate per modulus, the ``modulus_rows`` of the
+    claim restricted to that modulus: for each prime of the modulus,
+    required is its exponent and available is
+    nu_p(3(a-b)(3a-b)) + nu_p(R).  Given that R is integral, both
+    certificates hold iff ``verify_triple`` holds.
     """
-    a, b, n = t.a, t.b, t.n
-    m_plus1 = 2 * b * n + 1
-    m_plus3 = 2 * b * n + 3
+    claim = conjecture_claim(t.a, t.b)
+    m_plus1, m_plus3 = (m.evaluate(t.n) for m in claim.divisor_moduli)
     if math.gcd(m_plus1, m_plus3) != 1:
         raise ArithmeticError(
-            f"gcd(2bn+1, 2bn+3) != 1 at n={n}, b={b}; 64-bit arithmetic is broken"
+            f"gcd(2bn+1, 2bn+3) != 1 at n={t.n}, b={t.b}; 64-bit arithmetic is broken"
         )
-    ratio = conjecture_ratio(a, b)
-
-    def branch(modulus: int) -> Certificate:
-        entries = []
-        holds, witness = True, None
-        for p, e in factorize(modulus):
-            available = (
-                nu_int(3, p)
-                + nu_int(a - b, p)
-                + nu_int(3 * a - b, p)
-                + ratio_valuation(ratio, n, p)
-            )
-            entries.append((p, e, available))
-            if available < e and witness is None:
-                holds, witness = False, p
-        return Certificate(n=n, entries=tuple(entries), holds=holds, witness=witness)
-
-    return branch(m_plus1), branch(m_plus3)
+    branch1, branch3 = (
+        Certificate.from_rows(t.n, modulus_rows(replace(claim, divisor_moduli=(m,)), t.n))
+        for m in claim.divisor_moduli
+    )
+    return branch1, branch3
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +142,10 @@ def crt_split_check(t: ParamTriple) -> tuple[Certificate, Certificate]:
 class ModulusSide(enum.Enum):
     TWO_BN_PLUS_1 = "2bn+1"
     TWO_BN_PLUS_3 = "2bn+3"
+
+    def at(self, t: ParamTriple) -> int:
+        """The value of this modulus at the triple."""
+        return 2 * t.b * t.n + (3 if self is ModulusSide.TWO_BN_PLUS_3 else 1)
 
 
 class TraceBranch(enum.Enum):
@@ -193,48 +181,66 @@ class ProofTrace:
 
 def proof_trace(t: ParamTriple, p: int) -> ProofTrace:
     """Case analysis for p | 2bn+3; every assertion is expected to pass."""
+    return _trace(t, p, ModulusSide.TWO_BN_PLUS_3)
+
+
+def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
+    """Numeric check for p | 2bn+1: only the final inequality is asserted.
+
+    The case analysis is not replicated for this modulus; per-level
+    data is recorded for inspection without asserting any pattern.
+    """
+    return _trace(t, p, ModulusSide.TWO_BN_PLUS_1)
+
+
+def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     a, b, n = t.a, t.b, t.n
-    modulus = 2 * b * n + 3
+    modulus = side.at(t)
     if modulus % p:
-        raise ValueError(f"p={p} does not divide 2bn+3 = {modulus}")
+        raise ValueError(f"p={p} does not divide {side.value} = {modulus}")
     alpha = nu_int(modulus, p)
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
-    tau = max(beta, gamma)
     ratio = conjecture_ratio(a, b)
     nu_ratio = ratio_valuation(ratio, n, p)
     multiplier_nu = nu_int(3, p) + beta + gamma
 
     failures: list[str] = []
     levels: tuple[tuple[int, int], ...] = ()
-    if alpha <= tau:
-        branch = TraceBranch.MULTIPLIER_COVERS
-    elif p >= 5:
-        branch = TraceBranch.LEVEL_ANALYSIS
-        levels = tuple(
-            (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 1, alpha + 1)
-        )
-        for i, term in levels:
-            if term != 1:
-                failures.append(f"level {i} term is {term}, expected exactly 1")
-        if math.gcd(p, n) != 1:
-            failures.append(f"gcd({p}, n) != 1 although p >= 5 divides 2bn+3")
-        if nu_ratio < alpha - tau:
-            failures.append(f"nu_p(R) = {nu_ratio} < alpha - tau = {alpha - tau}")
-    elif n % 9 == 0:  # p == 3 from here on (2bn+3 is odd)
-        branch = TraceBranch.NINE_DIVIDES_N
-        if alpha != 1:
-            failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
+    if side is ModulusSide.TWO_BN_PLUS_1:
+        branch = TraceBranch.OMITTED_BRANCH_NUMERIC
+        levels = tuple((i, ratio_level_term(ratio, n, p, i)) for i in range(1, alpha + 1))
+        beta = gamma = tau = None
     else:
-        branch = TraceBranch.LEVEL_ANALYSIS
-        levels = tuple(
-            (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 2, alpha + 1)
-        )
-        for i, term in levels:
-            if term != 1:
-                failures.append(f"level {i} term is {term}, expected exactly 1")
-        if nu_ratio < alpha - tau - 1:
-            failures.append(f"nu_3(R) = {nu_ratio} < alpha - tau - 1 = {alpha - tau - 1}")
+        tau = max(beta, gamma)
+        if alpha <= tau:
+            branch = TraceBranch.MULTIPLIER_COVERS
+        elif p >= 5:
+            branch = TraceBranch.LEVEL_ANALYSIS
+            levels = tuple(
+                (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 1, alpha + 1)
+            )
+            for i, term in levels:
+                if term != 1:
+                    failures.append(f"level {i} term is {term}, expected exactly 1")
+            if math.gcd(p, n) != 1:
+                failures.append(f"gcd({p}, n) != 1 although p >= 5 divides 2bn+3")
+            if nu_ratio < alpha - tau:
+                failures.append(f"nu_p(R) = {nu_ratio} < alpha - tau = {alpha - tau}")
+        elif n % 9 == 0:  # p == 3 from here on (2bn+3 is odd)
+            branch = TraceBranch.NINE_DIVIDES_N
+            if alpha != 1:
+                failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
+        else:
+            branch = TraceBranch.LEVEL_ANALYSIS
+            levels = tuple(
+                (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 2, alpha + 1)
+            )
+            for i, term in levels:
+                if term != 1:
+                    failures.append(f"level {i} term is {term}, expected exactly 1")
+            if nu_ratio < alpha - tau - 1:
+                failures.append(f"nu_3(R) = {nu_ratio} < alpha - tau - 1 = {alpha - tau - 1}")
 
     if multiplier_nu + nu_ratio < alpha:
         failures.append(
@@ -243,7 +249,7 @@ def proof_trace(t: ParamTriple, p: int) -> ProofTrace:
     return ProofTrace(
         triple=t,
         p=p,
-        modulus_side=ModulusSide.TWO_BN_PLUS_3,
+        modulus_side=side,
         modulus_value=modulus,
         alpha=alpha,
         beta=beta,
@@ -256,49 +262,9 @@ def proof_trace(t: ParamTriple, p: int) -> ProofTrace:
     )
 
 
-def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
-    """Numeric check for p | 2bn+1: only the final inequality is asserted.
-
-    The case analysis is not replicated for this modulus; per-level
-    data is recorded for inspection without asserting any pattern.
-    """
-    a, b, n = t.a, t.b, t.n
-    modulus = 2 * b * n + 1
-    if modulus % p:
-        raise ValueError(f"p={p} does not divide 2bn+1 = {modulus}")
-    alpha = nu_int(modulus, p)
-    ratio = conjecture_ratio(a, b)
-    nu_ratio = ratio_valuation(ratio, n, p)
-    multiplier_nu = nu_int(3, p) + nu_int(a - b, p) + nu_int(3 * a - b, p)
-    levels = tuple((i, ratio_level_term(ratio, n, p, i)) for i in range(1, alpha + 1))
-    failures: list[str] = []
-    if multiplier_nu + nu_ratio < alpha:
-        failures.append(
-            f"nu_p(3(a-b)(3a-b)R) = {multiplier_nu + nu_ratio} < alpha = {alpha}"
-        )
-    return ProofTrace(
-        triple=t,
-        p=p,
-        modulus_side=ModulusSide.TWO_BN_PLUS_1,
-        modulus_value=modulus,
-        alpha=alpha,
-        beta=None,
-        gamma=None,
-        tau=None,
-        branch=TraceBranch.OMITTED_BRANCH_NUMERIC,
-        levels=levels,
-        satisfied=not failures,
-        failures=tuple(failures),
-    )
-
-
 def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
     """One trace per prime factor of the selected modulus."""
-    if side is ModulusSide.TWO_BN_PLUS_3:
-        modulus = 2 * t.b * t.n + 3
-        return [proof_trace(t, p) for p, _ in factorize(modulus)]
-    modulus = 2 * t.b * t.n + 1
-    return [omitted_branch_trace(t, p) for p, _ in factorize(modulus)]
+    return [_trace(t, p, side) for p, _ in factorize(side.at(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -354,57 +320,34 @@ def t_valuation(n: int, p: int) -> int:
     return ratio_valuation(t_binomial_ratio(), n, p) - nu_int(10 * n + 1, p)
 
 
-def check_s_congruence(n: int) -> bool:
-    """3*S_n == 0 (mod 2n+3), via per-prime-power valuations.
+def s_congruence_claim() -> DivisibilityClaim:
+    """3*S_n == 0 (mod 2n+3): (2n+3) 2(2n+1)C(2n,n) | 3 C(6n,3n)C(3n,n)."""
+    return _with_modulus(s_integrality_claim(), LinearForm(2, 3), 3)
 
-    Also asserts that S_n itself is an integer.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    holds, _ = claim_holds(s_integrality_claim(), n)
-    if not holds:
-        return False
-    return all(
-        nu_int(3, q) + s_valuation(n, q) >= e for q, e in factorize(2 * n + 3)
+
+def t_congruence_claim() -> DivisibilityClaim:
+    """21*t_n == 0 (mod 10n+3): (10n+3)(10n+1)C(3n,n) | 21 C(15n,5n)C(5n-1,n-1)."""
+    return _with_modulus(t_integrality_claim(), LinearForm(10, 3), 21)
+
+
+def _with_modulus(
+    claim: DivisibilityClaim, modulus: LinearForm, multiplier: int
+) -> DivisibilityClaim:
+    return replace(
+        claim,
+        divisor_moduli=claim.divisor_moduli + (modulus,),
+        multiplier_constants=claim.multiplier_constants + (multiplier,),
     )
+
+
+def check_s_congruence(n: int) -> bool:
+    """3*S_n == 0 (mod 2n+3); also asserts that S_n itself is an integer."""
+    return claim_holds(s_integrality_claim(), n)[0] and claim_holds(s_congruence_claim(), n)[0]
 
 
 def check_t_congruence(n: int) -> bool:
-    """21*t_n == 0 (mod 10n+3), via per-prime-power valuations.
-
-    Also asserts that t_n itself is an integer.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    holds, _ = claim_holds(t_integrality_claim(), n)
-    if not holds:
-        return False
-    return all(
-        nu_int(21, q) + t_valuation(n, q) >= e for q, e in factorize(10 * n + 3)
-    )
-
-
-def minimal_multiplier(t: ParamTriple) -> int:
-    """Smallest constant M with divisor | M * dividend-binomials, exactly.
-
-    M = D / gcd(D, B) for D = (2bn+1)(2bn+3)C(2bn,bn) and
-    B = C(2an,an)C(an,bn), computed through the independent big-integer
-    path.  The theorem guarantees M | 3(a-b)(3a-b); a violation is
-    surfaced as ``IntegrityError``.
-    """
-    a, b, n = t.a, t.b, t.n
-    divisor = (2 * b * n + 1) * (2 * b * n + 3) * oracle.big_binomial(2 * b * n, b * n)
-    dividend = oracle.big_binomial(2 * a * n, a * n) * oracle.big_binomial(a * n, b * n)
-    m_min = divisor // math.gcd(divisor, dividend)
-    bound = 3 * (a - b) * (3 * a - b)
-    if bound % m_min:
-        from .errors import IntegrityError
-
-        raise IntegrityError(
-            f"minimal multiplier {m_min} does not divide 3(a-b)(3a-b) = {bound} "
-            f"at {t}; the divisibility theorem would be false"
-        )
-    return m_min
+    """21*t_n == 0 (mod 10n+3); also asserts that t_n itself is an integer."""
+    return claim_holds(t_integrality_claim(), n)[0] and claim_holds(t_congruence_claim(), n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,32 +370,16 @@ def sweep_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _verify_cell(claim_cache: dict, a: int, b: int, n: int) -> int | None:
-    claim = claim_cache.get((a, b))
-    if claim is None:
-        claim = claim_cache[(a, b)] = conjecture_claim(a, b)
-    holds, witness = claim_holds(claim, n)
-    return None if holds else witness
-
-
-def _sweep_chunk(payload) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Worker: verify a chunk of the grid, return (checked, violations)."""
-    kind, body, n_max = payload
-    claim_cache: dict = {}
+def _sweep_chunk(groups) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Worker: verify (a, b, ns) groups, return (checked, violations)."""
     checked = 0
     violations: list[tuple[int, int, int, int]] = []
-    if kind == "pairs":
-        for a, b in body:
-            for n in range(1, n_max + 1):
-                witness = _verify_cell(claim_cache, a, b, n)
-                checked += 1
-                if witness is not None:
-                    violations.append((a, b, n, witness))
-    else:
-        for a, b, n in body:
-            witness = _verify_cell(claim_cache, a, b, n)
+    for a, b, ns in groups:
+        claim = conjecture_claim(a, b)
+        for n in ns:
+            holds, witness = claim_holds(claim, n)
             checked += 1
-            if witness is not None:
+            if not holds:
                 violations.append((a, b, n, witness))
     return checked, violations
 
@@ -479,27 +406,26 @@ def run_sweep(
     started = time.perf_counter()
     pairs = sweep_pairs(a_max, b_max)
 
-    payloads: list[tuple] = []
+    # Each payload is a list of (a, b, ns) groups for one worker call.
+    payloads: list[list[tuple]] = []
     if sample is not None:
         total = len(pairs) * n_max
         count = min(sample, total)
-        rng = random.Random(seed)
-        indices = sorted(rng.sample(range(total), count)) if count else []
-        triples = [
-            (*pairs[i // n_max], i % n_max + 1) for i in indices
-        ]
-        step = max(1, math.ceil(len(triples) / (jobs * 4))) if triples else 1
+        indices = sorted(random.Random(seed).sample(range(total), count))
+        step = max(1, math.ceil(count / (jobs * 4)))
         payloads = [
-            ("triples", tuple(triples[i : i + step]), n_max)
-            for i in range(0, len(triples), step)
+            [
+                (*pairs[k], tuple(i % n_max + 1 for i in group))
+                for k, group in itertools.groupby(indices[lo : lo + step], lambda i: i // n_max)
+            ]
+            for lo in range(0, count, step)
         ]
     elif pairs:
         # Deal pairs round-robin, heaviest (largest b) first, for balance.
         n_chunks = min(len(pairs), jobs * 4)
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(n_chunks)]
-        for i, pair in enumerate(sorted(pairs, key=lambda ab: (-ab[1], ab[0]))):
-            buckets[i % n_chunks].append(pair)
-        payloads = [("pairs", tuple(bucket), n_max) for bucket in buckets]
+        payloads = [[] for _ in range(n_chunks)]
+        for i, (a, b) in enumerate(sorted(pairs, key=lambda ab: (-ab[1], ab[0]))):
+            payloads[i % n_chunks].append((a, b, range(1, n_max + 1)))
 
     if jobs == 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(p) for p in payloads]

@@ -23,9 +23,8 @@ cache state) and each worker process owns its own copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -48,29 +47,6 @@ Valuation = Union[int, float]
 
 # ---------------------------------------------------------------------------
 # primes
-
-@dataclass(frozen=True, eq=False)
-class PrimeTable:
-    """All primes <= ``limit``, strictly ascending.
-
-    ``primes`` is a read-only int64 array so it can be shared freely
-    across workers and sliced without copying.  Equality is identity
-    (array-valued fields do not support element comparison sanely);
-    compare ``as_list()`` when values matter.
-    """
-
-    limit: int
-    primes: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.primes.shape[0])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.as_list())
-
-    def as_list(self) -> list[int]:
-        return self.primes.tolist()
-
 
 def _segmented_sieve(limit: int, segment: int = _SEGMENT) -> np.ndarray:
     """Primes <= limit via a segmented sieve of Eratosthenes."""
@@ -106,7 +82,11 @@ _cached_limit = 1
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """Read-only ascending array of all primes <= limit (cached)."""
+    """Read-only ascending int64 array of all primes <= limit (cached).
+
+    The array is a view of the grow-only cache, so it is never written
+    to.  Raises ``ResourceLimitError`` for limits beyond ``SIEVE_LIMIT``.
+    """
     global _cached_primes, _cached_limit
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
@@ -121,14 +101,6 @@ def primes_upto(limit: int) -> np.ndarray:
         _cached_limit = new_limit
     k = int(np.searchsorted(_cached_primes, limit, side="right"))
     return _cached_primes[:k]
-
-
-def sieve(limit: int) -> PrimeTable:
-    """All primes <= limit, ascending.
-
-    Raises ``ResourceLimitError`` for limits beyond ``SIEVE_LIMIT``.
-    """
-    return PrimeTable(limit, primes_upto(limit))
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

@@ -23,7 +23,6 @@ from binomdiv.theorem import (
     check_t_congruence,
     conjecture_claim,
     crt_split_check,
-    minimal_multiplier,
     proof_trace,
     s_valuation,
     sweep_pairs,
@@ -252,7 +251,7 @@ def test_11_minimal_multiplier_sharpness():
     checked = 0
     for a, b in sweep_pairs(6, 5):
         for n in range(1, 11):
-            m_min = minimal_multiplier(ParamTriple(a, b, n))
+            m_min = oracle.minimal_multiplier(a, b, n)
             assert (3 * (a - b) * (3 * a - b)) % m_min == 0, (a, b, n)
             checked += 1
     assert checked == 15 * 10

@@ -18,6 +18,7 @@ from binomdiv.ratio import (
     claim_holds,
     integral_for_all_n,
     is_integral_at,
+    modulus_rows,
     ratio_level_term,
     ratio_level_terms,
     ratio_valuation,
@@ -317,6 +318,9 @@ def test_claim_validation():
         DivisibilityClaim((form(1, -1),), CENTRAL, (), CENTRAL)  # 0 at n=1
     with pytest.raises(ValueError):
         DivisibilityClaim((form(-1, 5),), CENTRAL, (), CENTRAL)  # eventually < 1
+    with pytest.raises(OverflowError):
+        DivisibilityClaim((), CENTRAL, (2**32, 2**31), CENTRAL)  # product is 2^63
+    DivisibilityClaim((), CENTRAL, (2**32, 2**31 - 1), CENTRAL)
 
 
 def test_failing_claim_reports_least_witness():
@@ -352,6 +356,25 @@ def test_reduced_verdict_matches_full_ledger_on_failing_claims():
                 assert claim_holds(weaker, n) == (cert.holds, cert.witness)
                 failing += not cert.holds
     assert failing > 0
+
+
+def test_modulus_rows_decide_certified_claims_only():
+    claim = conjecture_claim(3, 1)
+    # n = 9: 2bn+1 = 19, 2bn+3 = 21 = 3 * 7; multiplier 3 * 2 * 8
+    rows = list(modulus_rows(claim, 9))
+    assert [(p, required) for p, required, _ in rows] == [(3, 1), (7, 1), (19, 1)]
+    assert all(
+        available == (p == 3) + ratio_valuation(conjecture_ratio(3, 1), 9, p)
+        for p, _, available in rows
+    )
+    cert = Certificate.from_rows(9, rows)
+    assert (cert.n, cert.entries, cert.holds, cert.witness) == (9, tuple(rows), True, None)
+    failing = Certificate.from_rows(1, [(2, 1, 1), (3, 2, 1), (5, 2, 0)])
+    assert (failing.holds, failing.witness) == (False, 3)
+    offsets = binomial_ratio(form(5, -1), form(1, -1))  # C(5n-1, n-1): no certificate
+    uncertified = DivisibilityClaim((form(2, 1),), CENTRAL, (), CENTRAL * offsets)
+    with pytest.raises(ValueError, match="Landau"):
+        next(modulus_rows(uncertified, 1))
 
 
 def random_binomial_product(rng):

@@ -18,13 +18,14 @@ from binomdiv.theorem import (
     conjecture_claim,
     conjecture_ratio,
     crt_split_check,
-    minimal_multiplier,
     omitted_branch_trace,
     proof_trace,
     run_sweep,
+    s_congruence_claim,
     s_integrality_claim,
     s_valuation,
     sweep_pairs,
+    t_congruence_claim,
     t_integrality_claim,
     t_valuation,
     traces_for_modulus,
@@ -136,10 +137,20 @@ def test_crt_moduli_always_coprime():
 
 def test_crt_split_equivalent_to_full_verdict():
     for a, b in sweep_pairs(6, 5):
+        ratio = conjecture_ratio(a, b)
         for n in range(1, 13):
             t = ParamTriple(a, b, n)
             branch1, branch3 = crt_split_check(t)
             assert (branch1.holds and branch3.holds) == verify_triple(t).holds
+            for cert, modulus in ((branch1, 2 * b * n + 1), (branch3, 2 * b * n + 3)):
+                assert cert.entries == tuple(
+                    (
+                        p,
+                        e,
+                        nu_int(3 * (a - b) * (3 * a - b), p) + ratio_valuation(ratio, n, p),
+                    )
+                    for p, e in factorize(modulus)
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +254,28 @@ def test_t_congruence_first_instance_values():
     assert t_valuation(1, 13) == 1
 
 
+def test_congruence_claims_match_per_prime_reference():
+    """Weakened multipliers make the claims fail; verdicts follow s/t_valuation."""
+    failing = 0
+    for multiplier in (1, 3):
+        claim = dataclasses.replace(s_congruence_claim(), multiplier_constants=(multiplier,))
+        for n in range(1, 201):
+            expected = all(
+                nu_int(multiplier, q) + s_valuation(n, q) >= e for q, e in factorize(2 * n + 3)
+            )
+            assert claim_holds(claim, n)[0] == expected, (multiplier, n)
+            failing += not expected
+    for multiplier in (1, 3, 7, 21):
+        claim = dataclasses.replace(t_congruence_claim(), multiplier_constants=(multiplier,))
+        for n in range(1, 61):
+            expected = all(
+                nu_int(multiplier, q) + t_valuation(n, q) >= e for q, e in factorize(10 * n + 3)
+            )
+            assert claim_holds(claim, n)[0] == expected, (multiplier, n)
+            failing += not expected
+    assert failing > 0
+
+
 def test_s_t_integrality_claims_hold():
     for n in range(1, 30):
         assert claim_holds(s_integrality_claim(), n) == (True, None)
@@ -253,14 +286,24 @@ def test_s_t_integrality_claims_hold():
 # minimal multiplier
 
 def test_minimal_multiplier_examples():
-    assert minimal_multiplier(ParamTriple(2, 1, 1)) == 5  # D=30, B=12
-    assert minimal_multiplier(ParamTriple(3, 1, 1)) == 1  # D=30, B=60
+    assert oracle.minimal_multiplier(2, 1, 1) == 5  # D=30, B=12
+    assert oracle.minimal_multiplier(3, 1, 1) == 1  # D=30, B=60
+    with pytest.raises(ValueError):
+        oracle.minimal_multiplier(2, 2, 1)
+
+
+def test_theorem_does_not_use_the_oracle():
+    """The verifier must stay independent of the route it is checked against."""
+    import binomdiv.theorem
+
+    assert not hasattr(binomdiv.theorem, "oracle")
+    assert not hasattr(binomdiv.theorem, "big_binomial")
 
 
 def test_minimal_multiplier_divides_theorem_constant():
     for a, b in sweep_pairs(5, 4):
         for n in range(1, 6):
-            m_min = minimal_multiplier(ParamTriple(a, b, n))
+            m_min = oracle.minimal_multiplier(a, b, n)
             assert (3 * (a - b) * (3 * a - b)) % m_min == 0
 
 

@@ -20,7 +20,6 @@ from binomdiv.valuation import (
     nu_int,
     primes_upto,
     rational_floor,
-    sieve,
     _segmented_sieve,
 )
 
@@ -45,23 +44,21 @@ rationals = st.builds(
 # sieve
 
 def test_sieve_small_examples():
-    assert sieve(1).as_list() == []
-    assert sieve(0).as_list() == []
-    assert sieve(2).as_list() == [2]
-    assert sieve(10).as_list() == [2, 3, 5, 7]
-    assert sieve(30).as_list() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_upto(1).tolist() == []
+    assert primes_upto(0).tolist() == []
+    assert primes_upto(2).tolist() == [2]
+    assert primes_upto(10).tolist() == [2, 3, 5, 7]
+    assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_sieve_matches_trial_division_up_to_10k():
-    assert sieve(10_000).as_list() == trial_division_primes(10_000)
+    assert primes_upto(10_000).tolist() == trial_division_primes(10_000)
 
 
 def test_sieve_strictly_increasing_and_prime():
-    table = sieve(5000)
-    primes = table.as_list()
-    assert table.limit == 5000
+    primes = primes_upto(5000).tolist()
     assert primes == sorted(set(primes))
-    assert len(table) == len(primes)
+    assert primes[-1] == 4999
 
 
 @pytest.mark.parametrize("segment", [1, 7, 97, 1024])
@@ -72,7 +69,7 @@ def test_segmented_sieve_segment_boundaries(segment):
 
 def test_sieve_limit_guard():
     with pytest.raises(ResourceLimitError):
-        sieve(2**31 + 1)
+        primes_upto(2**31 + 1)
 
 
 def test_primes_upto_cache_slices_consistently():
