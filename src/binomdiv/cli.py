@@ -8,8 +8,12 @@ Commands:
   integrality   per-n integrality of a generalized factorial ratio
   oracle-check  cross-validation suites (valuation engine vs big integers)
 
+Each ``_cmd_*`` handler validates its input, runs its library call and
+returns a ``_Report``; ``_render`` alone turns that into json, csv or
+human text, and ``main`` writes it to ``--out`` or stdout.
+
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
-found (certificate/trace emitted); 2 = usage, domain or resource error.
+found (the report counts violations); 2 = usage, domain or resource error.
 
 JSON report schema (schema_version 1):
 
@@ -21,8 +25,9 @@ Each result carries certificate entries as {"p": p, "required": r,
 "available": a}.  Reports are deterministic for a fixed config and
 seed, except for the wall-clock ``summary.seconds`` field.
 
-CSV output (verify / sweep / integrality only) has the fixed header
-``a,b,n,verdict,witness_prime,seconds``; inapplicable fields are empty.
+CSV output (verify / sweep / integrality only; the other commands exit 2)
+has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
+inapplicable fields are empty.
 
 Canonical ratio grammar (the text form used in claim rendering):
 
@@ -45,7 +50,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .crosscheck import run_all
@@ -67,29 +73,26 @@ from .valuation import lemma_fuzz
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 SCALE_GUARD = 2**62
+_CSV_COMMANDS = ("verify", "sweep", "integrality")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: command, parameters, and output routing."""
+class _Report:
+    """What one command found, before any format is chosen.
 
-    command: str
-    params: dict = field(default_factory=dict)
-    jobs: int = 1
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    format: str = "human"
+    The report bodies are thunks, so only the format asked for is built
+    (``verify --format human`` never builds the certificate dicts).
+    ``rows`` yields ``(a, b, n, verdict, witness)``; None means no CSV form.
+    """
 
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.format not in ("json", "csv", "human"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-    def as_dict(self) -> dict:
-        doc = dict(self.params)
-        doc.update(jobs=self.jobs, seed=self.seed, format=self.format)
-        return doc
+    params: dict
+    checked: int
+    violations: int
+    seconds: float
+    summary_line: str
+    results: Callable[[], list]
+    lines: Callable[[], list[str]]
+    rows: Callable[[], Iterable[tuple]] | None = None
 
 
 def _guard_scale(a: int, n: int) -> None:
@@ -111,6 +114,17 @@ def _certificate_dict(cert: Certificate) -> dict:
         "entries": [
             {"p": p, "required": req, "available": av} for p, req, av in cert.entries
         ],
+    }
+
+
+def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) -> dict:
+    return {
+        "a": triple.a,
+        "b": triple.b,
+        "n": triple.n,
+        "verdict": cert.verdict,
+        "witness_prime": witness,
+        "certificate": _certificate_dict(cert),
     }
 
 
@@ -178,40 +192,40 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
     return lines
 
 
-def _csv_text(rows: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer,
-        fieldnames=["a", "b", "n", "verdict", "witness_prime", "seconds"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _render(args: argparse.Namespace) -> tuple[_Report, str]:
+    """Run the command and render its report in ``--format``.
 
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _report_doc(config: RunConfig, results: list, checked: int, violations: int, seconds: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "config": config.as_dict(),
-        "results": results,
-        "summary": {"checked": checked, "violations": violations, "seconds": seconds},
-    }
-
-
-def _emit(text: str, config: RunConfig, summary_line: str) -> None:
-    """Write the report to --out (plus a stdout summary) or to stdout."""
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-        print(f"{summary_line} (report written to {config.out})")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    The only code that reads ``--format``: csv for a command without a
+    CSV form is refused before the command runs.
+    """
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+        raise ValueError(f"{args.command} does not support csv output; use json or human")
+    report = args.handler(args)
+    if args.format == "json":
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": {
+                **report.params,
+                "jobs": getattr(args, "jobs", 1),
+                "seed": getattr(args, "seed", DEFAULT_SEED),
+                "format": args.format,
+            },
+            "results": report.results(),
+            "summary": {
+                "checked": report.checked,
+                "violations": report.violations,
+                "seconds": report.seconds,
+            },
+        }
+        return report, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
+        writer.writerow(["a", "b", "n", "verdict", "witness_prime", "seconds"])
+        writer.writerows((*row, f"{report.seconds:.6f}") for row in report.rows())
+        return report, buffer.getvalue()
+    return report, "\n".join(report.lines()) + "\n"
 
 
 def sweep_report_from_json(doc: dict) -> SweepReport:
@@ -237,140 +251,80 @@ def sweep_report_from_json(doc: dict) -> SweepReport:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="verify",
-        params={"a": args.a, "b": args.b, "n": args.n},
-        out=args.out,
-        format=args.format,
-    )
+def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     _guard_scale(args.a, args.n)
     started = time.perf_counter()
     cert = verify_triple(triple)
     seconds = time.perf_counter() - started
-
-    if config.format == "json":
-        result = {
-            "a": args.a,
-            "b": args.b,
-            "n": args.n,
-            "verdict": cert.verdict,
-            "witness_prime": cert.witness,
-            "certificate": _certificate_dict(cert),
-        }
-        text = _json_text(_report_doc(config, [result], 1, 0 if cert.holds else 1, seconds))
-    elif config.format == "csv":
-        text = _csv_text(
-            [
-                {
-                    "a": args.a,
-                    "b": args.b,
-                    "n": args.n,
-                    "verdict": cert.verdict,
-                    "witness_prime": "" if cert.witness is None else cert.witness,
-                    "seconds": f"{seconds:.6f}",
-                }
-            ]
-        )
-    else:
-        lines = [
+    return _Report(
+        params={"a": args.a, "b": args.b, "n": args.n},
+        checked=1,
+        violations=0 if cert.holds else 1,
+        seconds=seconds,
+        summary_line=f"verify a={args.a} b={args.b} n={args.n}: {cert.verdict}",
+        results=lambda: [_result_dict(triple, cert.witness, cert)],
+        lines=lambda: [
             f"claim: {conjecture_claim(args.a, args.b)}",
             f"instance: a={args.a} b={args.b} n={args.n}",
             *_certificate_lines(cert),
             f"wall time: {seconds:.3f}s",
+        ],
+        rows=lambda: [(args.a, args.b, args.n, cert.verdict, cert.witness)],
+    )
+
+
+def _cmd_sweep(args: argparse.Namespace) -> _Report:
+    _guard_scale(args.a_max, args.n_max)
+    report = run_sweep(
+        args.a_max, args.b_max, args.n_max, jobs=args.jobs, sample=args.sample, seed=args.seed
+    )
+    found = [(triple, witness, verify_triple(triple)) for triple, witness in report.violations]
+
+    def lines() -> list[str]:
+        mode = "sampled" if args.sample is not None else "exhaustive"
+        out = [
+            f"sweep: a <= {args.a_max}, b <= {args.b_max}, n <= {args.n_max} ({mode})",
+            f"checked: {report.checked} triples",
+            f"violations: {len(found)}",
+            f"wall time: {report.seconds:.3f}s",
         ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, config, f"verify a={args.a} b={args.b} n={args.n}: {cert.verdict}")
-    return 0 if cert.holds else 1
+        for triple, witness, cert in found:
+            out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
+            out.extend(f"  {ln}" for ln in _certificate_lines(cert))
+        return out
 
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="sweep",
+    return _Report(
         params={
             "a_max": args.a_max,
             "b_max": args.b_max,
             "n_max": args.n_max,
             "sample": args.sample,
         },
-        jobs=args.jobs,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-    )
-    _guard_scale(args.a_max, args.n_max)
-    report = run_sweep(
-        args.a_max, args.b_max, args.n_max, jobs=args.jobs, sample=args.sample, seed=args.seed
-    )
-
-    violation_certs = []
-    results = []
-    for triple, witness in report.violations:
-        cert = verify_triple(triple)
-        traces = traces_for_modulus(triple, ModulusSide.TWO_BN_PLUS_1) + traces_for_modulus(
-            triple, ModulusSide.TWO_BN_PLUS_3
-        )
-        violation_certs.append((triple, witness, cert))
-        results.append(
+        checked=report.checked,
+        violations=len(found),
+        seconds=report.seconds,
+        summary_line=f"sweep checked={report.checked} violations={len(found)}",
+        results=lambda: [
             {
-                "a": triple.a,
-                "b": triple.b,
-                "n": triple.n,
-                "verdict": cert.verdict,
-                "witness_prime": witness,
-                "certificate": _certificate_dict(cert),
-                "traces": [_trace_dict(tr) for tr in traces],
+                **_result_dict(triple, witness, cert),
+                "traces": [
+                    _trace_dict(tr)
+                    for side in (ModulusSide.TWO_BN_PLUS_1, ModulusSide.TWO_BN_PLUS_3)
+                    for tr in traces_for_modulus(triple, side)
+                ],
             }
-        )
-
-    if config.format == "json":
-        text = _json_text(
-            _report_doc(config, results, report.checked, len(report.violations), report.seconds)
-        )
-    elif config.format == "csv":
-        text = _csv_text(
-            [
-                {
-                    "a": r["a"],
-                    "b": r["b"],
-                    "n": r["n"],
-                    "verdict": r["verdict"],
-                    "witness_prime": r["witness_prime"],
-                    "seconds": f"{report.seconds:.6f}",
-                }
-                for r in results
-            ]
-        )
-    else:
-        mode = "sampled" if args.sample is not None else "exhaustive"
-        lines = [
-            f"sweep: a <= {args.a_max}, b <= {args.b_max}, n <= {args.n_max} ({mode})",
-            f"checked: {report.checked} triples",
-            f"violations: {len(report.violations)}",
-            f"wall time: {report.seconds:.3f}s",
-        ]
-        for triple, witness, cert in violation_certs:
-            lines.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
-            lines.extend(f"  {ln}" for ln in _certificate_lines(cert))
-        text = "\n".join(lines) + "\n"
-    _emit(
-        text,
-        config,
-        f"sweep checked={report.checked} violations={len(report.violations)}",
+            for triple, witness, cert in found
+        ],
+        lines=lines,
+        rows=lambda: [
+            (triple.a, triple.b, triple.n, cert.verdict, witness)
+            for triple, witness, cert in found
+        ],
     )
-    return 0 if not report.violations else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="trace",
-        params={"a": args.a, "b": args.b, "n": args.n, "modulus": args.modulus},
-        out=args.out,
-        format=args.format,
-    )
-    if config.format == "csv":
-        raise ValueError("trace does not support csv output; use json or human")
+def _cmd_trace(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     _guard_scale(args.a, args.n)
     side = ModulusSide(args.modulus)
@@ -378,64 +332,45 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     traces = traces_for_modulus(triple, side)
     seconds = time.perf_counter() - started
     all_satisfied = all(tr.satisfied for tr in traces)
-
-    if config.format == "json":
-        text = _json_text(
-            _report_doc(
-                config,
-                [_trace_dict(tr) for tr in traces],
-                len(traces),
-                sum(not tr.satisfied for tr in traces),
-                seconds,
-            )
-        )
-    else:
-        lines = [
-            f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {side.at(triple)}"
-        ]
-        for tr in traces:
-            lines.extend(_trace_lines(tr))
-        lines.append(f"all satisfied: {all_satisfied}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, config, f"trace {side.value}: {'satisfied' if all_satisfied else 'VIOLATION'}")
-    return 0 if all_satisfied else 1
-
-
-def _cmd_lemma_fuzz(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="lemma-fuzz",
-        params={"samples": args.samples, "max_den": args.max_den},
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
+    return _Report(
+        params={"a": args.a, "b": args.b, "n": args.n, "modulus": args.modulus},
+        checked=len(traces),
+        violations=sum(not tr.satisfied for tr in traces),
+        seconds=seconds,
+        summary_line=f"trace {side.value}: {'satisfied' if all_satisfied else 'VIOLATION'}",
+        results=lambda: [_trace_dict(tr) for tr in traces],
+        lines=lambda: [
+            f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {side.at(triple)}",
+            *(line for tr in traces for line in _trace_lines(tr)),
+            f"all satisfied: {all_satisfied}",
+        ],
     )
-    if config.format == "csv":
-        raise ValueError("lemma-fuzz does not support csv output; use json or human")
+
+
+def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
     started = time.perf_counter()
     report = lemma_fuzz(args.samples, args.max_den, seed=args.seed)
     seconds = time.perf_counter() - started
-
-    if config.format == "json":
-        results = [
+    return _Report(
+        params={"samples": args.samples, "max_den": args.max_den},
+        checked=report.samples,
+        violations=len(report.violations),
+        seconds=seconds,
+        summary_line=f"lemma-fuzz violations={len(report.violations)}",
+        results=lambda: [
             {
                 "x": f"{x.numerator}/{x.denominator}",
                 "y": f"{y.numerator}/{y.denominator}",
             }
             for x, y in report.violations
-        ]
-        text = _json_text(
-            _report_doc(config, results, report.samples, len(report.violations), seconds)
-        )
-    else:
+        ],
         # No timing line: identical seeds must give byte-identical output.
-        lines = [
+        lines=lambda: [
             f"lemma-fuzz: samples={report.samples} max_den={report.max_den} seed={report.seed}",
             f"violations: {len(report.violations)}",
-        ]
-        lines.extend(f"VIOLATION at x={x}, y={y}" for x, y in report.violations)
-        text = "\n".join(lines) + "\n"
-    _emit(text, config, f"lemma-fuzz violations={len(report.violations)}")
-    return 0 if not report.violations else 1
+            *(f"VIOLATION at x={x}, y={y}" for x, y in report.violations),
+        ],
+    )
 
 
 def _parse_coefficients(text: str, flag: str) -> list[int]:
@@ -450,15 +385,9 @@ def _parse_coefficients(text: str, flag: str) -> list[int]:
     return values
 
 
-def _cmd_integrality(args: argparse.Namespace) -> int:
+def _cmd_integrality(args: argparse.Namespace) -> _Report:
     numerators = _parse_coefficients(args.num, "--num")
     denominators = _parse_coefficients(args.den, "--den")
-    config = RunConfig(
-        command="integrality",
-        params={"num": numerators, "den": denominators, "n_max": args.n_max},
-        out=args.out,
-        format=args.format,
-    )
     if sum(numerators) != sum(denominators):
         print(
             f"warning: coefficient sums differ ({sum(numerators)} vs {sum(denominators)}); "
@@ -472,68 +401,61 @@ def _cmd_integrality(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     outcomes = [(n, is_integral_at(ratio, n)) for n in range(1, args.n_max + 1)]
     seconds = time.perf_counter() - started
-    bad = [(n, res) for n, res in outcomes if not res.integral]
+    bad = sum(not res.integral for _, res in outcomes)
 
-    if config.format == "json":
-        results = [
-            {"n": n, "integral": res.integral, "witness_prime": res.witness}
-            for n, res in outcomes
-        ]
-        text = _json_text(_report_doc(config, results, len(outcomes), len(bad), seconds))
-    elif config.format == "csv":
-        text = _csv_text(
-            [
-                {
-                    "a": "",
-                    "b": "",
-                    "n": n,
-                    "verdict": "integral" if res.integral else "non-integral",
-                    "witness_prime": "" if res.witness is None else res.witness,
-                    "seconds": f"{seconds:.6f}",
-                }
-                for n, res in outcomes
-            ]
-        )
-    else:
-        lines = [f"ratio: {ratio}"]
+    def lines() -> list[str]:
+        out = [f"ratio: {ratio}"]
         for n, res in outcomes:
             verdict = "integral" if res.integral else f"non-integral (witness p={res.witness})"
-            lines.append(f"n={n}: {verdict}")
-        lines.append(f"non-integral at {len(bad)} of {len(outcomes)} values of n")
-        text = "\n".join(lines) + "\n"
-    _emit(text, config, f"integrality non-integral={len(bad)}/{len(outcomes)}")
-    return 0 if not bad else 1
+            out.append(f"n={n}: {verdict}")
+        out.append(f"non-integral at {bad} of {len(outcomes)} values of n")
+        return out
 
-
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        command="oracle-check", seed=args.seed, out=args.out, format=args.format
+    return _Report(
+        params={"num": numerators, "den": denominators, "n_max": args.n_max},
+        checked=len(outcomes),
+        violations=bad,
+        seconds=seconds,
+        summary_line=f"integrality non-integral={bad}/{len(outcomes)}",
+        results=lambda: [
+            {"n": n, "integral": res.integral, "witness_prime": res.witness}
+            for n, res in outcomes
+        ],
+        lines=lines,
+        rows=lambda: [
+            (None, None, n, "integral" if res.integral else "non-integral", res.witness)
+            for n, res in outcomes
+        ],
     )
-    if config.format == "csv":
-        raise ValueError("oracle-check does not support csv output; use json or human")
+
+
+def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
     started = time.perf_counter()
     suites = run_all(seed=args.seed)
     seconds = time.perf_counter() - started
     failed = sum(not s.passed for s in suites)
 
-    if config.format == "json":
-        results = [
-            {"suite": s.name, "checked": s.checked, "failures": list(s.failures)}
-            for s in suites
-        ]
-        text = _json_text(
-            _report_doc(config, results, sum(s.checked for s in suites), failed, seconds)
-        )
-    else:
-        lines = []
+    def lines() -> list[str]:
+        out = []
         for s in suites:
             status = "ok" if s.passed else f"FAIL ({len(s.failures)} failures)"
-            lines.append(f"{s.name:<28} {s.checked:>8} checks  {status}")
-            lines.extend(f"    {msg}" for msg in s.failures[:10])
-        lines.append(f"suites failed: {failed}/{len(suites)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, config, f"oracle-check failed-suites={failed}")
-    return 0 if failed == 0 else 1
+            out.append(f"{s.name:<28} {s.checked:>8} checks  {status}")
+            out.extend(f"    {msg}" for msg in s.failures[:10])
+        out.append(f"suites failed: {failed}/{len(suites)}")
+        return out
+
+    return _Report(
+        params={},
+        checked=sum(s.checked for s in suites),
+        violations=failed,
+        seconds=seconds,
+        summary_line=f"oracle-check failed-suites={failed}",
+        results=lambda: [
+            {"suite": s.name, "checked": s.checked, "failures": list(s.failures)}
+            for s in suites
+        ],
+        lines=lines,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +556,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        report, text = _render(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+            print(f"{report.summary_line} (report written to {args.out})")
+        else:
+            sys.stdout.write(text)
     except IntegrityError as exc:
         print(f"integrity violation: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if report.violations else 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import oracle
+from .errors import IntegrityError
 from .theorem import (
     check_s_congruence,
     check_t_congruence,
@@ -148,31 +149,35 @@ def suite_congruences_vs_oracle(s_n_max: int = 30, t_n_max: int = 20) -> SuiteRe
     """The S_n and t_n congruence checks match exact modular arithmetic."""
     failures = []
     checked = 0
-    for n in range(1, s_n_max + 1):
-        checked += 1
-        by_valuation = check_s_congruence(n)
-        by_oracle = (3 * oracle.exact_s(n)) % (2 * n + 3) == 0
-        if by_valuation != by_oracle or not by_valuation:
-            failures.append(f"S_n congruence mismatch at n={n}")
-    for n in range(1, t_n_max + 1):
-        checked += 1
-        by_valuation = check_t_congruence(n)
-        by_oracle = (21 * oracle.exact_t(n)) % (10 * n + 3) == 0
-        if by_valuation != by_oracle or not by_valuation:
-            failures.append(f"t_n congruence mismatch at n={n}")
+    cases = (
+        ("S_n", s_n_max, check_s_congruence, lambda n: 3 * oracle.exact_s(n) % (2 * n + 3)),
+        ("t_n", t_n_max, check_t_congruence, lambda n: 21 * oracle.exact_t(n) % (10 * n + 3)),
+    )
+    for name, n_max, by_valuation, oracle_remainder in cases:
+        for n in range(1, n_max + 1):
+            checked += 1
+            try:
+                by_oracle = oracle_remainder(n) == 0
+            except IntegrityError as exc:
+                failures.append(str(exc))
+                continue
+            holds = by_valuation(n)
+            if holds != by_oracle or not holds:
+                failures.append(f"{name} congruence mismatch at n={n}")
     return SuiteResult("congruences-vs-bigint", checked, tuple(failures))
 
 
 def suite_minimal_multiplier(a_max: int = 5, n_max: int = 5) -> SuiteResult:
-    """The exact minimal multiplier always divides 3(a-b)(3a-b)."""
+    """The exact minimal multiplier always divides 3(a-b)(3a-b) (else the oracle raises)."""
     failures = []
     checked = 0
     for a, b in sweep_pairs(a_max, a_max - 1):
         for n in range(1, n_max + 1):
             checked += 1
-            m_min = oracle.minimal_multiplier(a, b, n)
-            if (3 * (a - b) * (3 * a - b)) % m_min:
-                failures.append(f"minimal multiplier does not divide at a={a} b={b} n={n}")
+            try:
+                oracle.minimal_multiplier(a, b, n)
+            except IntegrityError as exc:
+                failures.append(str(exc))
     return SuiteResult("minimal-multiplier", checked, tuple(failures))
 
 

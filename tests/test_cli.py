@@ -2,10 +2,13 @@
 
 import copy
 import json
+import re
 
 import pytest
 
+from binomdiv import crosscheck, oracle
 from binomdiv.cli import main, sweep_report_from_json
+from binomdiv.errors import IntegrityError
 from binomdiv.theorem import ParamTriple, run_sweep
 
 
@@ -114,14 +117,20 @@ def test_trace_rejects_bad_modulus_selector(capsys):
     assert main(["trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+5"]) == 2
 
 
-def test_trace_rejects_csv(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "trace", "--a", "2", "--b", "1", "--n", "1",
-        "--modulus", "2bn+1", "--format", "csv",
-    )
-    assert code == 2
-    assert "csv" in err
+def test_trace_rejects_csv(capsys, tmp_path):
+    """trace, lemma-fuzz and oracle-check refuse csv before any validation or work."""
+    out_file = tmp_path / "report.csv"
+    for argv in (
+        ["trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+1"],
+        ["lemma-fuzz", "--samples", "5", "--max-den", "10000000000"],  # max-den is out of range
+        ["oracle-check"],
+    ):
+        for extra in ([], ["--out", str(out_file)]):
+            code, out, err = run_cli(capsys, *argv, "--format", "csv", *extra)
+            assert code == 2
+            assert err == f"error: {argv[0]} does not support csv output; use json or human\n"
+            assert out == ""
+            assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +318,63 @@ def test_oracle_check_passes(capsys):
         "minimal-multiplier",
     ):
         assert name in out
+
+
+@pytest.mark.parametrize(
+    "name, suite_fn, bad",
+    [
+        ("minimal_multiplier", crosscheck.suite_minimal_multiplier, (3, 1, 2)),
+        ("exact_t", crosscheck.suite_congruences_vs_oracle, (4,)),
+    ],
+    ids=["minimal-multiplier", "congruences"],
+)
+def test_oracle_integrity_error_is_a_suite_failure(capsys, monkeypatch, name, suite_fn, bad):
+    real = getattr(oracle, name)
+
+    def corrupted(*args):
+        if args == bad:
+            raise IntegrityError(f"corrupted oracle value at {args}")
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, corrupted)
+    result = suite_fn()
+    assert result.failures == (f"corrupted oracle value at {bad}",)
+    code, out, err = run_cli(capsys, "oracle-check")
+    assert code == 1
+    assert err == ""
+    assert f"{result.name:<28} {result.checked:>8} checks  FAIL (1 failures)" in out
+    assert f"    corrupted oracle value at {bad}" in out
+    assert out.endswith("suites failed: 1/7\n")
+
+
+# ---------------------------------------------------------------------------
+# --out, every command
+
+_WALL_CLOCK = re.compile(r'"seconds": [0-9.e+-]+|wall time: [0-9.]+s|,[0-9]+\.[0-9]{6}$', re.M)
+
+
+@pytest.mark.parametrize(
+    "argv, formats, summary",
+    [
+        (["verify", "--a", "3", "--b", "1", "--n", "5"], ("json", "csv", "human"),
+         "verify a=3 b=1 n=5: Holds"),
+        (["sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6"], ("json", "csv", "human"),
+         "sweep checked=36 violations=0"),
+        (["trace", "--a", "3", "--b", "1", "--n", "9", "--modulus", "2bn+3"], ("json", "human"),
+         "trace 2bn+3: satisfied"),
+        (["lemma-fuzz", "--samples", "2000", "--max-den", "1000"], ("json", "human"),
+         "lemma-fuzz violations=0"),
+        (["integrality", "--num", "1,1", "--den", "2", "--n-max", "6"], ("json", "csv", "human"),
+         "integrality non-integral=6/6"),
+        (["oracle-check"], ("human",), "oracle-check failed-suites=0"),
+    ],
+    ids=["verify", "sweep", "trace", "lemma-fuzz", "integrality", "oracle-check"],
+)
+def test_out_file_equals_stdout_report(capsys, tmp_path, argv, formats, summary):
+    for fmt in formats:
+        code, report, _ = run_cli(capsys, *argv, "--format", fmt)
+        path = tmp_path / f"report.{fmt}"
+        out_code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert out_code == code
+        assert out == f"{summary} (report written to {path})\n"
+        assert _WALL_CLOCK.sub("X", path.read_text()) == _WALL_CLOCK.sub("X", report)
