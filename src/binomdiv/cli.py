@@ -195,11 +195,17 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
 def _render(args: argparse.Namespace) -> tuple[_Report, str]:
     """Run the command and render its report in ``--format``.
 
-    The only code that reads ``--format``: csv for a command without a
-    CSV form is refused before the command runs.
+    The only code that reads ``--format``.  Before the command runs, it
+    refuses csv for a command without a CSV form, then an ``--out`` path
+    whose directory is missing, with the error that writing it would give.
     """
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         raise ValueError(f"{args.command} does not support csv output; use json or human")
+    if args.out:
+        try:
+            Path(args.out).parent.stat()
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, args.out) from None
     report = args.handler(args)
     if args.format == "json":
         doc = {

@@ -31,9 +31,11 @@ certified, no prime outside the moduli values can fail.
 modulus exponent against nu_p(multipliers) + nu_p(core); this module is
 the only place that comparison is made.  ``claim_holds`` stops at the
 first failing row (ascending, so the witness is the same least prime),
-and ``Certificate.from_rows`` keeps them all.  ``is_integral_at``
-answers a certified ratio without enumerating primes.  Other inputs
-take the full prime enumeration, which ``verify_claim`` always uses.
+and ``Certificate.from_rows`` keeps them all.  Other inputs take the
+full prime enumeration, which ``verify_claim`` always uses.
+``is_integral_at(r, n)`` is ``claim_holds`` on the claim "denominator
+of r | numerator of r": an uncertified ratio enumerates primes only up
+to its largest denominator argument.
 
 Canonical text form (also documented in the CLI):
 
@@ -179,17 +181,19 @@ def ratio_level_term(r: FactorialRatio, n: int, p: int, level: int) -> int:
     This is sum_t e_t * floor(arg_t / p^level), the bracketed per-level
     term whose sign and size carry the content of the divisibility
     proofs; ``ratio_valuation`` is the sum of these over all levels.
+    Levels past the last of ``ratio_level_terms`` are 0.
     """
-    _check_n(n)
+    terms = ratio_level_terms(r, n, p)
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    q = p**level
-    return sum(e * (_argument(form, n) // q) for form, e in r.terms)
+    return terms[level - 1] if level <= len(terms) else 0
 
 
 def ratio_level_terms(r: FactorialRatio, n: int, p: int) -> list[int]:
     """All nontrivial per-level addends (levels 1, 2, ... until empty)."""
     _check_n(n)
+    if p < 2:
+        raise ValueError(f"p must be a prime, got {p}")
     exponents = [e for _, e in r.terms]
     quotients = [a // p for a in r.arguments(n)]
     out: list[int] = []
@@ -241,35 +245,6 @@ def integral_for_all_n(r: FactorialRatio) -> bool:
         for den in denominators
         for k in range(den)
     )
-
-
-class IntegralityResult(NamedTuple):
-    integral: bool
-    witness: int | None  # least prime with negative valuation
-
-
-def is_integral_at(r: FactorialRatio, n: int) -> IntegralityResult:
-    """Whether the ratio evaluates to an integer at n.
-
-    A ratio certified by ``integral_for_all_n`` is integral without
-    further work.  Otherwise checks nu_p >= 0 for every prime p up to
-    the largest positive factorial argument (larger primes divide
-    nothing on either side).
-    """
-    _check_n(n)
-    args = r.arguments(n)
-    bound = max((a for a in args if a > 0), default=0)
-    if bound < 2:
-        return IntegralityResult(True, None)
-    if integral_for_all_n(r):
-        _check_int64_budget(r, args)
-        return IntegralityResult(True, None)
-    primes = primes_upto(bound)
-    vals = ratio_valuation_over_primes(r, n, primes)
-    negative = np.flatnonzero(vals < 0)
-    if negative.size:
-        return IntegralityResult(False, int(primes[negative[0]]))
-    return IntegralityResult(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +334,10 @@ class Certificate:
 
 def _claim_valuations(
     claim: DivisibilityClaim, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(primes, required, available) arrays over all primes that matter."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """(primes, required, available) arrays over all primes that matter,
+    and the witness: the least prime with available < required, or None.
+    """
     _check_n(n)
     moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
     divisor_args = claim.divisor_ratio.arguments(n)
@@ -378,7 +355,9 @@ def _claim_valuations(
         for p, e in factorize(constant):
             if p <= bound:  # larger factors can never be required
                 available[int(np.searchsorted(primes, p))] += e
-    return primes, required, available
+    violations = np.flatnonzero(available < required)
+    witness = int(primes[violations[0]]) if violations.size else None
+    return primes, required, available, witness
 
 
 def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, int]]:
@@ -420,11 +399,8 @@ def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
     witness.
     """
     if claim._reduction is None:
-        primes, required, available = _claim_valuations(claim, n)
-        violations = np.flatnonzero(available < required)
-        if violations.size:
-            return False, int(primes[violations[0]])
-        return True, None
+        witness = _claim_valuations(claim, n)[3]
+        return witness is None, witness
     for p, required, available in modulus_rows(claim, n):
         if available < required:
             return False, p
@@ -441,10 +417,7 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     here).  Keep factorial content with negative exponents on the
     divisor side.
     """
-    primes, required, available = _claim_valuations(claim, n)
-    violations = np.flatnonzero(available < required)
-    holds = violations.size == 0
-    witness = None if holds else int(primes[violations[0]])
+    primes, required, available, witness = _claim_valuations(claim, n)
     keep = np.flatnonzero(required > 0)
     entries = tuple(
         zip(
@@ -453,4 +426,25 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
             available[keep].tolist(),
         )
     )
-    return Certificate(n=n, entries=entries, holds=holds, witness=witness)
+    return Certificate(n=n, entries=entries, holds=witness is None, witness=witness)
+
+
+class IntegralityResult(NamedTuple):
+    integral: bool
+    witness: int | None  # least prime with negative valuation
+
+
+@lru_cache(maxsize=4096)
+def _integrality_claim(r: FactorialRatio) -> DivisibilityClaim:
+    """The claim "denominator of r divides numerator of r"."""
+    return DivisibilityClaim(
+        divisor_moduli=(),
+        divisor_ratio=FactorialRatio(tuple((f, -e) for f, e in r.terms if e < 0)),
+        multiplier_constants=(),
+        dividend_ratio=FactorialRatio(tuple((f, e) for f, e in r.terms if e > 0)),
+    )
+
+
+def is_integral_at(r: FactorialRatio, n: int) -> IntegralityResult:
+    """Whether the ratio evaluates to an integer at n, decided by ``claim_holds``."""
+    return IntegralityResult(*claim_holds(_integrality_claim(r), n))

@@ -57,6 +57,11 @@ from .ratio import (
 from .valuation import factorize, nu_int
 
 
+def _check_pair(a: int, b: int) -> None:
+    if b < 1 or a <= b:
+        raise ValueError(f"need a > b >= 1, got a={a}, b={b}")
+
+
 @dataclass(frozen=True)
 class ParamTriple:
     """(a, b, n) with a > b >= 1 and n >= 1."""
@@ -66,38 +71,36 @@ class ParamTriple:
     n: int
 
     def __post_init__(self) -> None:
-        if self.b < 1 or self.a <= self.b:
-            raise ValueError(f"need a > b >= 1, got a={self.a}, b={self.b}")
+        _check_pair(self.a, self.b)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
 
 
-def _check_pair(a: int, b: int) -> None:
-    if b < 1 or a <= b:
-        raise ValueError(f"need a > b >= 1, got a={a}, b={b}")
+def _r_integrality_claim(a: int, b: int) -> DivisibilityClaim:
+    """R(a,b,n) is an integer: C(2bn,bn) | C(2an,an)C(an,bn)."""
+    _check_pair(a, b)
+    return DivisibilityClaim(
+        divisor_moduli=(),
+        divisor_ratio=binomial_ratio(LinearForm(2 * b, 0), LinearForm(b, 0)),
+        multiplier_constants=(),
+        dividend_ratio=binomial_ratio(LinearForm(2 * a, 0), LinearForm(a, 0))
+        * binomial_ratio(LinearForm(a, 0), LinearForm(b, 0)),
+    )
 
 
 def conjecture_claim(a: int, b: int) -> DivisibilityClaim:
     """The divisibility claim for fixed (a, b), with n left symbolic."""
-    _check_pair(a, b)
-    dividend = binomial_ratio(LinearForm(2 * a, 0), LinearForm(a, 0)) * binomial_ratio(
-        LinearForm(a, 0), LinearForm(b, 0)
-    )
-    return DivisibilityClaim(
+    return replace(
+        _r_integrality_claim(a, b),
         divisor_moduli=(LinearForm(2 * b, 1), LinearForm(2 * b, 3)),
-        divisor_ratio=binomial_ratio(LinearForm(2 * b, 0), LinearForm(b, 0)),
         multiplier_constants=(3, a - b, 3 * a - b),
-        dividend_ratio=dividend,
     )
 
 
 def conjecture_ratio(a: int, b: int) -> FactorialRatio:
     """R(a,b,n) = C(2an,an)C(an,bn)/C(2bn,bn), the integer-valued core ratio."""
-    _check_pair(a, b)
-    dividend = binomial_ratio(LinearForm(2 * a, 0), LinearForm(a, 0)) * binomial_ratio(
-        LinearForm(a, 0), LinearForm(b, 0)
-    )
-    return dividend / binomial_ratio(LinearForm(2 * b, 0), LinearForm(b, 0))
+    claim = _r_integrality_claim(a, b)  # trace takes a >= 1.02e9; conjecture_claim refuses it
+    return claim.dividend_ratio / claim.divisor_ratio
 
 
 def verify_triple(t: ParamTriple) -> Certificate:
@@ -270,24 +273,6 @@ def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
 # ---------------------------------------------------------------------------
 # the S_n and t_n congruences
 
-def s_binomial_ratio() -> FactorialRatio:
-    """C(6n,3n)C(3n,n)/C(2n,n), the factorial part of S_n."""
-    return (
-        binomial_ratio(LinearForm(6, 0), LinearForm(3, 0))
-        * binomial_ratio(LinearForm(3, 0), LinearForm(1, 0))
-        / binomial_ratio(LinearForm(2, 0), LinearForm(1, 0))
-    )
-
-
-def t_binomial_ratio() -> FactorialRatio:
-    """C(15n,5n)C(5n-1,n-1)/C(3n,n), the factorial part of t_n."""
-    return (
-        binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
-        * binomial_ratio(LinearForm(5, -1), LinearForm(1, -1))
-        / binomial_ratio(LinearForm(3, 0), LinearForm(1, 0))
-    )
-
-
 def s_integrality_claim() -> DivisibilityClaim:
     """S_n is an integer: 2(2n+1)C(2n,n) | C(6n,3n)C(3n,n)."""
     return DivisibilityClaim(
@@ -308,6 +293,18 @@ def t_integrality_claim() -> DivisibilityClaim:
         dividend_ratio=binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
         * binomial_ratio(LinearForm(5, -1), LinearForm(1, -1)),
     )
+
+
+def s_binomial_ratio() -> FactorialRatio:
+    """C(6n,3n)C(3n,n)/C(2n,n), the factorial part of S_n."""
+    claim = s_integrality_claim()
+    return claim.dividend_ratio / claim.divisor_ratio
+
+
+def t_binomial_ratio() -> FactorialRatio:
+    """C(15n,5n)C(5n-1,n-1)/C(3n,n), the factorial part of t_n."""
+    claim = t_integrality_claim()
+    return claim.dividend_ratio / claim.divisor_ratio
 
 
 def s_valuation(n: int, p: int) -> int:
@@ -430,7 +427,7 @@ def run_sweep(
     if jobs == 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_sweep_chunk, payloads))
 
     checked = sum(c for c, _ in outcomes)

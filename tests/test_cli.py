@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from binomdiv import crosscheck, oracle
+from binomdiv import cli, crosscheck, oracle
 from binomdiv.cli import main, sweep_report_from_json
 from binomdiv.errors import IntegrityError
 from binomdiv.theorem import ParamTriple, run_sweep
@@ -228,6 +228,33 @@ def test_sweep_unwritable_out(capsys):
     )
     assert code == 2
     assert err
+
+
+def test_out_to_missing_directory_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    missing = tmp_path / "missing-dir" / "r.json"
+    code, out, err = run_cli(
+        capsys, "sweep", "--a-max", "25", "--b-max", "24", "--n-max", "100", "--out", str(missing)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not missing.exists()
+    # the csv refusal still wins
+    code, _, err = run_cli(capsys, "oracle-check", "--format", "csv", "--out", str(missing))
+    assert code == 2
+    assert err == "error: oracle-check does not support csv output; use json or human\n"
+    # a command that fails leaves an existing --out file as it was
+    existing = tmp_path / "r.json"
+    existing.write_text("keep\n", encoding="utf-8")
+    code, _, _ = run_cli(
+        capsys, "verify", "--a", "1", "--b", "2", "--n", "1", "--out", str(existing)
+    )
+    assert code == 2
+    assert existing.read_text(encoding="utf-8") == "keep\n"
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,12 @@ def test_level_terms_sum_to_valuation():
             assert sum(terms) == ratio_valuation(r, n, p)
             for i, term in enumerate(terms, start=1):
                 assert ratio_level_term(r, n, p, i) == term
+            for past in (len(terms) + 1, len(terms) + 5):
+                assert ratio_level_term(r, n, p, past) == 0
+            with pytest.raises(ValueError, match="level must be >= 1"):
+                ratio_level_term(r, n, p, 0)
+    with pytest.raises(ValueError, match="p must be a prime"):
+        ratio_level_term(r, 3, 1, 1)  # p = 1 would never run out of levels
 
 
 def test_valuation_additivity_over_concatenation():
@@ -207,17 +213,41 @@ def test_is_integral_examples():
 
 
 def test_is_integral_agrees_with_exact_arithmetic():
+    def check(r, n):
+        result = is_integral_at(r, n)
+        value = exact_ratio_value(r, n)
+        assert result.integral == (value.denominator == 1)
+        negative = [
+            int(p) for p in primes_upto(max(r.arguments(n), default=0))
+            if ratio_valuation(r, n, int(p)) < 0
+        ]
+        assert result.witness == (negative[0] if negative else None)
+        if not result.integral:
+            assert value.denominator % result.witness == 0
+
     rng = random.Random(5)
     for _ in range(80):
         r = FactorialRatio.from_terms(
             [(form(rng.randint(1, 8)), rng.choice([-1, 1])) for _ in range(4)]
         )
-        n = rng.randint(1, 12)
-        result = is_integral_at(r, n)
-        value = exact_ratio_value(r, n)
-        assert result.integral == (value.denominator == 1)
-        if not result.integral:
-            assert value.denominator % result.witness == 0
+        check(r, rng.randint(1, 12))
+    # offset forms c*n + d with d >= -c, so every argument is >= 0 at n >= 1
+    for _ in range(80):
+        terms = []
+        for _ in range(rng.randint(2, 5)):
+            c = rng.randint(1, 6)
+            terms.append((form(c, rng.randint(-c, 4)), rng.choice([-2, -1, 1, 2])))
+        check(FactorialRatio.from_terms(terms), rng.randint(1, 10))
+    # unbalanced coefficient sums, both heavier numerators and heavier denominators
+    for _ in range(60):
+        tops = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+        bottoms = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+        if sum(tops) == sum(bottoms):
+            tops.append(1)
+        r = FactorialRatio.from_terms(
+            [(form(c), 1) for c in tops] + [(form(c), -1) for c in bottoms]
+        )
+        check(r, rng.randint(1, 12))
 
 
 def test_landau_certificate_covers_the_papers_ratios():
@@ -257,6 +287,12 @@ def test_landau_certificate_is_sound():
             certified += 1
             assert all(exact_ratio_value(r, n).denominator == 1 for n in range(1, 21))
     assert certified >= 20
+
+
+def test_is_integral_sieves_only_to_the_largest_denominator_argument():
+    # the numerator argument 2^40 is far past SIEVE_LIMIT; only primes <= 1 matter
+    unbalanced = FactorialRatio.from_terms([(form(2**40), 1), (form(1), -1)])
+    assert is_integral_at(unbalanced, 1) == (True, None)
 
 
 def test_is_integral_empty_and_tiny_ratios():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from binomdiv import oracle
+from binomdiv import oracle, theorem
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import LinearForm, claim_holds, ratio_valuation
 from binomdiv.theorem import (
@@ -344,6 +344,40 @@ def test_run_sweep_sampled_deterministic():
     assert first.violations == second.violations == ()
     capped = run_sweep(3, 2, 2, sample=10**6, seed=1)
     assert capped.checked == len(sweep_pairs(3, 2)) * 2
+
+
+def test_run_sweep_pool_is_capped_at_the_payload_count(monkeypatch):
+    """The pool never asks for more workers than it has payloads.
+
+    An in-process stand-in for the pool records ``max_workers`` and maps
+    serially, so no worker process is started.
+    """
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            seen.append((self.max_workers, len(payloads)))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(theorem, "ProcessPoolExecutor", SerialPool)
+    for kwargs in ({}, {"sample": 5, "seed": 3}):
+        serial = run_sweep(3, 2, 10, jobs=1, **kwargs)
+        pooled = run_sweep(3, 2, 10, jobs=500, **kwargs)
+        assert dataclasses.replace(pooled, seconds=0.0) == dataclasses.replace(
+            serial, seconds=0.0
+        )
+    assert len(seen) == 2
+    assert all(1 < workers <= payloads for workers, payloads in seen)
 
 
 def test_run_sweep_validates_arguments():
