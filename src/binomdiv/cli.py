@@ -22,8 +22,11 @@ JSON report schema (schema_version 1):
      "summary": {"checked": <int>, "violations": <int>, "seconds": <float>}}
 
 Each result carries certificate entries as {"p": p, "required": r,
-"available": a}.  Reports are deterministic for a fixed config and
-seed, except for the wall-clock ``summary.seconds`` field.
+"available": a}; ``_json_text`` writes them from a ``Certificate``'s
+read-only int64 columns ``primes``, ``required`` and ``available``
+(``entries`` is a lazy view of them as rows).  Reports are deterministic
+for a fixed config and seed, except for the wall-clock
+``summary.seconds`` field.
 
 CSV output (verify / sweep / integrality only; the other commands exit 2)
 has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
@@ -48,6 +51,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -106,17 +110,6 @@ def _guard_scale(a: int, n: int) -> None:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _certificate_dict(cert: Certificate) -> dict:
-    return {
-        "n": cert.n,
-        "holds": cert.holds,
-        "witness": cert.witness,
-        "entries": [
-            {"p": p, "required": req, "available": av} for p, req, av in cert.entries
-        ],
-    }
-
-
 def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) -> dict:
     return {
         "a": triple.a,
@@ -124,7 +117,8 @@ def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) ->
         "n": triple.n,
         "verdict": cert.verdict,
         "witness_prime": witness,
-        "certificate": _certificate_dict(cert),
+        # _json_text writes the entries list from the certificate's columns
+        "certificate": {"n": cert.n, "holds": cert.holds, "witness": cert.witness, "entries": cert},
     }
 
 
@@ -147,19 +141,39 @@ def _trace_dict(trace: ProofTrace) -> dict:
     }
 
 
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` with each Certificate in doc
+    as its entries list.  The indented stdlib encoder is pure Python, so it
+    writes a token "\\u0000<k>" that the list, one template per row, replaces."""
+    certificates: list[Certificate] = []
+
+    def token(cert: object) -> str:
+        if not isinstance(cert, Certificate):
+            raise TypeError(f"Object of type {type(cert).__name__} is not JSON serializable")
+        certificates.append(cert)
+        return f"\0{len(certificates) - 1}"
+
+    def entries(match: re.Match) -> str:
+        cert, pad = certificates[int(match[2])], match[1]
+        row = f'{pad}  {{\n{pad}    "available": %d,\n{pad}    "p": %d,\n{pad}    "required": %d\n{pad}  }}'
+        rows = zip(cert.available.tolist(), cert.primes.tolist(), cert.required.tolist())
+        body = ",\n".join(map(row.__mod__, rows))
+        return f'{pad}"entries": ' + (f"[\n{body}\n{pad}]" if body else "[]")
+
+    text = json.dumps(doc, indent=2, sort_keys=True, default=token)
+    return re.sub(r'^( *)"entries": "\\u0000(\d+)"', entries, text, flags=re.MULTILINE)
+
+
 def _certificate_lines(cert: Certificate, max_entries: int = 60) -> list[str]:
-    lines = [f"verdict: {cert.verdict}", f"primes with required > 0: {len(cert.entries)}"]
+    lines = [f"verdict: {cert.verdict}", f"primes with required > 0: {cert.primes.size}"]
     margin = cert.min_margin()
     if margin is not None:
         lines.append(f"min margin (available - required): {margin}")
-    if len(cert.entries) <= max_entries:
-        if cert.entries:
-            lines.append(f"{'p':>12} {'required':>9} {'available':>10}")
-            lines.extend(
-                f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert.entries
-            )
-    else:
+    if cert.primes.size > max_entries:
         lines.append("(entry table elided; rerun with --format json --out FILE)")
+    elif cert.primes.size:
+        lines.append(f"{'p':>12} {'required':>9} {'available':>10}")
+        lines.extend(f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert.entries)
     if not cert.holds:
         lines.append(f"VIOLATION at witness prime p={cert.witness}")
     return lines
@@ -224,7 +238,7 @@ def _render(args: argparse.Namespace) -> tuple[_Report, str]:
                 "seconds": report.seconds,
             },
         }
-        return report, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return report, _json_text(doc) + "\n"
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
@@ -394,7 +408,7 @@ def _parse_coefficients(text: str, flag: str) -> list[int]:
 def _cmd_integrality(args: argparse.Namespace) -> _Report:
     numerators = _parse_coefficients(args.num, "--num")
     denominators = _parse_coefficients(args.den, "--den")
-    if sum(numerators) != sum(denominators):
+    if sum(numerators) < sum(denominators):
         print(
             f"warning: coefficient sums differ ({sum(numerators)} vs {sum(denominators)}); "
             "such ratios are non-integral for all large n",

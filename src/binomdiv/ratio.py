@@ -49,9 +49,10 @@ with terms sorted by (coeff, offset) descending and exponents nonzero.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,20 +300,55 @@ class DivisibilityClaim:
         return f"{left} {self.divisor_ratio} | {right} {self.dividend_ratio}"
 
 
-@dataclass(frozen=True)
+class _Rows(Sequence):
+    """(p, required, available) rows of Python ints, built from the columns
+    only when read (``len`` is O(1)); equal to the tuple of those rows."""
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def __getitem__(self, index: int) -> tuple[int, int, int]:
+        return tuple(int(c[index]) for c in self._columns)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return zip(*(c.tolist() for c in self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == other
+
+
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Per-prime ledger for one claim instance.
 
-    ``entries`` lists (prime, required, available) ascending by prime,
-    omitting primes with required == 0; ``holds`` is decided over every
+    ``primes``, ``required`` and ``available`` are read-only int64 columns
+    ascending by prime, omitting primes with required == 0, and
+    ``entries`` views them as rows; ``holds`` is decided over every
     enumerated prime before the omission, and ``witness`` is the least
     prime with available < required when the claim fails.
     """
 
     n: int
-    entries: tuple[tuple[int, int, int], ...]
+    primes: np.ndarray
+    required: np.ndarray
+    available: np.ndarray
     holds: bool
     witness: int | None
+
+    def __post_init__(self) -> None:
+        for name in ("primes", "required", "available"):
+            column = np.asarray(getattr(self, name), dtype=np.int64).view()
+            column.flags.writeable = False  # on a view: the caller's array stays writable
+            object.__setattr__(self, name, column)
+        if self.primes.ndim != 1 or not self.primes.shape == self.required.shape == self.available.shape:
+            raise ValueError("certificate columns must be 1-D and of one length")
+
+    @property
+    def entries(self) -> Sequence[tuple[int, int, int]]:
+        return _Rows(self.primes, self.required, self.available)
 
     @property
     def verdict(self) -> str:
@@ -321,15 +357,14 @@ class Certificate:
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[tuple[int, int, int]]) -> "Certificate":
         """Certificate over (prime, required, available) rows, ascending by prime."""
-        entries = tuple(rows)
-        witness = next((p for p, req, av in entries if av < req), None)
-        return cls(n=n, entries=entries, holds=witness is None, witness=witness)
+        primes, required, available = np.array(list(rows), dtype=np.int64).reshape(-1, 3).T
+        failing = primes[available < required]
+        witness = int(failing[0]) if failing.size else None
+        return cls(n, primes, required, available, witness is None, witness)
 
     def min_margin(self) -> int | None:
         """Smallest available - required over the entries (None if empty)."""
-        if not self.entries:
-            return None
-        return min(available - required for _, required, available in self.entries)
+        return int((self.available - self.required).min()) if self.primes.size else None
 
 
 def _claim_valuations(
@@ -418,15 +453,8 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     divisor side.
     """
     primes, required, available, witness = _claim_valuations(claim, n)
-    keep = np.flatnonzero(required > 0)
-    entries = tuple(
-        zip(
-            primes[keep].tolist(),
-            required[keep].tolist(),
-            available[keep].tolist(),
-        )
-    )
-    return Certificate(n=n, entries=entries, holds=witness is None, witness=witness)
+    keep = required > 0
+    return Certificate(n, primes[keep], required[keep], available[keep], witness is None, witness)
 
 
 class IntegralityResult(NamedTuple):

@@ -137,6 +137,8 @@ def nu_int(m: int, p: int) -> Valuation:
     Primality of p is the caller's responsibility: callers draw p from a
     prime table, and a per-call check would dominate the hot loops.
     """
+    if p < 2:  # the division loop would never end
+        raise ValueError(f"p must be a prime, got {p}")
     if m == 0:
         return INFINITE
     m = abs(m)
@@ -149,6 +151,8 @@ def nu_int(m: int, p: int) -> Valuation:
 
 def nu_factorial(m: int, p: int) -> int:
     """nu_p(m!) by Legendre's formula, as an iterated-division sum."""
+    if p < 2:  # the division loop would never end
+        raise ValueError(f"p must be a prime, got {p}")
     if m < 0:
         raise ValueError(f"factorial argument must be >= 0, got {m}")
     total = 0

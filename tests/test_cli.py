@@ -9,7 +9,8 @@ import pytest
 from binomdiv import cli, crosscheck, oracle
 from binomdiv.cli import main, sweep_report_from_json
 from binomdiv.errors import IntegrityError
-from binomdiv.theorem import ParamTriple, run_sweep
+from binomdiv.ratio import Certificate
+from binomdiv.theorem import ParamTriple, SweepReport, run_sweep, verify_triple
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,60 @@ def test_verify_json_report(capsys, tmp_path):
     (result,) = doc["results"]
     assert result["verdict"] == "Holds"
     assert all(e["available"] >= e["required"] for e in result["certificate"]["entries"])
+
+
+def _stdlib_json(text, certificates):
+    """The report as ``json.dumps(indent=2, sort_keys=True)`` writes it, with
+    each result's certificate entries rebuilt as dicts from ``certificates``."""
+    doc = json.loads(text)
+    for result, cert in zip(doc["results"], certificates, strict=True):
+        result["certificate"]["entries"] = [
+            {"p": p, "required": req, "available": av} for p, req, av in cert.entries
+        ]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "a, b, n, rows, sizes",
+    [
+        (3, 1, 5, [], range(1)),  # Certificate.from_rows(n, []): entries render as []
+        (3, 1, 5, [(7, 1, 2)], range(1, 2)),
+        (2, 1, 1, None, range(2, 10)),  # None: the real certificate
+        (7, 5, 60, None, range(61, 10**4)),  # past the human table's 60 rows
+    ],
+    ids=["empty", "one", "few", "many"],
+)
+def test_verify_json_equals_the_stdlib_encoder(capsys, monkeypatch, a, b, n, rows, sizes):
+    if rows is not None:
+        monkeypatch.setattr(cli, "verify_triple", lambda t: Certificate.from_rows(t.n, rows))
+    cert = cli.verify_triple(ParamTriple(a, b, n))
+    assert len(cert.entries) in sizes
+    code, text, _ = run_cli(
+        capsys, "verify", "--a", str(a), "--b", str(b), "--n", str(n), "--format", "json"
+    )
+    assert code == 0
+    assert text == _stdlib_json(text, [cert])
+
+
+def test_sweep_violation_json_equals_the_stdlib_encoder(capsys, monkeypatch):
+    found = ((ParamTriple(3, 1, 5), 2), (ParamTriple(4, 3, 6), 3))
+    fake = SweepReport(4, 3, 6, checked=36, violations=found, seconds=0.25)
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: fake)
+    code, text, _ = run_cli(
+        capsys, "sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6", "--format", "json"
+    )
+    assert code == 1
+    assert text == _stdlib_json(text, [verify_triple(t) for t, _ in found])
+
+
+def test_json_text_writes_entries_at_any_depth():
+    cert, empty = Certificate.from_rows(4, [(2, 1, 3), (3, 2, 2)]), Certificate.from_rows(1, [])
+    rows = [{"p": 2, "required": 1, "available": 3}, {"p": 3, "required": 2, "available": 2}]
+    doc = {"entries": cert, "x": [{"y": {"entries": cert}}, {"entries": empty}]}
+    reference = {"entries": rows, "x": [{"y": {"entries": rows}}, {"entries": []}]}
+    assert cli._json_text(doc) == json.dumps(reference, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"x": object()})
 
 
 def test_verify_csv_row(capsys):
@@ -305,7 +360,12 @@ def test_integrality_sum_mismatch_warns_but_runs(capsys):
     code, out, err = run_cli(
         capsys, "integrality", "--num", "3", "--den", "1,1", "--n-max", "3"
     )
-    assert code == 0  # (3n)!/(n!n!) is integral for these n
+    assert code == 0  # (3n)!/(n!n!) is integral for every n
+    assert "warning" not in err
+    code, out, err = run_cli(
+        capsys, "integrality", "--num", "1,1", "--den", "3", "--n-max", "3"
+    )
+    assert code == 1  # (n!n!)/(3n)! is not an integer for any n
     assert "warning" in err
 
 

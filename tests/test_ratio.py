@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from binomdiv.oracle import big_binomial
@@ -379,6 +380,47 @@ def test_certificate_entries_sorted_and_positive_required():
     ps = [p for p, _, _ in cert.entries]
     assert ps == sorted(ps)
     assert all(req > 0 for _, req, _ in cert.entries)
+
+
+def test_certificate_columns_are_read_only_int64(monkeypatch):
+    cert = verify_claim(conjecture_claim_21(), 30)
+    with monkeypatch.context() as m:  # len builds no rows
+        for name in ("__iter__", "__getitem__"):
+            m.setattr(type(cert.entries), name, lambda *_: pytest.fail("len built rows"))
+        assert len(cert.entries) == cert.primes.size > 0
+    rows = Certificate.from_rows(3, [(2, 1, 4), (5, 2, 2)])
+    caller = np.array([2, 3], dtype=np.int64)
+    view = Certificate(1, caller, caller, caller, True, None)
+    for c in (cert, rows, view):
+        for column in (c.primes, c.required, c.available):
+            assert column.dtype == np.int64 and column.ndim == 1
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7
+        assert len(c.entries) == c.primes.size == c.required.size == c.available.size
+        columns = (c.primes.tolist(), c.required.tolist(), c.available.tolist())
+        assert list(c.entries) == list(zip(*columns))
+        assert all(type(x) is int for row in c.entries for x in row)
+        assert c.entries[-1] == tuple(c.entries)[-1]
+    assert rows.entries == ((2, 1, 4), (5, 2, 2)) and rows.entries != [(2, 1, 4), (5, 2, 2)]
+    caller[0] = 7  # freezing the certificate's view leaves the caller's array writable
+    for bad in ((caller, caller[:1], caller), (caller, caller, caller.reshape(1, 2))):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            Certificate(1, *bad, True, None)
+
+
+def test_certificate_from_rows_witness_and_margin_match_python():
+    rng = random.Random(6)
+    empty = Certificate.from_rows(5, [])
+    assert (empty.entries, empty.holds, empty.witness) == ((), True, None)
+    assert empty.min_margin() is None and empty.primes.shape == (0,)
+    for _ in range(300):
+        primes = sorted(rng.sample(primes_upto(200).tolist(), rng.randint(1, 12)))
+        rows = [(p, rng.randint(1, 5), rng.randint(-1, 6)) for p in primes]
+        cert = Certificate.from_rows(7, iter(rows))
+        failing = [p for p, req, av in rows if av < req]
+        assert cert.entries == tuple(rows)
+        assert (cert.holds, cert.witness) == (not failing, min(failing, default=None))
+        assert cert.min_margin() == min(av - req for _, req, av in rows)
 
 
 def test_reduced_verdict_matches_full_ledger_on_failing_claims():

@@ -143,7 +143,7 @@ def test_crt_split_equivalent_to_full_verdict():
             branch1, branch3 = crt_split_check(t)
             assert (branch1.holds and branch3.holds) == verify_triple(t).holds
             for cert, modulus in ((branch1, 2 * b * n + 1), (branch3, 2 * b * n + 3)):
-                assert cert.entries == tuple(
+                rows = tuple(
                     (
                         p,
                         e,
@@ -151,6 +151,13 @@ def test_crt_split_equivalent_to_full_verdict():
                     )
                     for p, e in factorize(modulus)
                 )
+                assert cert.entries == rows and cert.n == n
+                assert (cert.primes.tolist(), cert.required.tolist(), cert.available.tolist()) == (
+                    [p for p, _, _ in rows], [e for _, e, _ in rows], [av for _, _, av in rows]
+                )
+                failing = [p for p, e, av in rows if av < e]
+                assert (cert.holds, cert.witness) == (not failing, min(failing, default=None))
+                assert cert.min_margin() == min(av - e for _, e, av in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for prime generation, valuations and exact rational floors."""
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,24 @@ def test_nu_factorial_examples():
 def test_nu_factorial_rejects_negative():
     with pytest.raises(ValueError):
         nu_factorial(-1, 3)
+
+
+@pytest.mark.parametrize("fn", [nu_int, nu_factorial])
+@pytest.mark.parametrize("p", [1, 0, -1, -7])
+def test_valuations_refuse_p_below_two(fn, p):
+    """p = 1 used to loop forever; an alarm turns a hang into a failure."""
+
+    def hang(*_args):
+        raise TimeoutError(f"{fn.__name__}(5, {p}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="p must be a prime"):
+            fn(5, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_nu_factorial_matches_incremental_counting():
