@@ -25,7 +25,9 @@ nu_p(r(n)) = sum_{i>=1} f(n / p^i), so f >= 0 on [0, 1) suffices.  f is
 right-continuous and constant between the breakpoints k/c_i, so
 checking it there with exact integers is a proof.
 
-Reduced verdicts.  When the claim's core ratio dividend/divisor is
+Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor;
+the claim caches it, its certification and the exponents of its
+multipliers, which both verdict paths read.  When the core is
 certified, no prime outside the moduli values can fail.
 ``modulus_rows`` then yields, for each prime of the moduli values, the
 modulus exponent against nu_p(multipliers) + nu_p(core); this module is
@@ -283,16 +285,18 @@ class DivisibilityClaim:
                 raise ValueError(f"modulus ({m}) is not >= 1 for all n >= 1")
 
     @cached_property
-    def _reduction(self) -> tuple[FactorialRatio, dict[int, int]] | None:
-        """(core ratio, multiplier exponents by prime) if the core is certified."""
-        core = self.dividend_ratio / self.divisor_ratio
-        if not integral_for_all_n(core):
-            return None
-        multiplier_nu: dict[int, int] = {}
-        for constant in self.multiplier_constants:
-            for p, e in factorize(constant):
-                multiplier_nu[p] = multiplier_nu.get(p, 0) + e
-        return core, multiplier_nu
+    def core(self) -> FactorialRatio:
+        """dividend_ratio / divisor_ratio; like its certification and the
+        multiplier exponents, computed once per claim for both verdict paths."""
+        return self.dividend_ratio / self.divisor_ratio
+
+    @cached_property
+    def _certified(self) -> bool:
+        return integral_for_all_n(self.core)
+
+    @cached_property
+    def _multiplier_nu(self) -> dict[int, int]:
+        return _prime_powers(self.multiplier_constants)
 
     def __str__(self) -> str:
         left = "".join(f"({m})" for m in self.divisor_moduli) or "1"
@@ -367,29 +371,41 @@ class Certificate:
         return int((self.available - self.required).min()) if self.primes.size else None
 
 
+def _prime_powers(values: Iterable[int]) -> dict[int, int]:
+    """Exponent of each prime in the product of the values (each >= 1)."""
+    out: dict[int, int] = {}
+    for value in values:
+        for p, e in factorize(value):
+            out[p] = out.get(p, 0) + e
+    return out
+
+
+def _instance(claim: DivisibilityClaim, n: int) -> tuple[list[int], list[int], list[int]]:
+    """Moduli values, divisor and dividend factorial arguments at n, checked in that order."""
+    _check_n(n)
+    return (
+        [m.evaluate(n) for m in claim.divisor_moduli],
+        claim.divisor_ratio.arguments(n),
+        claim.dividend_ratio.arguments(n),
+    )
+
+
 def _claim_valuations(
     claim: DivisibilityClaim, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """(primes, required, available) arrays over all primes that matter,
     and the witness: the least prime with available < required, or None.
     """
-    _check_n(n)
-    moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
-    divisor_args = claim.divisor_ratio.arguments(n)
-    claim.dividend_ratio.arguments(n)  # validate nonnegativity up front
+    moduli_values, divisor_args, _ = _instance(claim, n)
     bound = max(moduli_values + divisor_args, default=0)
-    primes = primes_upto(bound) if bound >= 2 else primes_upto(0)
+    primes = primes_upto(bound)
 
     required = ratio_valuation_over_primes(claim.divisor_ratio, n, primes)
-    for value in moduli_values:
-        for p, e in factorize(value):
-            required[int(np.searchsorted(primes, p))] += e
-
     available = ratio_valuation_over_primes(claim.dividend_ratio, n, primes)
-    for constant in claim.multiplier_constants:
-        for p, e in factorize(constant):
-            if p <= bound:  # larger factors can never be required
-                available[int(np.searchsorted(primes, p))] += e
+    for column, powers in (required, _prime_powers(moduli_values)), (available, claim._multiplier_nu):
+        for p, e in powers.items():
+            if p <= bound:  # a multiplier prime above bound is never required
+                column[int(np.searchsorted(primes, p))] += e
     violations = np.flatnonzero(available < required)
     witness = int(primes[violations[0]]) if violations.size else None
     return primes, required, available, witness
@@ -399,27 +415,19 @@ def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, i
     """(p, required, available) for each prime p of the moduli values, ascending.
 
     required is the exponent of p in the product of the moduli values;
-    available is nu_p(multipliers) + nu_p(core) for the core
-    dividend_ratio / divisor_ratio.  When ``integral_for_all_n``
-    certifies the core, no other prime can fail, so these rows decide
-    the claim at n.  Rows are produced lazily, so a caller can stop at
-    the first failing one; a claim whose core is not certified raises
-    ``ValueError``.
+    available is nu_p(multipliers) + nu_p(``claim.core``).  When
+    ``integral_for_all_n`` certifies the core, no other prime can fail,
+    so these rows decide the claim at n.  Rows are produced lazily, so a
+    caller can stop at the first failing one; a claim whose core is not
+    certified raises ``ValueError``.
     """
-    reduction = claim._reduction
-    if reduction is None:
+    if not claim._certified:
         raise ValueError(f"core ratio of {claim} has no Landau certificate")
-    _check_n(n)
-    moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
-    divisor_args = claim.divisor_ratio.arguments(n)
-    dividend_args = claim.dividend_ratio.arguments(n)
+    core, multiplier_nu = claim.core, claim._multiplier_nu
+    moduli_values, divisor_args, dividend_args = _instance(claim, n)
     _check_int64_budget(claim.divisor_ratio, divisor_args)
     _check_int64_budget(claim.dividend_ratio, dividend_args)
-    core, multiplier_nu = reduction
-    modulus_nu: dict[int, int] = {}
-    for value in moduli_values:
-        for p, e in factorize(value):
-            modulus_nu[p] = modulus_nu.get(p, 0) + e
+    modulus_nu = _prime_powers(moduli_values)
     for p in sorted(modulus_nu):
         yield p, modulus_nu[p], multiplier_nu.get(p, 0) + ratio_valuation(core, n, p)
 
@@ -427,13 +435,12 @@ def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, i
 def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
     """Fast verdict-only path: (holds, least witness prime or None).
 
-    A claim whose core dividend_ratio / divisor_ratio is certified by
-    ``integral_for_all_n`` is decided by its ``modulus_rows``, stopping
-    at the first failing row.  Other claims enumerate every prime that
-    matters, as ``verify_claim`` does; both give the same verdict and
-    witness.
+    A claim whose ``core`` is certified by ``integral_for_all_n`` is
+    decided by its ``modulus_rows``, stopping at the first failing row.
+    Other claims enumerate every prime that matters, as ``verify_claim``
+    does; both give the same verdict and witness.
     """
-    if claim._reduction is None:
+    if not claim._certified:
         witness = _claim_valuations(claim, n)[3]
         return witness is None, witness
     for p, required, available in modulus_rows(claim, n):

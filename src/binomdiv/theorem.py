@@ -50,7 +50,7 @@ from .ratio import (
     claim_holds,
     is_integral_at,
     modulus_rows,
-    ratio_level_term,
+    ratio_level_terms,
     ratio_valuation,
     verify_claim,
 )
@@ -99,8 +99,7 @@ def conjecture_claim(a: int, b: int) -> DivisibilityClaim:
 
 def conjecture_ratio(a: int, b: int) -> FactorialRatio:
     """R(a,b,n) = C(2an,an)C(an,bn)/C(2bn,bn), the integer-valued core ratio."""
-    claim = _r_integrality_claim(a, b)  # trace takes a >= 1.02e9; conjecture_claim refuses it
-    return claim.dividend_ratio / claim.divisor_ratio
+    return _r_integrality_claim(a, b).core  # trace takes a >= 1.02e9; conjecture_claim refuses it
 
 
 def verify_triple(t: ParamTriple) -> Certificate:
@@ -204,46 +203,38 @@ def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     alpha = nu_int(modulus, p)
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
-    ratio = conjecture_ratio(a, b)
-    nu_ratio = ratio_valuation(ratio, n, p)
+    # terms[i] is the level-i addend of nu_p(R); levels past the table add 0
+    terms = [0, *ratio_level_terms(conjecture_ratio(a, b), n, p)] + [0] * alpha
+    nu_ratio = sum(terms)
     multiplier_nu = nu_int(3, p) + beta + gamma
 
     failures: list[str] = []
-    levels: tuple[tuple[int, int], ...] = ()
+    first = alpha + 1  # the first level the trace lists; none unless a branch says so
     if side is ModulusSide.TWO_BN_PLUS_1:
         branch = TraceBranch.OMITTED_BRANCH_NUMERIC
-        levels = tuple((i, ratio_level_term(ratio, n, p, i)) for i in range(1, alpha + 1))
+        first = 1
         beta = gamma = tau = None
     else:
         tau = max(beta, gamma)
         if alpha <= tau:
             branch = TraceBranch.MULTIPLIER_COVERS
-        elif p >= 5:
-            branch = TraceBranch.LEVEL_ANALYSIS
-            levels = tuple(
-                (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 1, alpha + 1)
-            )
-            for i, term in levels:
-                if term != 1:
-                    failures.append(f"level {i} term is {term}, expected exactly 1")
-            if math.gcd(p, n) != 1:
-                failures.append(f"gcd({p}, n) != 1 although p >= 5 divides 2bn+3")
-            if nu_ratio < alpha - tau:
-                failures.append(f"nu_p(R) = {nu_ratio} < alpha - tau = {alpha - tau}")
-        elif n % 9 == 0:  # p == 3 from here on (2bn+3 is odd)
+        elif p < 5 and n % 9 == 0:  # p == 3 (2bn+3 is odd)
             branch = TraceBranch.NINE_DIVIDES_N
             if alpha != 1:
                 failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
         else:
             branch = TraceBranch.LEVEL_ANALYSIS
-            levels = tuple(
-                (i, ratio_level_term(ratio, n, p, i)) for i in range(tau + 2, alpha + 1)
-            )
-            for i, term in levels:
-                if term != 1:
-                    failures.append(f"level {i} term is {term}, expected exactly 1")
-            if nu_ratio < alpha - tau - 1:
-                failures.append(f"nu_3(R) = {nu_ratio} < alpha - tau - 1 = {alpha - tau - 1}")
+            if p >= 5:
+                first, need = tau + 1, "nu_p(R) = {} < alpha - tau = {}"
+            else:  # p == 3 and 9 does not divide n: level tau+1 is not constrained
+                first, need = tau + 2, "nu_3(R) = {} < alpha - tau - 1 = {}"
+            for i in range(first, alpha + 1):
+                if terms[i] != 1:
+                    failures.append(f"level {i} term is {terms[i]}, expected exactly 1")
+            if p >= 5 and math.gcd(p, n) != 1:
+                failures.append(f"gcd({p}, n) != 1 although p >= 5 divides 2bn+3")
+            if nu_ratio < alpha - first + 1:
+                failures.append(need.format(nu_ratio, alpha - first + 1))
 
     if multiplier_nu + nu_ratio < alpha:
         failures.append(
@@ -259,7 +250,7 @@ def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
         gamma=gamma,
         tau=tau,
         branch=branch,
-        levels=levels,
+        levels=tuple((i, terms[i]) for i in range(first, alpha + 1)),
         satisfied=not failures,
         failures=tuple(failures),
     )
@@ -297,14 +288,12 @@ def t_integrality_claim() -> DivisibilityClaim:
 
 def s_binomial_ratio() -> FactorialRatio:
     """C(6n,3n)C(3n,n)/C(2n,n), the factorial part of S_n."""
-    claim = s_integrality_claim()
-    return claim.dividend_ratio / claim.divisor_ratio
+    return s_integrality_claim().core
 
 
 def t_binomial_ratio() -> FactorialRatio:
     """C(15n,5n)C(5n-1,n-1)/C(3n,n), the factorial part of t_n."""
-    claim = t_integrality_claim()
-    return claim.dividend_ratio / claim.divisor_ratio
+    return t_integrality_claim().core
 
 
 def s_valuation(n: int, p: int) -> int:

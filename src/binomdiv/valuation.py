@@ -186,6 +186,8 @@ def kummer_binomial_valuation(m: int, k: int, p: int) -> int:
 
     Independent of the Legendre path; used only to cross-check it.
     """
+    if p < 2:  # the carry loop would never end
+        raise ValueError(f"p must be a prime, got {p}")
     if k < 0 or k > m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     r, s = k, m - k

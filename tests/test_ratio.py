@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from binomdiv import ratio as ratio_module
 from binomdiv.oracle import big_binomial
 from binomdiv.ratio import (
     LANDAU_MAX_BREAKPOINTS,
@@ -30,8 +31,10 @@ from binomdiv.theorem import (
     conjecture_claim,
     conjecture_ratio,
     s_binomial_ratio,
+    s_integrality_claim,
     sweep_pairs,
     t_binomial_ratio,
+    t_integrality_claim,
 )
 from binomdiv.valuation import primes_upto
 
@@ -453,6 +456,66 @@ def test_modulus_rows_decide_certified_claims_only():
     uncertified = DivisibilityClaim((form(2, 1),), CENTRAL, (), CENTRAL * offsets)
     with pytest.raises(ValueError, match="Landau"):
         next(modulus_rows(uncertified, 1))
+
+
+def test_claim_core_and_multipliers_are_computed_once(monkeypatch):
+    claim = conjecture_claim(3, 1)
+    assert claim.core == claim.dividend_ratio / claim.divisor_ratio == conjecture_ratio(3, 1)
+    assert claim.core is claim.core
+    assert s_binomial_ratio() == s_integrality_claim().core
+    assert t_binomial_ratio() == t_integrality_claim().core
+    calls = {"integral_for_all_n": 0, "factorize": 0}
+    for name in calls:
+        original = getattr(ratio_module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ratio_module, name, counted)
+    fresh = conjecture_claim(3, 1)
+    for n in range(1, 21):
+        assert claim_holds(fresh, n) == (True, None)
+    # one certification and 3 multiplier factorizations, then 2 moduli per n
+    assert calls == {"integral_for_all_n": 1, "factorize": 3 + 2 * 20}
+    for n in range(1, 6):
+        assert verify_claim(fresh, n).holds
+    assert calls == {"integral_for_all_n": 1, "factorize": 3 + 2 * 25}
+
+
+def test_both_verdict_paths_refuse_a_bad_instance_alike():
+    """claim_holds and verify_claim raise the same error for the same bad n,
+    on the reduced path (certified core) and on the full path alike."""
+    cancelled = FactorialRatio.from_terms([(form(1, -2), 1)])  # (n-2)!, negative at n = 1
+    certified = DivisibilityClaim(
+        (form(2, 1), form(2, 3)),
+        CENTRAL * cancelled,
+        (3,),
+        binomial_ratio(form(6), form(3)) * binomial_ratio(form(3), form(1)) * cancelled,
+    )
+    uncertified = DivisibilityClaim(
+        (form(10, 1),),
+        binomial_ratio(form(3), form(1)) * cancelled,
+        (21,),
+        binomial_ratio(form(15), form(5)) * binomial_ratio(form(5, -1), form(1, -1)) * cancelled,
+    )
+    # the cancelled (n-2)! leaves the S_n and t_n cores: one certified, one not
+    assert certified.dividend_ratio / certified.divisor_ratio == s_binomial_ratio()
+    assert uncertified.dividend_ratio / uncertified.divisor_ratio == t_binomial_ratio()
+    assert integral_for_all_n(s_binomial_ratio()) and not integral_for_all_n(t_binomial_ratio())
+    expected = {
+        0: (ValueError, "n must be >= 1, got 0"),
+        1: (ValueError, r"factorial argument \(n-2\) evaluates to -1 at n=1"),
+        2**62: (OverflowError, "does not fit in 64 bits"),  # the first modulus value is >= 2^63
+    }
+    for claim in (certified, uncertified):
+        for n, (error, message) in expected.items():
+            raised = []
+            for decide in (claim_holds, verify_claim):
+                with pytest.raises(error, match=message) as info:
+                    decide(claim, n)
+                raised.append((info.type, str(info.value)))
+            assert raised[0] == raised[1]
 
 
 def random_binomial_product(rng):

@@ -108,10 +108,16 @@ def test_nu_factorial_rejects_negative():
         nu_factorial(-1, 3)
 
 
-@pytest.mark.parametrize("fn", [nu_int, nu_factorial])
+def kummer_k2(m, p):
+    """``kummer_binomial_valuation`` at k = 2, called as fn(m, p)."""
+    return kummer_binomial_valuation(m, 2, p)
+
+
+@pytest.mark.parametrize("fn", [nu_int, nu_factorial, kummer_k2])
 @pytest.mark.parametrize("p", [1, 0, -1, -7])
 def test_valuations_refuse_p_below_two(fn, p):
-    """p = 1 used to loop forever; an alarm turns a hang into a failure."""
+    """p = 1 used to loop forever (p = 0 divided by zero in the carry count);
+    an alarm turns a hang into a failure."""
 
     def hang(*_args):
         raise TimeoutError(f"{fn.__name__}(5, {p}) did not return")
