@@ -69,16 +69,13 @@ LANDAU_MAX_BREAKPOINTS = 1 << 16
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Affine form coeff*n + offset with 64-bit-checked evaluation."""
+    """Affine form coeff*n + offset in exact integers; ``_instance`` checks 64 bits."""
 
     coeff: int
     offset: int
 
     def evaluate(self, n: int) -> int:
-        value = self.coeff * n + self.offset
-        if not -_I64_MAX < value < _I64_MAX:
-            raise OverflowError(f"({self}) at n={n} does not fit in 64 bits")
-        return value
+        return self.coeff * n + self.offset
 
     def __str__(self) -> str:
         c, d = self.coeff, self.offset
@@ -206,10 +203,11 @@ def ratio_level_terms(r: FactorialRatio, n: int, p: int) -> list[int]:
     return out
 
 
-def _check_int64_budget(r: FactorialRatio, args: list[int]) -> None:
-    # nu_p(a!) < a, so this bounds every partial sum the int64 engine sees
-    if sum(abs(e) * a for (_, e), a in zip(r.terms, args)) >= _I64_MAX:
-        raise OverflowError("ratio valuations would not fit in 64 bits")
+def _check_int64_budget(r: FactorialRatio, args: list[int], n: int) -> None:
+    # the one 64-bit rule: nu_p(a!) < a, so this bounds every argument and partial sum
+    budget = sum(abs(e) * a for (_, e), a in zip(r.terms, args))
+    if budget >= _I64_MAX:
+        raise OverflowError(f"ratio valuations at n={n} would not fit in 64 bits (budget {budget})")
 
 
 def ratio_valuation_over_primes(
@@ -218,7 +216,7 @@ def ratio_valuation_over_primes(
     """Vectorized ``ratio_valuation`` over an ascending prime array."""
     _check_n(n)
     args = r.arguments(n)
-    _check_int64_budget(r, args)
+    _check_int64_budget(r, args, n)
     total = np.zeros(primes.shape[0], dtype=np.int64)
     for (_, e), arg in zip(r.terms, args):
         total += e * nu_factorial_over_primes(arg, primes)
@@ -381,13 +379,19 @@ def _prime_powers(values: Iterable[int]) -> dict[int, int]:
 
 
 def _instance(claim: DivisibilityClaim, n: int) -> tuple[list[int], list[int], list[int]]:
-    """Moduli values, divisor and dividend factorial arguments at n, checked in that order."""
+    """Moduli values, divisor and dividend factorial arguments at n: the prologue
+    of both verdict paths, checking n >= 1, each moduli value < 2^63, the
+    arguments and each side's int64 budget before any sieve or factorization."""
     _check_n(n)
-    return (
-        [m.evaluate(n) for m in claim.divisor_moduli],
-        claim.divisor_ratio.arguments(n),
-        claim.dividend_ratio.arguments(n),
-    )
+    moduli_values = [m.evaluate(n) for m in claim.divisor_moduli]
+    for m, value in zip(claim.divisor_moduli, moduli_values):
+        if value >= _I64_MAX:
+            raise OverflowError(f"({m}) at n={n} does not fit in 64 bits")
+    divisor_args = claim.divisor_ratio.arguments(n)
+    dividend_args = claim.dividend_ratio.arguments(n)
+    _check_int64_budget(claim.divisor_ratio, divisor_args, n)
+    _check_int64_budget(claim.dividend_ratio, dividend_args, n)
+    return moduli_values, divisor_args, dividend_args
 
 
 def _claim_valuations(
@@ -423,10 +427,8 @@ def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, i
     """
     if not claim._certified:
         raise ValueError(f"core ratio of {claim} has no Landau certificate")
+    moduli_values = _instance(claim, n)[0]
     core, multiplier_nu = claim.core, claim._multiplier_nu
-    moduli_values, divisor_args, dividend_args = _instance(claim, n)
-    _check_int64_budget(claim.divisor_ratio, divisor_args)
-    _check_int64_budget(claim.dividend_ratio, dividend_args)
     modulus_nu = _prime_powers(moduli_values)
     for p in sorted(modulus_nu):
         yield p, modulus_nu[p], multiplier_nu.get(p, 0) + ratio_valuation(core, n, p)

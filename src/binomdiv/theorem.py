@@ -46,6 +46,7 @@ from .ratio import (
     DivisibilityClaim,
     FactorialRatio,
     LinearForm,
+    _instance,
     binomial_ratio,
     claim_holds,
     is_integral_at,
@@ -182,12 +183,12 @@ class ProofTrace:
 
 
 def proof_trace(t: ParamTriple, p: int) -> ProofTrace:
-    """Case analysis for p | 2bn+3; every assertion is expected to pass."""
+    """Case analysis for a prime p | 2bn+3; every assertion is expected to pass."""
     return _trace(t, p, ModulusSide.TWO_BN_PLUS_3)
 
 
 def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
-    """Numeric check for p | 2bn+1: only the final inequality is asserted.
+    """Numeric check for a prime p | 2bn+1: only the final inequality is asserted.
 
     The case analysis is not replicated for this modulus; per-level
     data is recorded for inspection without asserting any pattern.
@@ -195,11 +196,13 @@ def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
     return _trace(t, p, ModulusSide.TWO_BN_PLUS_1)
 
 
-def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
+def _trace(t: ParamTriple, p: int, side: ModulusSide, known_prime: bool = False) -> ProofTrace:
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
     if modulus % p:
         raise ValueError(f"p={p} does not divide {side.value} = {modulus}")
+    if not known_prime and factorize(p) != [(p, 1)]:  # after the check above: p <= modulus
+        raise ValueError(f"p must be a prime, got {p}")
     alpha = nu_int(modulus, p)
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
@@ -258,7 +261,7 @@ def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
 
 def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
     """One trace per prime factor of the selected modulus."""
-    return [_trace(t, p, side) for p, _ in factorize(side.at(t))]
+    return [_trace(t, p, side, known_prime=True) for p, _ in factorize(side.at(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +392,8 @@ def run_sweep(
         raise ValueError("a_max, b_max and n_max must all be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if a_max > 1:  # (a_max, 1, n_max) has the largest multiplier and budget, 4an, of the box
+        _instance(conjecture_claim(a_max, 1), n_max)
     started = time.perf_counter()
     pairs = sweep_pairs(a_max, b_max)
 

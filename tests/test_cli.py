@@ -50,7 +50,11 @@ def test_verify_scale_guard(capsys):
     big = str(2**31)
     code, _, err = run_cli(capsys, "verify", "--a", big, "--b", "1", "--n", big)
     assert code == 2
-    assert "2^62" in err
+    assert "does not fit in 64 bits" in err  # the multiplier 3(a-b)(3a-b)
+    # the multiplier fits, the dividend's budget 4an does not
+    code, _, err = run_cli(capsys, "verify", "--a", "1000000000", "--b", "1", "--n", "2306000000")
+    assert code == 2
+    assert "would not fit in 64 bits" in err
 
 
 def test_verify_json_report(capsys, tmp_path):
@@ -166,6 +170,14 @@ def test_trace_omitted_branch(capsys):
     )
     assert code == 0
     assert "omitted-branch-numeric" in out
+
+
+def test_trace_has_no_64_bit_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "trace", "--a", str(2**62), "--b", "1", "--n", "1", "--modulus", "2bn+3"
+    )
+    assert code == 0
+    assert "all satisfied: True" in out
 
 
 def test_trace_rejects_bad_modulus_selector(capsys):

@@ -68,8 +68,9 @@ def test_linear_form_rendering():
 
 def test_linear_form_evaluate_and_overflow_guard():
     assert form(2, 3).evaluate(10) == 23
-    with pytest.raises(OverflowError):
-        form(2, 0).evaluate(2**62)
+    assert form(2, 0).evaluate(2**62) == 2**63  # exact; the claim prologue checks 64 bits
+    with pytest.raises(OverflowError, match=r"\(2n\) at n=4611686018427387904 does not fit"):
+        claim_holds(DivisibilityClaim((form(2),), CENTRAL, (), CENTRAL), 2**62)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +508,8 @@ def test_both_verdict_paths_refuse_a_bad_instance_alike():
         0: (ValueError, "n must be >= 1, got 0"),
         1: (ValueError, r"factorial argument \(n-2\) evaluates to -1 at n=1"),
         2**62: (OverflowError, "does not fit in 64 bits"),  # the first modulus value is >= 2^63
+        # the moduli fit, the dividend's budget (13n and 41n) does not
+        3 * 2**58: (OverflowError, "would not fit in 64 bits"),
     }
     for claim in (certified, uncertified):
         for n, (error, message) in expected.items():

@@ -194,9 +194,19 @@ def test_proof_trace_nine_divides_n():
     assert trace.satisfied
 
 
-def test_proof_trace_requires_dividing_prime():
+def test_proof_trace_requires_dividing_prime(monkeypatch):
     with pytest.raises(ValueError):
         proof_trace(ParamTriple(3, 1, 1), 7)
+    # composite divisors of the modulus are refused, not reported as failed analyses
+    with pytest.raises(ValueError, match="p must be a prime, got 9"):
+        proof_trace(ParamTriple(3, 1, 3), 9)  # 2bn+3 = 9
+    with pytest.raises(ValueError, match="p must be a prime, got 9"):
+        omitted_branch_trace(ParamTriple(3, 1, 4), 9)  # 2bn+1 = 9
+    # traces_for_modulus passes the primes of its one factorization
+    calls = []
+    monkeypatch.setattr(theorem, "factorize", lambda m: calls.append(m) or factorize(m))
+    traces = traces_for_modulus(ParamTriple(3, 1, 3), ModulusSide.TWO_BN_PLUS_3)
+    assert [tr.p for tr in traces] == [3] and calls == [9]
 
 
 def test_omitted_branch_trace_examples():
@@ -392,6 +402,15 @@ def test_run_sweep_validates_arguments():
         run_sweep(0, 1, 1)
     with pytest.raises(ValueError):
         run_sweep(2, 1, 1, jobs=0)
+
+
+def test_run_sweep_checks_the_box_corner_before_building_pairs(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sweep_pairs called for a box past the 64-bit limit")
+
+    monkeypatch.setattr(theorem, "sweep_pairs", forbidden)
+    with pytest.raises(OverflowError, match="would not fit in 64 bits"):
+        run_sweep(10**9, 1, 2306000000)  # 4an >= 2^63 at the corner (a_max, 1, n_max)
 
 
 # ---------------------------------------------------------------------------
