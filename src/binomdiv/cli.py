@@ -66,7 +66,6 @@ from .theorem import (
     ModulusSide,
     ParamTriple,
     ProofTrace,
-    SweepReport,
     conjecture_claim,
     conjecture_ratio,
     run_sweep,
@@ -238,26 +237,6 @@ def _render(args: argparse.Namespace) -> tuple[_Report, str]:
         writer.writerows((*row, f"{report.seconds:.6f}") for row in report.rows())
         return report, buffer.getvalue()
     return report, "\n".join(report.lines()) + "\n"
-
-
-def sweep_report_from_json(doc: dict) -> SweepReport:
-    """Reconstruct a SweepReport from a sweep report document."""
-    if doc.get("schema_version") != SCHEMA_VERSION or doc.get("command") != "sweep":
-        raise ValueError("not a sweep report document")
-    config = doc["config"]
-    summary = doc["summary"]
-    violations = tuple(
-        (ParamTriple(r["a"], r["b"], r["n"]), r["witness_prime"])
-        for r in doc["results"]
-    )
-    return SweepReport(
-        a_max=config["a_max"],
-        b_max=config["b_max"],
-        n_max=config["n_max"],
-        checked=summary["checked"],
-        violations=violations,
-        seconds=summary["seconds"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,6 @@ def crt_split_check(t: ParamTriple) -> tuple[Certificate, Certificate]:
     certificates hold iff ``verify_triple`` holds.
     """
     claim = conjecture_claim(t.a, t.b)
-    m_plus1, m_plus3 = (m.evaluate(t.n) for m in claim.divisor_moduli)
-    if math.gcd(m_plus1, m_plus3) != 1:
-        raise ArithmeticError(
-            f"gcd(2bn+1, 2bn+3) != 1 at n={t.n}, b={t.b}; 64-bit arithmetic is broken"
-        )
     branch1, branch3 = (
         Certificate.from_rows(t.n, modulus_rows(replace(claim, divisor_moduli=(m,)), t.n))
         for m in claim.divisor_moduli
@@ -352,25 +347,42 @@ class SweepReport:
     seconds: float
 
 
+def _pair(k: int, b_max: int) -> tuple[int, int]:
+    """The k-th (a, b) of the box in ``sweep_pairs`` order, in closed form.
+
+    The first b_max(b_max+1)/2 pairs form a triangle (a <= b_max+1, where
+    a contributes a-1 pairs); every later a contributes b_max pairs.
+    """
+    triangle = b_max * (b_max + 1) // 2
+    if k >= triangle:
+        a, b = divmod(k - triangle, b_max)
+        return a + b_max + 2, b + 1
+    m = (math.isqrt(8 * k + 1) + 1) // 2  # m(m-1)/2 <= k < m(m+1)/2
+    return m + 1, k - m * (m - 1) // 2 + 1
+
+
+def _pair_count(a_max: int, b_max: int) -> int:
+    c = min(a_max - 1, b_max)  # the triangle's last a is c + 1
+    return c * (c + 1) // 2 + (a_max - 1 - c) * b_max
+
+
 def sweep_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     """All (a, b) with 1 <= b < a <= a_max and b <= b_max, lexicographic."""
-    return [
-        (a, b) for a in range(2, a_max + 1) for b in range(1, min(a - 1, b_max) + 1)
-    ]
+    return [_pair(k, b_max) for k in range(_pair_count(a_max, b_max))]
 
 
-def _sweep_chunk(groups) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Worker: verify (a, b, ns) groups, return (checked, violations)."""
-    checked = 0
+def _sweep_chunk(job) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Worker: verify (b_max, n_max, box indices), return (checked, violations)."""
+    b_max, n_max, indices = job
     violations: list[tuple[int, int, int, int]] = []
-    for a, b, ns in groups:
+    for k, group in itertools.groupby(indices, lambda i: i // n_max):
+        a, b = _pair(k, b_max)
         claim = conjecture_claim(a, b)
-        for n in ns:
+        for n in (i % n_max + 1 for i in group):
             holds, witness = claim_holds(claim, n)
-            checked += 1
             if not holds:
                 violations.append((a, b, n, witness))
-    return checked, violations
+    return len(indices), violations
 
 
 def run_sweep(
@@ -383,10 +395,13 @@ def run_sweep(
 ) -> SweepReport:
     """Verify the claim over the (a, b, n) box, optionally in parallel.
 
-    Exhaustive by default.  With ``sample``, draws that many triples
-    from the box without replacement using the given seed.  Workers
-    partition the grid; results are merged and sorted by (a, b, n) so
-    the report is identical for any worker count.
+    The box is the index range ``range(pairs * n_max)``, pairs in
+    ``sweep_pairs`` order and n fastest.  Exhaustive by default; with
+    ``sample``, that many sorted indices drawn without replacement
+    using the given seed.  Either is cut into ``jobs * 4`` contiguous
+    slices that workers decode, so memory is O(jobs), or O(sample),
+    and no pair list is built.  Violations are merged and sorted by
+    (a, b, n), so the report is identical for any worker count.
     """
     if min(a_max, b_max, n_max) < 1:
         raise ValueError("a_max, b_max and n_max must all be >= 1")
@@ -395,28 +410,11 @@ def run_sweep(
     if a_max > 1:  # (a_max, 1, n_max) has the largest multiplier and budget, 4an, of the box
         _instance(conjecture_claim(a_max, 1), n_max)
     started = time.perf_counter()
-    pairs = sweep_pairs(a_max, b_max)
-
-    # Each payload is a list of (a, b, ns) groups for one worker call.
-    payloads: list[list[tuple]] = []
+    box = range(_pair_count(a_max, b_max) * n_max)
     if sample is not None:
-        total = len(pairs) * n_max
-        count = min(sample, total)
-        indices = sorted(random.Random(seed).sample(range(total), count))
-        step = max(1, math.ceil(count / (jobs * 4)))
-        payloads = [
-            [
-                (*pairs[k], tuple(i % n_max + 1 for i in group))
-                for k, group in itertools.groupby(indices[lo : lo + step], lambda i: i // n_max)
-            ]
-            for lo in range(0, count, step)
-        ]
-    elif pairs:
-        # Deal pairs round-robin, heaviest (largest b) first, for balance.
-        n_chunks = min(len(pairs), jobs * 4)
-        payloads = [[] for _ in range(n_chunks)]
-        for i, (a, b) in enumerate(sorted(pairs, key=lambda ab: (-ab[1], ab[0]))):
-            payloads[i % n_chunks].append((a, b, range(1, n_max + 1)))
+        box = sorted(random.Random(seed).sample(box, min(sample, len(box))))
+    step = max(1, math.ceil(len(box) / (jobs * 4)))
+    payloads = [(b_max, n_max, box[lo : lo + step]) for lo in range(0, len(box), step)]
 
     if jobs == 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(p) for p in payloads]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -331,6 +332,15 @@ def test_sweep_pairs_enumeration():
     assert sweep_pairs(3, 2) == [(2, 1), (3, 1), (3, 2)]
     assert sweep_pairs(1, 1) == []
     assert len(sweep_pairs(25, 24)) == 300
+    for a_max in range(1, 41):
+        for b_max in range(1, 41):
+            reference = [
+                (a, b) for a in range(2, a_max + 1) for b in range(1, a) if b <= b_max
+            ]
+            assert sweep_pairs(a_max, b_max) == reference, (a_max, b_max)
+    # the closed form needs no enumeration: the last pair of a 10^9 x 10^4 box
+    last = theorem._pair_count(10**9, 10**4) - 1
+    assert theorem._pair(last, 10**4) == (10**9, 10**4)
 
 
 def test_run_sweep_small_box():
@@ -406,11 +416,23 @@ def test_run_sweep_validates_arguments():
 
 def test_run_sweep_checks_the_box_corner_before_building_pairs(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("sweep_pairs called for a box past the 64-bit limit")
+        raise AssertionError("a triple was checked in a box past the 64-bit limit")
 
-    monkeypatch.setattr(theorem, "sweep_pairs", forbidden)
+    monkeypatch.setattr(theorem, "_sweep_chunk", forbidden)
     with pytest.raises(OverflowError, match="would not fit in 64 bits"):
         run_sweep(10**9, 1, 2306000000)  # 4an >= 2^63 at the corner (a_max, 1, n_max)
+
+
+def test_run_sweep_builds_no_pair_list(monkeypatch):
+    """Payloads of a 10^6-pair box are index ranges: no per-pair memory."""
+    monkeypatch.setattr(theorem, "_sweep_chunk", lambda job: (0, []))
+    tracemalloc.start()
+    try:
+        run_sweep(10**6 + 1, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
