@@ -37,7 +37,6 @@ from .ratio import (
     integral_for_all_n,
     is_integral_at,
     modulus_rows,
-    ratio_level_term,
     ratio_level_terms,
     ratio_valuation,
     ratio_valuation_over_primes,

@@ -175,22 +175,8 @@ def ratio_valuation(r: FactorialRatio, n: int, p: int) -> int:
     return sum(e * nu_factorial(_argument(form, n), p) for form, e in r.terms)
 
 
-def ratio_level_term(r: FactorialRatio, n: int, p: int, level: int) -> int:
-    """The level-``level`` addend of the Legendre sum for the ratio.
-
-    This is sum_t e_t * floor(arg_t / p^level), the bracketed per-level
-    term whose sign and size carry the content of the divisibility
-    proofs; ``ratio_valuation`` is the sum of these over all levels.
-    Levels past the last of ``ratio_level_terms`` are 0.
-    """
-    terms = ratio_level_terms(r, n, p)
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    return terms[level - 1] if level <= len(terms) else 0
-
-
 def ratio_level_terms(r: FactorialRatio, n: int, p: int) -> list[int]:
-    """All nontrivial per-level addends (levels 1, 2, ... until empty)."""
+    """All nontrivial per-level addends (levels 1, 2, ... until empty); they sum to nu_p."""
     _check_n(n)
     if p < 2:
         raise ValueError(f"p must be a prime, got {p}")
@@ -218,8 +204,11 @@ def ratio_valuation_over_primes(
     args = r.arguments(n)
     _check_int64_budget(r, args, n)
     total = np.zeros(primes.shape[0], dtype=np.int64)
+    column = np.empty_like(total)
     for (_, e), arg in zip(r.terms, args):
-        total += e * nu_factorial_over_primes(arg, primes)
+        nu_factorial_over_primes(arg, primes, out=column)
+        column *= e
+        total += column
     return total
 
 
@@ -463,7 +452,9 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     """
     primes, required, available, witness = _claim_valuations(claim, n)
     keep = required > 0
-    return Certificate(n, primes[keep], required[keep], available[keep], witness is None, witness)
+    required = required[keep]  # each full column is freed before the next is filtered
+    available = available[keep]
+    return Certificate(n, primes[keep], required, available, witness is None, witness)
 
 
 class IntegralityResult(NamedTuple):

@@ -15,15 +15,16 @@ cross-check is Kummer's theorem: ``nu_p(C(m, k))`` equals the number of
 carries when adding ``k`` and ``m - k`` in base ``p``.
 
 All public operations are pure functions of their inputs.  The only
-module-level state is a grow-only cache of sieved primes used by
-``primes_upto``; it is invisible to callers (results never depend on
-cache state) and each worker process owns its own copy.
+module-level state is the grow-only prime cache of ``primes_upto`` and
+the primes below 2^16 that ``factorize`` lists on first use; both are
+invisible to callers and each worker process owns its own copy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -40,7 +41,8 @@ SIEVE_LIMIT = 2**31
 #: every int64 intermediate (numerator*denominator products) exact.
 FUZZ_MAX_DEN = 10**9
 
-_SEGMENT = 1 << 22
+#: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
+_SEGMENT = 1 << 20
 
 Valuation = Union[int, float]
 
@@ -49,29 +51,25 @@ Valuation = Union[int, float]
 # primes
 
 def _segmented_sieve(limit: int, segment: int = _SEGMENT) -> np.ndarray:
-    """Primes <= limit via a segmented sieve of Eratosthenes."""
-    if limit < 2:
-        out = np.empty(0, dtype=np.int64)
-        out.flags.writeable = False
-        return out
-    root = math.isqrt(limit)
+    """Primes <= limit by a segmented sieve of Eratosthenes: a plain sieve to
+    root = max(isqrt(limit), 2), then odd numbers only (``flags[i]`` is lo + 2i)."""
+    root = max(math.isqrt(limit), 2)
     base_flags = np.ones(root + 1, dtype=bool)
     base_flags[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if base_flags[p]:
             base_flags[p * p :: p] = False
-    base = np.flatnonzero(base_flags)
-    chunks = [base.astype(np.int64)]
-    lo = root + 1
+    base = np.flatnonzero(base_flags).astype(np.int64)
+    chunks = [base[base <= limit]]
+    odd_base = base[1:].tolist()
+    lo = root + 1 | 1
     while lo <= limit:
-        hi = min(lo + segment, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base.tolist():
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                flags[start - lo :: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
-        lo = hi
+        count = min(segment, (limit - lo) // 2 + 1)
+        flags = np.ones(count, dtype=bool)
+        for p in odd_base:  # lo + 2i == 0 (mod p) at i = -lo/2 (mod p); lo > p
+            flags[(-lo * (p + 1) // 2) % p :: p] = False
+        chunks.append(np.flatnonzero(flags) * 2 + lo)
+        lo += 2 * count
     out = np.concatenate(chunks)
     out.flags.writeable = False
     return out
@@ -103,17 +101,23 @@ def primes_upto(limit: int) -> np.ndarray:
     return _cached_primes[:k]
 
 
+@cache
+def _small_primes() -> list[int]:
+    """The primes below 2^16: they cover isqrt(m) for every m < 2^32."""
+    return primes_upto((1 << 16) - 1).tolist()
+
+
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division against the shared prime cache; intended for
-    sieve-scale inputs (isqrt(m) must stay below ``SIEVE_LIMIT``).
+    Trial division by the primes below 2^16 when m < 2^32, else by the
+    shared prime cache up to isqrt(m), which must stay below ``SIEVE_LIMIT``.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}; argument must be >= 1")
     out: list[tuple[int, int]] = []
     rest = m
-    for p in primes_upto(math.isqrt(m)).tolist():
+    for p in _small_primes() if m < 1 << 32 else primes_upto(math.isqrt(m)).tolist():
         if p * p > rest:
             break
         if rest % p == 0:
@@ -163,19 +167,24 @@ def nu_factorial(m: int, p: int) -> int:
     return total
 
 
-def nu_factorial_over_primes(m: int, primes: np.ndarray) -> np.ndarray:
-    """nu_p(m!) for every p in an ascending prime array, vectorized.
+def nu_factorial_over_primes(m: int, primes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """nu_p(m!) for every p in an ascending prime array, vectorized, written
+    into ``out`` (a fresh int64 array if None) and returned.
 
-    Level i contributes only for primes <= m^(1/i), and floor(m/p^i) is
-    nonincreasing in p, so the live entries always form a shrinking
-    prefix of the array.
+    For p > isqrt(m), floor(m/p) is all of nu_p(m!): one division covers the
+    primes <= m, and the level loop runs over the primes <= isqrt(m) alone,
+    whose live entries form a shrinking prefix (floor(m/p^i) falls with p).
     """
-    out = np.zeros(primes.shape[0], dtype=np.int64)
+    if out is None:
+        out = np.empty(primes.shape[0], dtype=np.int64)
     k = int(np.searchsorted(primes, m, side="right"))
-    q = m // primes[:k]
+    np.floor_divide(m, primes[:k], out=out[:k])
+    out[k:] = 0
+    k = int(np.searchsorted(primes, math.isqrt(m), side="right"))
+    q = out[:k] // primes[:k]
     while k:
         out[:k] += q
-        q = q // primes[:k]
+        q //= primes[:k]
         k = int(np.count_nonzero(q))
         q = q[:k]
     return out

@@ -21,7 +21,6 @@ from binomdiv.ratio import (
     integral_for_all_n,
     is_integral_at,
     modulus_rows,
-    ratio_level_term,
     ratio_level_terms,
     ratio_valuation,
     ratio_valuation_over_primes,
@@ -164,14 +163,14 @@ def test_level_terms_sum_to_valuation():
         for p in (2, 3, 5, 7):
             terms = ratio_level_terms(r, n, p)
             assert sum(terms) == ratio_valuation(r, n, p)
-            for i, term in enumerate(terms, start=1):
-                assert ratio_level_term(r, n, p, i) == term
-            for past in (len(terms) + 1, len(terms) + 5):
-                assert ratio_level_term(r, n, p, past) == 0
-            with pytest.raises(ValueError, match="level must be >= 1"):
-                ratio_level_term(r, n, p, 0)
+            args = r.arguments(n)
+            for i in range(1, len(terms) + 1):
+                assert terms[i - 1] == sum(e * (a // p**i) for (_, e), a in zip(r.terms, args))
+            # past levels are absent: the list ends where every quotient is 0
+            assert max(args) < p ** (len(terms) + 1)
+            assert not terms or max(args) >= p ** len(terms)
     with pytest.raises(ValueError, match="p must be a prime"):
-        ratio_level_term(r, 3, 1, 1)  # p = 1 would never run out of levels
+        ratio_level_terms(r, 3, 1)  # p = 1 would never run out of levels
 
 
 def test_valuation_additivity_over_concatenation():
@@ -196,6 +195,22 @@ def test_vectorized_valuation_matches_scalar():
     for n in (1, 4, 9):
         batch = ratio_valuation_over_primes(r, n, primes).tolist()
         assert batch == [ratio_valuation(r, n, int(p)) for p in primes]
+
+
+def test_vectorized_valuation_matches_scalar_at_scale():
+    """Both sides of the conjecture claim at n ~ 10^6, on 200 seeded primes:
+    100 below isqrt of the largest argument (several Legendre levels) and
+    100 above it (level 1 only)."""
+    claim, n = conjecture_claim(7, 5), 1_000_003
+    primes = primes_upto(2 * 5 * n + 3)
+    deep = int(np.searchsorted(primes, math.isqrt(2 * 7 * n), side="right"))
+    rng = random.Random(17)
+    sample = rng.sample(range(deep), 100) + rng.sample(range(deep, primes.size), 100)
+    for side in (claim.divisor_ratio, claim.dividend_ratio):
+        batch = ratio_valuation_over_primes(side, n, primes)
+        assert [int(batch[i]) for i in sample] == [
+            ratio_valuation(side, n, int(primes[i])) for i in sample
+        ]
 
 
 def test_vectorized_valuation_overflow_budget():

@@ -4,6 +4,7 @@ import math
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,10 +63,20 @@ def test_sieve_strictly_increasing_and_prime():
     assert primes[-1] == 4999
 
 
-@pytest.mark.parametrize("segment", [1, 7, 97, 1024])
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 64, 97, 1024])
 def test_segmented_sieve_segment_boundaries(segment):
-    got = _segmented_sieve(2000, segment=segment).tolist()
-    assert got == trial_division_primes(2000)
+    reference = trial_division_primes(3000)
+    # every limit for a 64-wide segment; the narrow segments cost O(limit)
+    # Python steps per call, so they take the small limits and the top
+    limits = range(3001) if segment == 64 else [*range(301), *range(2990, 3001)]
+    for limit in limits:
+        got = _segmented_sieve(limit, segment=segment).tolist()
+        assert got == [p for p in reference if p <= limit], limit
+    assert _segmented_sieve(2000, segment=segment).tolist() == trial_division_primes(2000)
+
+
+def test_sieve_prime_count_at_scale():
+    assert primes_upto(10**7).size == 664579
 
 
 def test_sieve_limit_guard():
@@ -149,21 +160,41 @@ def test_nu_factorial_over_primes_matches_scalar():
         assert batch.tolist() == [nu_factorial(m, int(p)) for p in primes]
 
 
+def test_nu_factorial_over_primes_around_prime_powers():
+    """Level 1 is one division over every prime <= m, the deeper levels a loop
+    over the primes <= isqrt(m): pinned to the scalar sum where they meet."""
+    primes = primes_upto(20000)
+    ms = [m for p in (2, 3, 7, 101, 139) for m in (p * p - 1, p * p, p * p + 1, p**3)]
+    for m in [*ms, 10**8 + 7, 2**40 + 1]:
+        out = np.full(primes.size, -1, dtype=np.int64)
+        assert nu_factorial_over_primes(m, primes, out=out) is out
+        assert out.tolist() == [nu_factorial(m, p) for p in primes.tolist()]
+
+
 def test_factorize_examples():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(2 * 3**4 * 101) == [(2, 1), (3, 4), (101, 1)]
+    # both sides of 2^32, where trial division switches from the list of
+    # primes below 2^16 to the shared sieve
+    assert factorize(2**32 - 5) == [(2**32 - 5, 1)]
+    assert factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
+    assert factorize(2**32 + 15) == [(2**32 + 15, 1)]
+    assert factorize(65537**2) == [(65537, 2)]  # needs a prime above 2^16
     with pytest.raises(ValueError):
         factorize(0)
 
 
 def test_factorize_reconstructs_argument():
-    for m in range(1, 2000):
+    for m in [*range(1, 2000), 2**32 - 5, 65521 * 65537, 2**32 + 15, 65537**2]:
+        factors = factorize(m)
         product = 1
-        for p, e in factorize(m):
+        for p, e in factors:
             product *= p**e
         assert product == m
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(p % d for p, _ in factors for d in range(2, math.isqrt(p) + 1))
 
 
 # ---------------------------------------------------------------------------
