@@ -13,18 +13,15 @@ from .errors import IntegrityError, ResourceLimitError
 from .oracle import minimal_multiplier
 from .valuation import (
     INFINITE,
-    Lemma1Result,
     LemmaFuzzReport,
     factorize,
-    fractional_part,
     kummer_binomial_valuation,
-    lemma1_holds,
+    lemma1_margin,
     lemma_fuzz,
     nu_factorial,
     nu_factorial_over_primes,
     nu_int,
     primes_upto,
-    rational_floor,
 )
 from .ratio import (
     Certificate,

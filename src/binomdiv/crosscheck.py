@@ -8,10 +8,7 @@ disagreement.  The suites are what ``binomdiv oracle-check`` runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import oracle
 from .errors import IntegrityError
@@ -22,15 +19,7 @@ from .theorem import (
     sweep_pairs,
 )
 from .ratio import claim_holds, verify_claim
-from .valuation import (
-    fractional_part,
-    kummer_binomial_valuation,
-    lemma1_holds,
-    nu_factorial,
-    nu_int,
-    primes_upto,
-    rational_floor,
-)
+from .valuation import kummer_binomial_valuation, nu_factorial, nu_int, primes_upto
 
 
 class SuiteResult(NamedTuple):
@@ -92,22 +81,6 @@ def suite_kummer(m_max: int = 200, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -
                 if kummer_binomial_valuation(m, k, p) != table[m] - table[k] - table[m - k]:
                     failures.append(f"Kummer disagrees at C({m},{k}), p={p}")
     return SuiteResult("kummer-vs-legendre", checked, tuple(failures))
-
-
-def suite_rational_floor(samples: int = 20_000, seed: int = 42) -> SuiteResult:
-    """floor/frac decomposition and the floor inequality on random rationals."""
-    failures = []
-    rng = np.random.default_rng(seed)
-    nums = rng.integers(-10**6, 10**6 + 1, size=(samples, 2))
-    dens = rng.integers(1, 10**6 + 1, size=(samples, 2))
-    for i in range(samples):
-        x = Fraction(int(nums[i, 0]), int(dens[i, 0]))
-        y = Fraction(int(nums[i, 1]), int(dens[i, 1]))
-        if not (0 <= fractional_part(x) < 1 and rational_floor(x) + fractional_part(x) == x):
-            failures.append(f"floor/frac decomposition broken for {x}")
-        if not lemma1_holds(x, y).holds:
-            failures.append(f"floor inequality violated at ({x}, {y})")
-    return SuiteResult("rational-floor-laws", samples, tuple(failures))
 
 
 def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
@@ -181,12 +154,11 @@ def suite_minimal_multiplier(a_max: int = 5, n_max: int = 5) -> SuiteResult:
     return SuiteResult("minimal-multiplier", checked, tuple(failures))
 
 
-def run_all(seed: int = 42) -> list[SuiteResult]:
+def run_all() -> list[SuiteResult]:
     return [
         suite_sieve(),
         suite_legendre_incremental(),
         suite_kummer(),
-        suite_rational_floor(seed=seed),
         suite_claims_vs_oracle(),
         suite_congruences_vs_oracle(),
         suite_minimal_multiplier(),

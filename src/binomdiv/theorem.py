@@ -10,8 +10,9 @@ modulus divides 3(a-b)(3a-b) * R where
     R(a,b,n) = C(2an,an) C(an,bn) / C(2bn,bn)
              = (2an)! (bn)! / ((an)! ((a-b)n)! (2bn)!)
 
-is itself an integer (every per-level Legendre addend of nu_p(R) is
-nonnegative by the floor inequality checked in ``valuation``).
+is itself an integer: each per-level Legendre addend of nu_p(R) is the
+margin of the floor inequality (Lemma 1), >= 0 in closed form by
+``valuation.lemma1_margin``.
 
 ``proof_trace`` replays the per-prime case analysis that proves the
 2bn+3 half: with p^alpha || 2bn+3, beta = nu_p(a-b),

@@ -14,6 +14,9 @@ ever materialized and no intermediate exceeds ``m``.  The independent
 cross-check is Kummer's theorem: ``nu_p(C(m, k))`` equals the number of
 carries when adding ``k`` and ``m - k`` in base ``p``.
 
+The floor inequality (Lemma 1) is proved in closed form by
+``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
+
 All public operations are pure functions of their inputs.  The only
 module-level state is the grow-only prime cache of ``primes_upto`` and
 the primes below 2^16 that ``factorize`` lists on first use; both are
@@ -211,38 +214,19 @@ def kummer_binomial_valuation(m: int, k: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact rationals
+# the floor inequality (Lemma 1)
 
-def rational_floor(q: Fraction) -> int:
-    """Mathematical floor of an exact rational (floor(-1/2) == -1)."""
-    return q.numerator // q.denominator
+def lemma1_margin(x: Fraction, y: Fraction) -> int:
+    """floor(2x) + floor(y) - floor(x) - floor(x-y) - floor(2y), in closed form.
 
-
-def fractional_part(q: Fraction) -> Fraction:
-    """{q} = q - floor(q), an exact rational in [0, 1)."""
-    return Fraction(q) - rational_floor(q)
-
-
-class Lemma1Result(NamedTuple):
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def lemma1_holds(x: Fraction, y: Fraction) -> Lemma1Result:
-    """Check floor(2x) + floor(y) >= floor(x) + floor(x-y) + floor(2y).
-
-    The inequality holds for all real x, y (both sides of
-    2x + y = x + (x - y) + 2y lose at most the fractional parts); any
-    ``holds=False`` result is an implementation bug.  Inputs are exact
-    rationals; Python ints also work since they expose
-    numerator/denominator.
+    With u = {x} and v = {y} the integer parts cancel, leaving
+    floor(2u) - floor(2v) - floor(u-v) = [u >= 1/2] - [v >= 1/2] + [u < v].
+    That is >= 0 in all four cases: with u, v on one side of 1/2 it is
+    [u < v]; u >= 1/2 > v gives 1; u < 1/2 <= v forces u < v, giving 0.
+    So Lemma 1 holds for all real x, y.
     """
-    xn, xd = x.numerator, x.denominator
-    yn, yd = y.numerator, y.denominator
-    lhs = (2 * xn) // xd + yn // yd
-    rhs = xn // xd + (xn * yd - yn * xd) // (xd * yd) + (2 * yn) // yd
-    return Lemma1Result(lhs, rhs, lhs >= rhs)
+    u, v = x % 1, y % 1
+    return (2 * u >= 1) - (2 * v >= 1) + (u < v)
 
 
 class LemmaFuzzReport(NamedTuple):
@@ -258,9 +242,9 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
     Draws ``samples`` pairs (x, y) with |numerator| <= max_den and
     1 <= denominator <= max_den, evaluates the five floors with exact
     int64 arithmetic (vectorized), and reports every violating pair;
-    the expected count is zero.  A fixed prefix of each run is
-    re-evaluated through the scalar ``lemma1_holds`` so the two routes
-    cannot drift apart.
+    the expected count is zero.  On a fixed prefix of each run, the
+    difference of the two sides must equal the closed form
+    ``lemma1_margin``, so the floor arrays cannot drift from the proof.
 
     Deterministic: the same (samples, max_den, seed) yields the same
     sample stream and report.
@@ -283,13 +267,12 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
     bad = np.flatnonzero(lhs < rhs)
 
     for i in range(min(samples, 256)):
-        ref = lemma1_holds(
-            Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
-        )
-        if ref.lhs != int(lhs[i]) or ref.rhs != int(rhs[i]):
+        x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
+        margin, ref = int(lhs[i] - rhs[i]), lemma1_margin(x, y)
+        if margin != ref:
             raise RuntimeError(
-                "vectorized lemma engine disagrees with the scalar route at "
-                f"sample {i}: {ref} vs ({int(lhs[i])}, {int(rhs[i])})"
+                "vectorized lemma engine disagrees with the closed form at "
+                f"sample {i}: margin {margin} vs {ref} at ({x}, {y})"
             )
 
     violations = tuple(

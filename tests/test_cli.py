@@ -406,7 +406,6 @@ def test_oracle_check_passes(capsys):
         "sieve-vs-trial-division",
         "legendre-vs-incremental",
         "kummer-vs-legendre",
-        "rational-floor-laws",
         "claims-vs-bigint",
         "congruences-vs-bigint",
         "minimal-multiplier",
@@ -438,7 +437,7 @@ def test_oracle_integrity_error_is_a_suite_failure(capsys, monkeypatch, name, su
     assert err == ""
     assert f"{result.name:<28} {result.checked:>8} checks  FAIL (1 failures)" in out
     assert f"    corrupted oracle value at {bad}" in out
-    assert out.endswith("suites failed: 1/7\n")
+    assert out.endswith("suites failed: 1/6\n")
 
 
 # ---------------------------------------------------------------------------

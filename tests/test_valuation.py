@@ -1,4 +1,4 @@
-"""Tests for prime generation, valuations and exact rational floors."""
+"""Tests for prime generation, valuations and the floor inequality (Lemma 1)."""
 
 import math
 import signal
@@ -9,19 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomdiv import valuation
 from binomdiv.errors import ResourceLimitError
 from binomdiv.valuation import (
+    FUZZ_MAX_DEN,
     INFINITE,
     factorize,
-    fractional_part,
     kummer_binomial_valuation,
-    lemma1_holds,
+    lemma1_margin,
     lemma_fuzz,
     nu_factorial,
     nu_factorial_over_primes,
     nu_int,
     primes_upto,
-    rational_floor,
     _segmented_sieve,
 )
 
@@ -223,36 +223,36 @@ def test_kummer_equals_legendre_difference_small():
 
 
 # ---------------------------------------------------------------------------
-# exact rational floors and the floor inequality
+# the floor inequality (Lemma 1)
 
-def test_floor_and_fraction_examples():
-    assert rational_floor(Fraction(7, 2)) == 3
-    assert fractional_part(Fraction(7, 2)) == Fraction(1, 2)
-    assert rational_floor(Fraction(-1, 2)) == -1
-    assert fractional_part(Fraction(-1, 2)) == Fraction(1, 2)
-    assert rational_floor(Fraction(5, 1)) == 5
-    assert fractional_part(Fraction(5, 1)) == 0
-
-
-@given(rationals)
-def test_floor_fraction_decomposition(q):
-    assert rational_floor(q) + fractional_part(q) == q
-    assert 0 <= fractional_part(q) < 1
+def floor_margin(x, y):
+    """The two sides of Lemma 1 subtracted, as five ``math.floor`` terms."""
+    return (
+        math.floor(2 * x) + math.floor(y)
+        - math.floor(x) - math.floor(x - y) - math.floor(2 * y)
+    )
 
 
 def test_lemma1_examples():
-    assert lemma1_holds(Fraction(0), Fraction(0)) == (0, 0, True)
-    assert lemma1_holds(Fraction(1, 2), Fraction(1, 2)) == (1, 1, True)
-    assert lemma1_holds(Fraction(3, 5), Fraction(1, 5)) == (1, 0, True)
+    assert lemma1_margin(Fraction(0), Fraction(0)) == 0
+    assert lemma1_margin(Fraction(1, 2), Fraction(1, 2)) == 0
+    assert lemma1_margin(Fraction(3, 5), Fraction(1, 5)) == 1
 
 
 @given(rationals, rationals)
 def test_lemma1_always_holds(x, y):
-    result = lemma1_holds(x, y)
-    assert result.holds
-    # the two sides really are the stated floor sums
-    assert result.lhs == math.floor(2 * x) + math.floor(y)
-    assert result.rhs == math.floor(x) + math.floor(x - y) + math.floor(2 * y)
+    margin = lemma1_margin(x, y)
+    assert margin == floor_margin(x, y)
+    assert margin >= 0
+
+
+def test_lemma1_margin_on_twelfths():
+    """Every case boundary: u, v in {0, 1/2}, u = v, and negative x, y."""
+    grid = [Fraction(k, 12) for k in range(-36, 37)]
+    for x in grid:
+        for y in grid:
+            margin = lemma1_margin(x, y)
+            assert margin == floor_margin(x, y) >= 0, (x, y)
 
 
 def test_lemma_fuzz_small_run_and_determinism():
@@ -275,3 +275,17 @@ def test_lemma_fuzz_argument_guards():
         lemma_fuzz(10, 0)
     with pytest.raises(ResourceLimitError):
         lemma_fuzz(10, 10**9 + 1)
+
+
+def test_lemma_fuzz_at_the_int64_exactness_edge():
+    """At max_den = FUZZ_MAX_DEN the cross term xn*yd - yn*xd reaches about
+    2*FUZZ_MAX_DEN^2 < 2^63: no violation, and the closed-form check passes."""
+    assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3).violations == ()
+
+
+def test_lemma_fuzz_cross_check_fires(monkeypatch):
+    """The scalar closed form is wired in: an off-by-one reference is caught."""
+    real = valuation.lemma1_margin
+    monkeypatch.setattr(valuation, "lemma1_margin", lambda x, y: real(x, y) + 1)
+    with pytest.raises(RuntimeError, match=r"at sample 0:"):
+        lemma_fuzz(10, 10)
