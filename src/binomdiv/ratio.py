@@ -19,11 +19,11 @@ n ~ 10^6 where the dividend's own primes would number in the millions.
 
 Landau certificates.  ``integral_for_all_n`` proves a ratio
 prod ((c_i n)!)^(e_i) integral for every n >= 1 (Landau 1900; Bober
-2009): with zero offsets, coeffs >= 0 and sum e_i c_i = 0, the step
-function f(t) = sum e_i floor(c_i t) has period 1 and
-nu_p(r(n)) = sum_{i>=1} f(n / p^i), so f >= 0 on [0, 1) suffices.  f is
-right-continuous and constant between the breakpoints k/c_i, so
-checking it there with exact integers is a proof.
+2009): with zero offsets, coeffs >= 0 and surplus s = sum e_i c_i >= 0,
+nu_p(r(n)) = sum_{i>=1} f(n / p^i) for f(t) = sum e_i floor(c_i t), and
+f(t+1) = f(t) + s, so f >= 0 on [0, 1) suffices.  f steps down only at
+the breakpoints k/c_i with e_i < 0, so one numpy pass per such c_i
+checks it there with exact int64 arithmetic: a proof.
 
 Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor;
 the claim caches it, its certification and the exponents of its
@@ -62,9 +62,9 @@ from .valuation import factorize, nu_factorial, nu_factorial_over_primes, primes
 
 _I64_MAX = 2**63
 
-#: Landau certificates with more breakpoints than this are not attempted
-#: (the ratio then takes the per-n path); it bounds a pure-Python loop.
-LANDAU_MAX_BREAKPOINTS = 1 << 16
+#: Largest negative-exponent coefficient (the length of the one int64
+#: array, 8 MiB) that ``integral_for_all_n`` attempts a certificate for.
+LANDAU_MAX_BREAKPOINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -216,24 +216,24 @@ def ratio_valuation_over_primes(
 def integral_for_all_n(r: FactorialRatio) -> bool:
     """Whether a Landau certificate proves r(n) integral for every n >= 1.
 
-    True only when every form is c*n with c >= 0, sum e*c == 0 and
-    f(t) = sum e*floor(c*t) >= 0 at every breakpoint k/c in [0, 1).
-    False means "not certified", not "non-integral": unbalanced ratios
-    such as (2n)!/n! are integral yet never certified, and ratios with
-    more than ``LANDAU_MAX_BREAKPOINTS`` breakpoints are not attempted.
+    True only when every form is c*n with c >= 0, s = sum e*c >= 0 and
+    f(t) = sum e*floor(c*t) >= 0 at each breakpoint k/c in [0, 1) with
+    e < 0.  f is right-continuous and steps down only there, so its minimum
+    on [0, 1) is at one of them; f(t+1) = f(t) + s, so each level term
+    f(n/p^i) of nu_p(r(n)) is >= f({n/p^i}) >= 0.  False means "not
+    certified", not "non-integral": a c > ``LANDAU_MAX_BREAKPOINTS`` with
+    e < 0, or sum |e|*c * (largest such c) >= 2^63, is not tried.
     """
     if any(form.offset != 0 or form.coeff < 0 for form, _ in r.terms):
         return False
-    if sum(e * form.coeff for form, e in r.terms) != 0:
-        return False
     terms = [(form.coeff, e) for form, e in r.terms if form.coeff > 0]
-    denominators = {c for c, _ in terms}
-    if sum(denominators) > LANDAU_MAX_BREAKPOINTS:
+    widest = max((c for c, e in terms if e < 0), default=0)
+    if (sum(e * c for c, e in terms) < 0 or widest > LANDAU_MAX_BREAKPOINTS
+            or sum(abs(e) * c for c, e in terms) * widest >= _I64_MAX):  # int64-exact
         return False
-    return all(
-        sum(e * (c * k // den) for c, e in terms) >= 0
-        for den in denominators
-        for k in range(den)
+    return all(  # f(k/den) for k < den, with c*k as arange(0, c*den, c)
+        sum(e * (np.arange(0, c * den, c) // den) for c, e in terms).min() >= 0
+        for den in {c for c, e in terms if e < 0}
     )
 
 

@@ -44,6 +44,9 @@ SIEVE_LIMIT = 2**31
 #: every int64 intermediate (numerator*denominator products) exact.
 FUZZ_MAX_DEN = 10**9
 
+#: Samples per slice of ``lemma_fuzz``'s floors (its draws are not sliced).
+_FUZZ_SLICE = 1 << 18
+
 #: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
 _SEGMENT = 1 << 20
 
@@ -241,8 +244,8 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
 
     Draws ``samples`` pairs (x, y) with |numerator| <= max_den and
     1 <= denominator <= max_den, evaluates the five floors with exact
-    int64 arithmetic (vectorized), and reports every violating pair;
-    the expected count is zero.  On a fixed prefix of each run, the
+    int64 arithmetic (vectorized, over fixed slices of the draws), and
+    reports every violating pair; the expected count is zero.  On a fixed prefix of each run, the
     difference of the two sides must equal the closed form
     ``lemma1_margin``, so the floor arrays cannot drift from the proof.
 
@@ -262,13 +265,18 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
     xd = rng.integers(1, max_den + 1, size=samples, dtype=np.int64)
     yn = rng.integers(-max_den, max_den + 1, size=samples, dtype=np.int64)
     yd = rng.integers(1, max_den + 1, size=samples, dtype=np.int64)
-    lhs = (2 * xn) // xd + yn // yd
-    rhs = xn // xd + (xn * yd - yn * xd) // (xd * yd) + (2 * yn) // yd
-    bad = np.flatnonzero(lhs < rhs)
+    bad: list[int] = []
+    margins: list[int] = []  # lhs - rhs of the first 256 samples
+    for lo in range(0, samples, _FUZZ_SLICE):
+        a, b, c, d = (v[lo : lo + _FUZZ_SLICE] for v in (xn, xd, yn, yd))
+        lhs = (2 * a) // b + c // d
+        rhs = a // b + (a * d - c * b) // (b * d) + (2 * c) // d
+        bad.extend((np.flatnonzero(lhs < rhs) + lo).tolist())
+        margins.extend((lhs - rhs)[: max(256 - lo, 0)].tolist())
 
-    for i in range(min(samples, 256)):
+    for i, margin in enumerate(margins):
         x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
-        margin, ref = int(lhs[i] - rhs[i]), lemma1_margin(x, y)
+        ref = lemma1_margin(x, y)
         if margin != ref:
             raise RuntimeError(
                 "vectorized lemma engine disagrees with the closed form at "
@@ -277,6 +285,6 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
 
     violations = tuple(
         (Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i])))
-        for i in bad.tolist()
+        for i in bad
     )
     return LemmaFuzzReport(samples, max_den, seed, violations)

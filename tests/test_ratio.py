@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from binomdiv import ratio as ratio_module
+from binomdiv.cli import main
 from binomdiv.oracle import big_binomial
 from binomdiv.ratio import (
     LANDAU_MAX_BREAKPOINTS,
@@ -282,31 +283,77 @@ def test_landau_certificate_covers_the_papers_ratios():
 def test_landau_certificate_refuses_what_it_cannot_prove():
     inverse_central = FactorialRatio.from_terms([(form(1), 2), (form(2), -1)])
     assert not integral_for_all_n(inverse_central)  # f(1/2) = -1
-    # (2n)!/n! is integral but unbalanced, so it is not certified
-    assert not integral_for_all_n(FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]))
+    # (2n)!/n! has surplus s = 1 and is certified; n!/(2n)! has s = -1 and is not
+    assert integral_for_all_n(FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]))
+    assert not integral_for_all_n(FactorialRatio.from_terms([(form(1), 1), (form(2), -1)]))
     assert not integral_for_all_n(t_binomial_ratio())  # offsets
-    # C(2mn, mn) with m = 2^16 is integral, but has too many breakpoints to try
-    wide = binomial_ratio(form(2 * LANDAU_MAX_BREAKPOINTS), form(LANDAU_MAX_BREAKPOINTS))
+    # C(2mn, mn) with m past the cap is integral, but its breakpoint array is too long to try
+    m = LANDAU_MAX_BREAKPOINTS + 1
+    wide = binomial_ratio(form(2 * m), form(m))
     assert not integral_for_all_n(wide)
     assert is_integral_at(wide, 1) == (True, None)
+    # the cap is on the largest negative-exponent coefficient, max(a, 2b) for the core
+    assert integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS, 1))
+    assert not integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS + 1, 1))
+    # c*k would not fit in int64: "not certified", never an exception
+    huge = FactorialRatio.from_terms([(form(10**20), 1), (form(1), -1)])
+    assert integral_for_all_n(huge) is False
+    assert main(["integrality", "--num", str(10**20 - 1), "--den", "1", "--n-max", "3"]) == 2
 
 
 def test_landau_certificate_is_sound():
+    """Every certified ratio, balanced or with surplus, is an integer at
+    n <= 20 by exact factorial quotients."""
     rng = random.Random(7)
-    certified = 0
-    for _ in range(300):
+    certified = {"balanced": 0, "surplus": 0}
+    for i in range(600):
         tops = [rng.randint(1, 9) for _ in range(rng.randint(1, 3))]
         bottoms = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
-        bottoms[-1] += sum(tops) - sum(bottoms)
-        if bottoms[-1] < 1:
-            continue
+        if i % 2 == 0:  # balanced draw: s = 0
+            bottoms[-1] += sum(tops) - sum(bottoms)
+            if bottoms[-1] < 1:
+                continue
         r = FactorialRatio.from_terms(
             [(form(c), 1) for c in tops] + [(form(c), -1) for c in bottoms]
         )
         if integral_for_all_n(r):
-            certified += 1
-            assert all(exact_ratio_value(r, n).denominator == 1 for n in range(1, 21))
-    assert certified >= 20
+            certified["surplus" if sum(tops) > sum(bottoms) else "balanced"] += 1
+            assert all(exact_ratio_value(r, n).denominator == 1 for n in range(1, 21)), r
+    assert min(certified.values()) >= 20, certified
+
+
+def landau_by_every_breakpoint(r: FactorialRatio) -> bool:
+    """Reference: f(k/c) >= 0 at every breakpoint of every term, in Python ints."""
+    if any(f.offset != 0 or f.coeff < 0 for f, _ in r.terms):
+        return False
+    terms = [(f.coeff, e) for f, e in r.terms if f.coeff > 0]
+    if sum(e * c for c, e in terms) < 0:
+        return False
+    return all(
+        sum(e * (c * k // den) for c, e in terms) >= 0
+        for den in {c for c, _ in terms}
+        for k in range(den)
+    )
+
+
+def test_landau_certificate_matches_every_breakpoint_reference():
+    """``integral_for_all_n`` checks only the down-steps, with numpy; the
+    reference checks every breakpoint of every term.  Exponents +-1 and +-2,
+    balanced (s = 0) and unbalanced draws alike."""
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    surplus = 0
+    for i in range(1200):
+        pairs = [(rng.randint(1, 12), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 5))]
+        s = sum(c * e for c, e in pairs)
+        if i % 2 == 0 and s:  # balanced draw
+            pairs.append((abs(s), -1 if s > 0 else 1))
+        r = FactorialRatio.from_terms([(form(c), e) for c, e in pairs])
+        certified = integral_for_all_n(r)
+        assert certified == landau_by_every_breakpoint(r), r
+        verdicts[certified] += 1
+        surplus += certified and sum(f.coeff * e for f, e in r.terms) > 0
+    assert min(verdicts.values()) >= 200 and surplus >= 50, (verdicts, surplus)
 
 
 def test_is_integral_sieves_only_to_the_largest_denominator_argument():
@@ -452,6 +499,21 @@ def test_reduced_verdict_matches_full_ledger_on_failing_claims():
                 cert = verify_claim(weaker, n)
                 assert claim_holds(weaker, n) == (cert.holds, cert.witness)
                 failing += not cert.holds
+    assert failing > 0
+
+
+def test_reduced_verdict_matches_full_ledger_on_a_surplus_core():
+    """(2n)!/n! = (n+1)...(2n) has surplus s = 1, so claims over it take the
+    reduced path: n+1 always divides it, 2n+1 and 3n do not always."""
+    falling = FactorialRatio.from_terms([(form(2), 1), (form(1), -1)])
+    failing = 0
+    for modulus in (form(1, 1), form(2, 1), form(3)):
+        claim = DivisibilityClaim((modulus,), FactorialRatio(), (), falling)
+        assert claim._certified
+        for n in range(1, 61):
+            cert = verify_claim(claim, n)
+            assert claim_holds(claim, n) == (cert.holds, cert.witness)
+            failing += not cert.holds
     assert failing > 0
 
 

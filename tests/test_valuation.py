@@ -283,6 +283,13 @@ def test_lemma_fuzz_at_the_int64_exactness_edge():
     assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3).violations == ()
 
 
+def test_lemma_fuzz_slices_do_not_change_the_report(monkeypatch):
+    """Slices shorter than the 256-sample cross-check prefix: same report."""
+    reports = [lemma_fuzz(1000, 10**6, seed) for seed in (1, 2, 3)]
+    monkeypatch.setattr(valuation, "_FUZZ_SLICE", 100)
+    assert [lemma_fuzz(1000, 10**6, seed) for seed in (1, 2, 3)] == reports
+
+
 def test_lemma_fuzz_cross_check_fires(monkeypatch):
     """The scalar closed form is wired in: an off-by-one reference is caught."""
     real = valuation.lemma1_margin
