@@ -10,7 +10,8 @@ Commands:
 
 Each ``_cmd_*`` handler validates its input, runs its library call and
 returns a ``_Report``; ``_render`` alone turns that into json, csv or
-human text, and ``main`` writes it to ``--out`` or stdout.
+human text chunks, and ``main`` streams them with ``writelines`` to
+stdout or to ``--out``, opened only once the JSON skeleton is encoded.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -22,9 +23,10 @@ JSON report schema (schema_version 1):
      "summary": {"checked": <int>, "violations": <int>, "seconds": <float>}}
 
 Each result carries certificate entries as {"p": p, "required": r,
-"available": a}; ``_json_text`` writes them from a ``Certificate``'s
+"available": a}; ``_json_chunks`` writes them from a ``Certificate``'s
 read-only int64 columns ``primes``, ``required`` and ``available``
-(``entries`` is a lazy view of them as rows).  Reports are deterministic
+(``entries`` is a lazy view of them as rows) in blocks of 2^14 rows, so
+no report is held whole in memory.  Reports are deterministic
 for a fixed config and seed, except for the wall-clock
 ``summary.seconds`` field.
 
@@ -51,13 +53,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
@@ -77,6 +82,7 @@ from .valuation import lemma_fuzz
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 _CSV_COMMANDS = ("verify", "sweep", "integrality")
+_JSON_BLOCK_ROWS = 2**14  # certificate entries per chunk of a JSON report
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) ->
         "n": triple.n,
         "verdict": cert.verdict,
         "witness_prime": witness,
-        # _json_text writes the entries list from the certificate's columns
+        # _json_chunks writes the entries list from the certificate's columns
         "certificate": {"n": cert.n, "holds": cert.holds, "witness": cert.witness, "entries": cert},
     }
 
@@ -132,10 +138,11 @@ def _trace_dict(trace: ProofTrace) -> dict:
     }
 
 
-def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` with each Certificate in doc
-    as its entries list.  The indented stdlib encoder is pure Python, so it
-    writes a token "\\u0000<k>" that the list, one template per row, replaces."""
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` in chunks, each Certificate
+    in doc as its entries list.  The skeleton, with a token "\\u0000<k>" per
+    Certificate, is encoded now; the iterator yields the text between tokens
+    and each entries list in blocks of ``_JSON_BLOCK_ROWS`` rows."""
     certificates: list[Certificate] = []
 
     def token(cert: object) -> str:
@@ -144,15 +151,31 @@ def _json_text(doc: dict) -> str:
         certificates.append(cert)
         return f"\0{len(certificates) - 1}"
 
-    def entries(match: re.Match) -> str:
-        cert, pad = certificates[int(match[2])], match[1]
-        row = f'{pad}  {{\n{pad}    "available": %d,\n{pad}    "p": %d,\n{pad}    "required": %d\n{pad}  }}'
-        rows = zip(cert.available.tolist(), cert.primes.tolist(), cert.required.tolist())
-        body = ",\n".join(map(row.__mod__, rows))
-        return f'{pad}"entries": ' + (f"[\n{body}\n{pad}]" if body else "[]")
+    def entries(cert: Certificate, pad: str) -> Iterator[str]:
+        def text(column: np.ndarray, template: str) -> np.ndarray:
+            values, inverse = np.unique(column, return_inverse=True)
+            return np.array([template % v for v in values.tolist()], dtype=object)[inverse]
 
-    text = json.dumps(doc, indent=2, sort_keys=True, default=token)
-    return re.sub(r'^( *)"entries": "\\u0000(\d+)"', entries, text, flags=re.MULTILINE)
+        for lo in range(0, cert.primes.size, _JSON_BLOCK_ROWS):
+            block = slice(lo, lo + _JSON_BLOCK_ROWS)
+            rows = np.empty((cert.primes[block].size, 3), dtype=object)
+            rows[:, 0] = text(cert.available[block], f',\n{pad}  {{\n{pad}    "available": %d,\n{pad}    "p": ')
+            rows[:, 1] = list(map(str, cert.primes[block].tolist()))
+            rows[:, 2] = text(cert.required[block], f',\n{pad}    "required": %d\n{pad}  }}')
+            if not lo:
+                rows[0, 0] = "[" + rows[0, 0][1:]
+            yield "".join(rows.ravel().tolist())
+        yield f"\n{pad}]" if cert.primes.size else "[]"
+
+    def chunks(text: str) -> Iterator[str]:
+        start = 0
+        for match in re.finditer(r'^( *)"entries": ("\\u0000(\d+)")', text, flags=re.MULTILINE):
+            yield text[start : match.start(2)]
+            yield from entries(certificates[int(match[3])], match[1])
+            start = match.end()
+        yield text[start:]
+
+    return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
 def _certificate_lines(cert: Certificate, max_entries: int = 60) -> list[str]:
@@ -197,12 +220,13 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
     return lines
 
 
-def _render(args: argparse.Namespace) -> tuple[_Report, str]:
-    """Run the command and render its report in ``--format``.
+def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
+    """Run the command and render its report in ``--format`` as text chunks.
 
     The only code that reads ``--format``.  Before the command runs, it
     refuses csv for a command without a CSV form, then an ``--out`` path
-    whose directory is missing, with the error that writing it would give.
+    whose directory is missing, with the error that writing it would give;
+    after it, a JSON skeleton that cannot be encoded, before any write.
     """
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         raise ValueError(f"{args.command} does not support csv output; use json or human")
@@ -229,14 +253,14 @@ def _render(args: argparse.Namespace) -> tuple[_Report, str]:
                 "seconds": report.seconds,
             },
         }
-        return report, _json_text(doc) + "\n"
+        return report, itertools.chain(_json_chunks(doc), ["\n"])
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
         writer.writerow(["a", "b", "n", "verdict", "witness_prime", "seconds"])
         writer.writerows((*row, f"{report.seconds:.6f}") for row in report.rows())
-        return report, buffer.getvalue()
-    return report, "\n".join(report.lines()) + "\n"
+        return report, [buffer.getvalue()]
+    return report, ["\n".join(report.lines()) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +568,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, text = _render(args)
+        report, chunks = _render(args)
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.writelines(chunks)
             print(f"{report.summary_line} (report written to {args.out})")
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except IntegrityError as exc:
         print(f"integrity violation: {exc}", file=sys.stderr)
         return 1

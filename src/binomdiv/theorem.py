@@ -39,7 +39,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .ratio import (
@@ -420,6 +419,7 @@ def run_sweep(
     if jobs == 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only the pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_sweep_chunk, payloads))
 

@@ -124,9 +124,65 @@ def test_json_text_writes_entries_at_any_depth():
     rows = [{"p": 2, "required": 1, "available": 3}, {"p": 3, "required": 2, "available": 2}]
     doc = {"entries": cert, "x": [{"y": {"entries": cert}}, {"entries": empty}]}
     reference = {"entries": rows, "x": [{"y": {"entries": rows}}, {"entries": []}]}
-    assert cli._json_text(doc) == json.dumps(reference, indent=2, sort_keys=True)
+    assert "".join(cli._json_chunks(doc)) == json.dumps(reference, indent=2, sort_keys=True)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._json_text({"x": object()})
+        cli._json_chunks({"x": object()})  # the skeleton is encoded before any chunk is asked for
+
+
+# Certificate sizes around the block boundaries of R = 4 rows per block.
+_BLOCK_ROWS = 4
+_BLOCK_SIZES = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1)
+_EDGE_VALUES = (0, -1, 7, 12345678901, -(2**63), 2**63 - 1)
+
+
+def _edge_certificate(size: int, shift: int = 0) -> Certificate:
+    """``size`` rows whose three columns each cycle through zero, negative,
+    multi-digit and int64-extreme values."""
+    v = _EDGE_VALUES
+    return Certificate.from_rows(
+        size, [(v[(i + shift) % 6], v[(i + shift + 2) % 6], v[(i + shift + 4) % 6]) for i in range(size)]
+    )
+
+
+def _rows(cert: Certificate) -> list[dict]:
+    return [{"p": p, "required": req, "available": av} for p, req, av in cert.entries]
+
+
+def test_json_chunks_match_the_stdlib_encoder_at_block_boundaries(monkeypatch):
+    monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", _BLOCK_ROWS)
+    certs = [_edge_certificate(size, shift) for shift, size in enumerate(_BLOCK_SIZES)]
+    doc = {"entries": certs[0], "x": [{"y": {"entries": c}, "z": -1} for c in certs[1:]]}
+    reference = {
+        "entries": _rows(certs[0]),
+        "x": [{"y": {"entries": _rows(c)}, "z": -1} for c in certs[1:]],
+    }
+    chunks = list(cli._json_chunks(doc))
+    assert "".join(chunks) == json.dumps(reference, indent=2, sort_keys=True)
+    assert max(chunk.count('"p": ') for chunk in chunks) == _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_verify_json_at_block_boundaries(capsys, monkeypatch, tmp_path, size, to_file):
+    monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", _BLOCK_ROWS)
+    cert = _edge_certificate(size)
+    monkeypatch.setattr(cli, "verify_triple", lambda t: cert)
+    out_file = tmp_path / "r.json"
+    argv = ["verify", "--a", "3", "--b", "1", "--n", str(size + 1), "--format", "json"]
+    code, text, _ = run_cli(capsys, *argv, *(["--out", str(out_file)] if to_file else []))
+    if to_file:
+        assert "report written" in text
+        text = out_file.read_text(encoding="utf-8")
+    assert code == (0 if cert.holds else 1)
+    assert text == _stdlib_json(text, [cert])
+
+
+def test_unencodable_report_raises_before_out_is_created(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_result_dict", lambda *args: {"x": object()})
+    out_file = tmp_path / "r.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["verify", "--a", "3", "--b", "1", "--n", "2", "--format", "json", "--out", str(out_file)])
+    assert not out_file.exists()
 
 
 def test_verify_csv_row(capsys):

@@ -1,5 +1,6 @@
 """Tests for the divisibility theorem machinery: claims, traces, sweeps."""
 
+import concurrent.futures
 import dataclasses
 import math
 import tracemalloc
@@ -396,7 +397,7 @@ def test_run_sweep_pool_is_capped_at_the_payload_count(monkeypatch):
             seen.append((self.max_workers, len(payloads)))
             return map(fn, payloads)
 
-    monkeypatch.setattr(theorem, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     for kwargs in ({}, {"sample": 5, "seed": 3}):
         serial = run_sweep(3, 2, 10, jobs=1, **kwargs)
         pooled = run_sweep(3, 2, 10, jobs=500, **kwargs)
