@@ -31,6 +31,7 @@ from .ratio import (
     LinearForm,
     binomial_ratio,
     claim_holds,
+    claims_hold,
     integral_for_all_n,
     is_integral_at,
     modulus_rows,

@@ -66,7 +66,9 @@ import numpy as np
 
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
-from .ratio import Certificate, FactorialRatio, LinearForm, is_integral_at
+from .ratio import (
+    Certificate, FactorialRatio, IntegralityResult, LinearForm, _integrality_claim, claims_hold,
+)
 from .theorem import (
     ModulusSide,
     ParamTriple,
@@ -411,7 +413,10 @@ def _cmd_integrality(args: argparse.Namespace) -> _Report:
         + [(LinearForm(c, 0), -1) for c in denominators]
     )
     started = time.perf_counter()
-    outcomes = [(n, is_integral_at(ratio, n)) for n in range(1, args.n_max + 1)]
+    ns = range(1, args.n_max + 1)
+    holds, witness = claims_hold((_integrality_claim(ratio),), np.zeros(len(ns), np.intp), ns)
+    witnesses = [w or None for w in witness.tolist()]
+    outcomes = list(zip(ns, map(IntegralityResult, holds.tolist(), witnesses)))
     seconds = time.perf_counter() - started
     bad = sum(not res.integral for _, res in outcomes)
 

@@ -18,7 +18,7 @@ from .theorem import (
     conjecture_claim,
     sweep_pairs,
 )
-from .ratio import claim_holds, verify_claim
+from .ratio import claims_hold, verify_claim
 from .valuation import kummer_binomial_valuation, nu_factorial, nu_int, primes_upto
 
 
@@ -86,16 +86,17 @@ def suite_kummer(m_max: int = 200, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -
 def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
     """Valuation verdicts equal exact big-integer divisibility.
 
-    Both valuation routes are pinned: ``claim_holds`` (the reduced path
-    for these certified claims) and the full ledger of ``verify_claim``.
+    Both valuation routes are pinned: ``claims_hold`` (the reduced path
+    for these certified claims, one call per pair) and the full ledger of
+    ``verify_claim``.
     """
     failures = []
     checked = 0
     for a, b in sweep_pairs(a_max, a_max - 1):
         claim = conjecture_claim(a, b)
-        for n in range(1, n_max + 1):
+        verdicts = claims_hold((claim,), [0] * n_max, range(1, n_max + 1))[0].tolist()
+        for n, holds in enumerate(verdicts, start=1):
             checked += 1
-            holds, _ = claim_holds(claim, n)
             divisor = (
                 (2 * b * n + 1)
                 * (2 * b * n + 3)

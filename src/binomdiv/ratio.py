@@ -25,16 +25,17 @@ f(t+1) = f(t) + s, so f >= 0 on [0, 1) suffices.  f steps down only at
 the breakpoints k/c_i with e_i < 0, so one numpy pass per such c_i
 checks it there with exact int64 arithmetic: a proof.
 
-Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor;
-the claim caches it, its certification and the exponents of its
-multipliers, which both verdict paths read.  When the core is
-certified, no prime outside the moduli values can fail.
-``modulus_rows`` then yields, for each prime of the moduli values, the
-modulus exponent against nu_p(multipliers) + nu_p(core); this module is
-the only place that comparison is made.  ``claim_holds`` stops at the
-first failing row (ascending, so the witness is the same least prime),
-and ``Certificate.from_rows`` keeps them all.  Other inputs take the
-full prime enumeration, which ``verify_claim`` always uses.
+Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor,
+computed and certified once per claim.  When the core is certified, no
+prime outside the moduli values can fail, and ``claims_hold(claims,
+which, ns)`` decides a batch of such (claim, n) rows with one table of
+(row, p, required, available): the moduli values are factored together
+by ``valuation._trial_division``, and available is nu_p(multipliers) +
+nu_p(core).  This module is the only place that comparison is made; a
+row's least failing prime is its witness.  A call holds at most a
+2^20-cell trial-division tile and the table of 2^13 rows at a time.
+Other rows take the full prime enumeration, which ``verify_claim``
+always uses.  ``claim_holds`` and ``modulus_rows`` are one-row calls.
 ``is_integral_at(r, n)`` is ``claim_holds`` on the claim "denominator
 of r | numerator of r": an uncertified ratio enumerates primes only up
 to its largest denominator argument.
@@ -58,13 +59,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .valuation import factorize, nu_factorial, nu_factorial_over_primes, primes_upto
+from .valuation import _trial_division, nu_factorial, nu_factorial_over_primes, primes_upto
 
 _I64_MAX = 2**63
 
 #: Largest negative-exponent coefficient (the length of the one int64
 #: array, 8 MiB) that ``integral_for_all_n`` attempts a certificate for.
 LANDAU_MAX_BREAKPOINTS = 1 << 20
+
+#: Certified rows per ``_modulus_table`` in ``claims_hold``; bounds its arrays.
+_TABLE_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,7 @@ class DivisibilityClaim:
     @cached_property
     def core(self) -> FactorialRatio:
         """dividend_ratio / divisor_ratio; like its certification and the
-        multiplier exponents, computed once per claim for both verdict paths."""
+        multiplier exponents of the full ledger, computed once per claim."""
         return self.dividend_ratio / self.divisor_ratio
 
     @cached_property
@@ -282,8 +286,8 @@ class DivisibilityClaim:
         return integral_for_all_n(self.core)
 
     @cached_property
-    def _multiplier_nu(self) -> dict[int, int]:
-        return _prime_powers(self.multiplier_constants)
+    def _multiplier_nu(self) -> tuple[np.ndarray, np.ndarray]:
+        return _trial_division(np.array(self.multiplier_constants, dtype=np.int64))[1:]
 
     def __str__(self) -> str:
         left = "".join(f"({m})" for m in self.divisor_moduli) or "1"
@@ -358,15 +362,6 @@ class Certificate:
         return int((self.available - self.required).min()) if self.primes.size else None
 
 
-def _prime_powers(values: Iterable[int]) -> dict[int, int]:
-    """Exponent of each prime in the product of the values (each >= 1)."""
-    out: dict[int, int] = {}
-    for value in values:
-        for p, e in factorize(value):
-            out[p] = out.get(p, 0) + e
-    return out
-
-
 def _instance(claim: DivisibilityClaim, n: int) -> tuple[list[int], list[int], list[int]]:
     """Moduli values, divisor and dividend factorial arguments at n: the prologue
     of both verdict paths, checking n >= 1, each moduli value < 2^63, the
@@ -395,49 +390,117 @@ def _claim_valuations(
 
     required = ratio_valuation_over_primes(claim.divisor_ratio, n, primes)
     available = ratio_valuation_over_primes(claim.dividend_ratio, n, primes)
-    for column, powers in (required, _prime_powers(moduli_values)), (available, claim._multiplier_nu):
-        for p, e in powers.items():
-            if p <= bound:  # a multiplier prime above bound is never required
-                column[int(np.searchsorted(primes, p))] += e
+    moduli_nu = _trial_division(np.array(moduli_values, dtype=np.int64))[1:]
+    for column, (p, e) in (required, moduli_nu), (available, claim._multiplier_nu):
+        keep = p <= bound  # a multiplier prime above bound is never required
+        np.add.at(column, np.searchsorted(primes, p[keep]), e[keep])
     violations = np.flatnonzero(available < required)
     witness = int(primes[violations[0]]) if violations.size else None
     return primes, required, available, witness
 
 
-def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, int]]:
-    """(p, required, available) for each prime p of the moduli values, ascending.
+def _modulus_table(
+    claims: Sequence[DivisibilityClaim], which: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(row, p, required, available) int64 columns sorted by (row, p), one per
+    prime p of the moduli values of row i = (claims[which[i]], ns[i]); the
+    claims are certified and checked.  available is nu_p of the multiplier
+    product, by repeated division, plus the core's Legendre sums, whose
+    deeper levels run over the (row, term) cells still live; int64 sums of
+    signed terms wrap but end exact."""
+    def table(rows: list[list[tuple[int, int]]], fill: tuple[int, int]) -> np.ndarray:
+        width = max(1, *map(len, rows))
+        return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.int64)[which]
 
-    required is the exponent of p in the product of the moduli values;
-    available is nu_p(multipliers) + nu_p(``claim.core``).  When
-    ``integral_for_all_n`` certifies the core, no other prime can fail,
-    so these rows decide the claim at n.  Rows are produced lazily, so a
-    caller can stop at the first failing one; a claim whose core is not
-    certified raises ``ValueError``.
+    # past int64, n (and a modulus coeff) passes _instance only where it is multiplied by 0
+    ns = np.minimum(ns, _I64_MAX - 1).astype(np.int64)
+    moduli = table([[(min(m.coeff, _I64_MAX - 1), m.coeff + m.offset) for m in c.divisor_moduli]
+                    for c in claims], (0, 1))
+    core = table([[(f.coeff, e) for f, e in c.core.terms] for c in claims], (0, 0))
+    values = moduli[..., 0] * (ns[:, None] - 1) + moduli[..., 1]  # c(n-1) + (c+d) <= value
+    index, p, e = _trial_division(values.ravel())
+    order = np.lexsort((p, index // values.shape[1]))
+    row, p, e = index[order] // values.shape[1], p[order], e[order]
+    first = np.flatnonzero(np.concatenate(([True], (row[1:] != row[:-1]) | (p[1:] != p[:-1])))[: p.size])
+    row, p, required = row[first], p[first], np.add.reduceat(e, first)  # moduli sharing p add up
+
+    available = np.zeros_like(p)
+    rest = np.array([math.prod(c.multiplier_constants) for c in claims], dtype=np.int64)[which[row]]
+    while (live := np.flatnonzero(rest % p == 0)).size:
+        rest[live] //= p[live]
+        available[live] += 1
+    exponents, q = core[row, :, 1], core[row, :, 0] * ns[row, None] // p[:, None]
+    available += (exponents * q).sum(axis=1)  # level 1 of every term, then the cells still live
+    cell = np.flatnonzero(q >= p[:, None])
+    owner = cell // q.shape[1]
+    divisor, q = p[owner], q.ravel()[cell]
+    total, live = np.zeros_like(q), np.arange(q.size)
+    while live.size:
+        q //= divisor
+        total[live] += q
+        keep = q >= divisor
+        live, q, divisor = live[keep], q[keep], divisor[keep]
+    np.add.at(available, owner, total * exponents.ravel()[cell])
+    return row, p, required, available
+
+
+def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, required, available) for each prime p of the moduli values, ascending:
+    the exponent of p in their product against nu_p(multipliers) +
+    nu_p(``claim.core``), the one-row table of ``claims_hold``.  They decide
+    the claim at n when its core is certified; other claims raise ``ValueError``.
     """
     if not claim._certified:
         raise ValueError(f"core ratio of {claim} has no Landau certificate")
-    moduli_values = _instance(claim, n)[0]
-    core, multiplier_nu = claim.core, claim._multiplier_nu
-    modulus_nu = _prime_powers(moduli_values)
-    for p in sorted(modulus_nu):
-        yield p, modulus_nu[p], multiplier_nu.get(p, 0) + ratio_valuation(core, n, p)
+    _instance(claim, n)
+    _, p, required, available = _modulus_table((claim,), np.zeros(1, np.intp), [n])
+    return zip(p.tolist(), required.tolist(), available.tolist())
+
+
+def claims_hold(
+    claims: Sequence[DivisibilityClaim], which: np.ndarray, ns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Verdicts of the rows (``claims[which[i]]``, ``ns[i]``): a bool array
+    and an int64 array of least witness primes, 0 where a row holds.
+
+    Each claim is first checked by ``_instance`` at its least and largest
+    n: moduli, arguments and budget are affine in n, so the ends bound
+    every row.  Certified rows are decided by ``_modulus_table``, in slices
+    of ``_TABLE_ROWS``; the others enumerate every prime that matters, row
+    by row, as ``verify_claim`` does.
+    """
+    which, ns = np.asarray(which, dtype=np.intp), np.asarray(ns)
+    order = np.argsort(which, kind="stable")
+    present, starts = np.unique(which[order], return_index=True)
+    ends = (f.reduceat(ns[order], starts).tolist() for f in (np.minimum, np.maximum))
+    for k, lo, hi in zip(present.tolist(), *ends):
+        for n in dict.fromkeys((lo, hi)):
+            _instance(claims[k], n)
+    holds, witness = np.ones(which.size, dtype=bool), np.zeros(which.size, dtype=np.int64)
+    certified = np.zeros(len(claims), dtype=bool)
+    certified[present] = [claims[k]._certified for k in present.tolist()]
+    for i in np.flatnonzero(~certified[which]).tolist():
+        w = _claim_valuations(claims[which[i]], int(ns[i]))[3]
+        holds[i], witness[i] = w is None, w or 0
+    kept = [k for k in np.flatnonzero(certified).tolist() if claims[k].divisor_moduli]
+    tabled = np.zeros(len(claims), dtype=bool)
+    tabled[kept] = True  # a certified claim without moduli holds at every n
+    rows = np.flatnonzero(tabled[which])
+    for lo in range(0, rows.size, _TABLE_ROWS):
+        part = rows[lo : lo + _TABLE_ROWS]
+        local = np.searchsorted(kept, which[part])
+        row, p, required, available = _modulus_table([claims[k] for k in kept], local, ns[part])
+        failing = available < required
+        row, least = np.unique(row[failing], return_index=True)  # primes ascend in a row
+        holds[part[row]], witness[part[row]] = False, p[failing][least]
+    return holds, witness
 
 
 def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
-    """Fast verdict-only path: (holds, least witness prime or None).
-
-    A claim whose ``core`` is certified by ``integral_for_all_n`` is
-    decided by its ``modulus_rows``, stopping at the first failing row.
-    Other claims enumerate every prime that matters, as ``verify_claim``
-    does; both give the same verdict and witness.
-    """
-    if not claim._certified:
-        witness = _claim_valuations(claim, n)[3]
-        return witness is None, witness
-    for p, required, available in modulus_rows(claim, n):
-        if available < required:
-            return False, p
-    return True, None
+    """(holds, least witness prime or None) by a one-row ``claims_hold``:
+    the same verdict and witness as ``verify_claim``."""
+    holds, witness = claims_hold((claim,), (0,), (n,))
+    return bool(holds[0]), int(witness[0]) or None
 
 
 def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:

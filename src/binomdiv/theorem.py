@@ -35,11 +35,12 @@ module only states claims and replays proofs; ``ratio`` decides them.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .ratio import (
     Certificate,
@@ -49,6 +50,7 @@ from .ratio import (
     _instance,
     binomial_ratio,
     claim_holds,
+    claims_hold,
     is_integral_at,
     modulus_rows,
     ratio_level_terms,
@@ -371,17 +373,20 @@ def sweep_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
     return [_pair(k, b_max) for k in range(_pair_count(a_max, b_max))]
 
 
+#: Box indices per ``claims_hold`` call of ``_sweep_chunk``.
+_SWEEP_BLOCK = 1 << 15
+
+
 def _sweep_chunk(job) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Worker: verify (b_max, n_max, box indices), return (checked, violations)."""
     b_max, n_max, indices = job
     violations: list[tuple[int, int, int, int]] = []
-    for k, group in itertools.groupby(indices, lambda i: i // n_max):
-        a, b = _pair(k, b_max)
-        claim = conjecture_claim(a, b)
-        for n in (i % n_max + 1 for i in group):
-            holds, witness = claim_holds(claim, n)
-            if not holds:
-                violations.append((a, b, n, witness))
+    for lo in range(0, len(indices), _SWEEP_BLOCK):
+        box = np.fromiter(indices[lo : lo + _SWEEP_BLOCK], dtype=np.int64)  # all < len(range) < 2^63
+        ks, which = np.unique(box // n_max, return_inverse=True)
+        pairs, ns = [_pair(k, b_max) for k in ks.tolist()], box % n_max + 1
+        holds, witness = claims_hold([conjecture_claim(*pair) for pair in pairs], which, ns)
+        violations += [(*pairs[which[i]], int(ns[i]), int(witness[i])) for i in np.flatnonzero(~holds)]
     return len(indices), violations
 
 
@@ -399,9 +404,10 @@ def run_sweep(
     ``sweep_pairs`` order and n fastest.  Exhaustive by default; with
     ``sample``, that many sorted indices drawn without replacement
     using the given seed.  Either is cut into ``jobs * 4`` contiguous
-    slices that workers decode, so memory is O(jobs), or O(sample),
-    and no pair list is built.  Violations are merged and sorted by
-    (a, b, n), so the report is identical for any worker count.
+    slices, and no pair list is built.  Workers decide their slice in
+    blocks of ``_SWEEP_BLOCK`` indices, one ``claims_hold`` call each, so
+    memory is O(jobs * block), or O(sample).  Violations are merged and
+    sorted by (a, b, n): the report is the same for any jobs and block.
     """
     if min(a_max, b_max, n_max) < 1:
         raise ValueError("a_max, b_max and n_max must all be >= 1")

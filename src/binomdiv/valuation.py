@@ -50,6 +50,9 @@ _FUZZ_SLICE = 1 << 18
 #: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
 _SEGMENT = 1 << 20
 
+#: Cells (values x primes) per tile of ``_trial_division``.
+_TILE_CELLS = 1 << 20
+
 Valuation = Union[int, float]
 
 
@@ -116,14 +119,19 @@ def _small_primes() -> list[int]:
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
 
-    Trial division by the primes below 2^16 when m < 2^32, else by the
-    shared prime cache up to isqrt(m), which must stay below ``SIEVE_LIMIT``.
+    Trial division by the primes below 2^16 when m < 2^32, else the blocked
+    ``_trial_division`` by the shared prime cache up to isqrt(m), which must
+    stay below ``SIEVE_LIMIT``.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}; argument must be >= 1")
+    if m >= 1 << 32:
+        _, primes, exponents = _trial_division(np.array([m]))
+        order = np.argsort(primes)
+        return list(zip(primes[order].tolist(), exponents[order].tolist()))
     out: list[tuple[int, int]] = []
     rest = m
-    for p in _small_primes() if m < 1 << 32 else primes_upto(math.isqrt(m)).tolist():
+    for p in _small_primes():
         if p * p > rest:
             break
         if rest % p == 0:
@@ -135,6 +143,31 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if rest > 1:
         out.append((rest, 1))
     return out
+
+
+def _trial_division(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, p, e) int64 columns, one per p^e || values[index] (each in
+    [1, 2^63)), by trial division with the primes <= isqrt(max) in tiles of
+    at most ``_TILE_CELLS`` live values x primes.  A value leaves once
+    p^2 > its cofactor, so a cofactor > 1 left over is prime.  Two primes of
+    one tile can hit one value: exponents are counted on copies, and
+    ``floor_divide.at`` applies every division."""
+    primes = primes_upto(math.isqrt(int(values.max(initial=1))))  # refuses m >= 2^63
+    rest, live, start, found = values.astype(np.int64), np.arange(values.size), 0, []
+    while start < primes.size and (live := live[rest[live] >= primes[start] ** 2]).size:
+        tile = primes[start : start + max(1, _TILE_CELLS // live.size)]
+        start += tile.size
+        hit, column = np.nonzero(rest[live, None] % tile == 0)
+        index, p = live[hit], tile[column]
+        q, e = rest[index] // p, np.ones_like(p)
+        while (more := np.flatnonzero(q % p == 0)).size:
+            q[more] //= p[more]
+            e[more] += 1
+        np.floor_divide.at(rest, index, rest[index] // q)  # rest // q is p^e
+        found.append((index, p, e))
+    index = np.flatnonzero(rest > 1)
+    found.append((index, rest[index], np.ones_like(index)))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from binomdiv import ratio as ratio_module
+from binomdiv import valuation as valuation_module
 from binomdiv.cli import main
 from binomdiv.oracle import big_binomial
 from binomdiv.ratio import (
@@ -19,6 +20,7 @@ from binomdiv.ratio import (
     LinearForm,
     binomial_ratio,
     claim_holds,
+    claims_hold,
     integral_for_all_n,
     is_integral_at,
     modulus_rows,
@@ -31,9 +33,11 @@ from binomdiv.theorem import (
     conjecture_claim,
     conjecture_ratio,
     s_binomial_ratio,
+    s_congruence_claim,
     s_integrality_claim,
     sweep_pairs,
     t_binomial_ratio,
+    t_congruence_claim,
     t_integrality_claim,
 )
 from binomdiv.valuation import primes_upto
@@ -536,13 +540,146 @@ def test_modulus_rows_decide_certified_claims_only():
         next(modulus_rows(uncertified, 1))
 
 
+def reference_factorize(m):
+    """Independent oracle: plain trial division by every d >= 2."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m, e = m // d, e + 1
+            out.append((d, e))
+        d += 1
+    return out + [(m, 1)] * (m > 1)
+
+
+def reference_modulus_rows(claim, n):
+    """The scalar reduced rows: trial division in Python, then
+    ``ratio_valuation`` of the core at each prime of the moduli values."""
+    modulus_nu, multiplier_nu = {}, {}
+    for table, values in (
+        (modulus_nu, [m.evaluate(n) for m in claim.divisor_moduli]),
+        (multiplier_nu, claim.multiplier_constants),
+    ):
+        for value in values:
+            for p, e in reference_factorize(value):
+                table[p] = table.get(p, 0) + e
+    return [
+        (p, modulus_nu[p], multiplier_nu.get(p, 0) + ratio_valuation(claim.core, n, p))
+        for p in sorted(modulus_nu)
+    ]
+
+
+def reference_verdict(claim, n):
+    failing = [p for p, required, available in reference_modulus_rows(claim, n) if available < required]
+    return (not failing, failing[0] if failing else None)
+
+
+CERTIFIED_CORES = (
+    conjecture_ratio(3, 1),
+    conjecture_ratio(7, 5),
+    s_binomial_ratio(),
+    FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]),  # (2n)!/n!, surplus 1
+    FactorialRatio.from_terms(
+        [(form(30), 1), (form(1), 1), (form(15), -1), (form(10), -1), (form(6), -1)]
+    ),
+)
+
+
+def random_certified_claims(rng, count):
+    """Certified claims with constant moduli, moduli that share primes and
+    prime powers (8, 9, 27, 4n+4, 9n+9), and random multipliers."""
+    moduli_pool = [form(0, 8), form(0, 9), form(0, 27), form(0, 30030), form(1, 1), form(2, 1),
+                   form(2, 3), form(6, 3), form(4, 4), form(9, 9), form(3), form(5, 2)]
+    claims = []
+    for _ in range(count):
+        core = rng.choice(CERTIFIED_CORES)
+        moduli = tuple(rng.sample(moduli_pool, rng.randint(0, 4)))
+        multipliers = tuple(rng.choices((1, 2, 3, 4, 6, 9, 12, 25, 27, 49), k=rng.randint(0, 3)))
+        claim = DivisibilityClaim(moduli, FactorialRatio(), multipliers, core)
+        assert claim._certified
+        claims.append(claim)
+    return claims
+
+
+@pytest.mark.parametrize("tile_cells", [None, 4])
+def test_claims_hold_matches_scalar_rows_on_certified_claims(monkeypatch, tile_cells):
+    """The batched table against the scalar reference rows, also with a tile
+    of 4 cells: a lone row (constant modulus 30030) then meets four primes
+    of one tile, and a batch meets several."""
+    if tile_cells is not None:
+        monkeypatch.setattr(valuation_module, "_TILE_CELLS", tile_cells)
+    rng = random.Random(1500 + (tile_cells or 0))
+    claims = random_certified_claims(rng, 60)
+    which = [rng.randrange(len(claims)) for _ in range(1500)]
+    ns = [rng.randint(1, 400) for _ in which]
+    holds, witness = claims_hold(claims, which, ns)
+    expected = [reference_verdict(claims[k], n) for k, n in zip(which, ns)]
+    assert list(zip(holds.tolist(), (w or None for w in witness.tolist()))) == expected
+    assert 0 < sum(not h for h, _ in expected) < len(expected)
+    lone = DivisibilityClaim((form(0, 30030), form(2, 1)), FactorialRatio(), (6,), CERTIFIED_CORES[0])
+    for k, n in [*zip(which[:200], ns), *((len(claims), n) for n in range(1, 30))]:
+        claim = claims[k] if k < len(claims) else lone
+        assert list(modulus_rows(claim, n)) == reference_modulus_rows(claim, n)
+        assert claim_holds(claim, n) == reference_verdict(claim, n)
+
+
+def test_claims_hold_matches_the_reference_on_weakened_claims():
+    """a <= 8, six multiplier sets, n <= 200, in one call; a seeded subsample
+    also against the full ledger."""
+    claims = [
+        dataclasses.replace(conjecture_claim(a, b), multiplier_constants=constants)
+        for a, b in sweep_pairs(8, 7)
+        for constants in ((1,), (3,), (a - b,), (3 * a - b,), (3, a - b), (a - b, 3 * a - b))
+    ]
+    which = np.repeat(np.arange(len(claims)), 200)
+    ns = np.tile(np.arange(1, 201), len(claims))
+    holds, witness = claims_hold(claims, which, ns)
+    expected = [reference_verdict(claims[k], n) for k, n in zip(which.tolist(), ns.tolist())]
+    got = list(zip(holds.tolist(), (w or None for w in witness.tolist())))
+    assert got == expected
+    assert sum(not h for h, _ in expected) > 1000
+    rng = random.Random(200)
+    for i in rng.sample(range(which.size), 300):
+        cert = verify_claim(claims[which[i]], int(ns[i]))
+        assert got[i] == (cert.holds, cert.witness)
+
+
+def test_claims_hold_mixes_certified_and_uncertified_claims():
+    """S_n claims take the table, t_n claims the full ledger, in one batch."""
+    claims = [s_integrality_claim(), s_congruence_claim(), t_integrality_claim(), t_congruence_claim()]
+    claims += [dataclasses.replace(c, multiplier_constants=(1,)) for c in claims[1::2]]
+    assert [c._certified for c in claims] == [True, True, False, False, True, False]
+    rng = random.Random(6)
+    which = [rng.randrange(len(claims)) for _ in range(600)]
+    ns = [rng.randint(1, 60) for _ in which]
+    holds, witness = claims_hold(claims, which, ns)
+    got = list(zip(holds.tolist(), (w or None for w in witness.tolist())))
+    assert got == [claim_holds(claims[k], n) for k, n in zip(which, ns)]
+    assert got == [(c.holds, c.witness) for c in map(verify_claim, (claims[k] for k in which), ns)]
+    assert {k for (h, _), k in zip(got, which) if not h} == {4, 5}
+
+
+def test_claims_hold_checks_each_claim_at_both_ends():
+    claim = conjecture_claim(3, 1)
+    empty = claims_hold([claim], [], [])
+    assert [a.tolist() for a in empty] == [[], []]
+    assert [a.dtype for a in empty] == [np.bool_, np.int64]
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        claims_hold([claim], [0, 0, 0], [5, 0, 7])
+    with pytest.raises(OverflowError, match=r"\(2n\+1\) at n=4611686018427387904 does not fit"):
+        claims_hold([claim], [0, 0, 0], [3, 2**62, 1])  # 1 passes, the largest n does not
+    holds, witness = claims_hold([claim], np.zeros(3, np.intp), [9, 1, 9])
+    assert holds.tolist() == [True] * 3 and witness.tolist() == [0] * 3
+
+
 def test_claim_core_and_multipliers_are_computed_once(monkeypatch):
     claim = conjecture_claim(3, 1)
     assert claim.core == claim.dividend_ratio / claim.divisor_ratio == conjecture_ratio(3, 1)
     assert claim.core is claim.core
     assert s_binomial_ratio() == s_integrality_claim().core
     assert t_binomial_ratio() == t_integrality_claim().core
-    calls = {"integral_for_all_n": 0, "factorize": 0}
+    calls = {"integral_for_all_n": 0, "_trial_division": 0}
     for name in calls:
         original = getattr(ratio_module, name)
 
@@ -554,11 +691,15 @@ def test_claim_core_and_multipliers_are_computed_once(monkeypatch):
     fresh = conjecture_claim(3, 1)
     for n in range(1, 21):
         assert claim_holds(fresh, n) == (True, None)
-    # one certification and 3 multiplier factorizations, then 2 moduli per n
-    assert calls == {"integral_for_all_n": 1, "factorize": 3 + 2 * 20}
+    # one certification, then one trial division of the moduli values per
+    # call; the engine divides the multiplier product without factoring it
+    assert calls == {"integral_for_all_n": 1, "_trial_division": 20}
+    holds, _ = claims_hold([fresh], np.zeros(50, np.intp), range(1, 51))
+    assert holds.all() and calls == {"integral_for_all_n": 1, "_trial_division": 21}
     for n in range(1, 6):
         assert verify_claim(fresh, n).holds
-    assert calls == {"integral_for_all_n": 1, "factorize": 3 + 2 * 25}
+    # the full ledger factors the multipliers once, then the moduli per n
+    assert calls == {"integral_for_all_n": 1, "_trial_division": 21 + 1 + 5}
 
 
 def test_both_verdict_paths_refuse_a_bad_instance_alike():

@@ -365,6 +365,41 @@ def test_run_sweep_parallel_matches_serial():
     )
 
 
+@pytest.mark.parametrize("sample", [None, 700])
+def test_run_sweep_reports_do_not_depend_on_jobs_or_block(monkeypatch, sample):
+    """Equal reports for jobs 1 and 2, with blocks of 2^15 and of 7 indices."""
+    reports = []
+    for block in (theorem._SWEEP_BLOCK, 7):
+        monkeypatch.setattr(theorem, "_SWEEP_BLOCK", block)
+        reports += [run_sweep(9, 8, 30, jobs=jobs, sample=sample, seed=4) for jobs in (1, 2)]
+    reports = [dataclasses.replace(r, seconds=0.0) for r in reports]
+    assert all(r == reports[0] for r in reports)
+    assert reports[0].checked == (sample or len(sweep_pairs(9, 8)) * 30)
+
+
+def test_run_sweep_reports_the_violations_of_a_weakened_claim(monkeypatch):
+    """Without its multiplier the claim fails; the sweep reports exactly the
+    rows that per-row ``claim_holds`` rejects, at any block size."""
+    original = theorem.conjecture_claim
+
+    def weakened(a, b):
+        return dataclasses.replace(original(a, b), multiplier_constants=())
+
+    monkeypatch.setattr(theorem, "conjecture_claim", weakened)
+    expected = []
+    for a, b in sweep_pairs(6, 5):
+        for n in range(1, 41):
+            holds, witness = claim_holds(weakened(a, b), n)
+            if not holds:
+                expected.append((ParamTriple(a, b, n), witness))
+    assert len(expected) > 50
+    for block in (1 << 15, 7, 1):
+        monkeypatch.setattr(theorem, "_SWEEP_BLOCK", block)
+        assert run_sweep(6, 5, 40).violations == tuple(expected)
+        sampled = run_sweep(6, 5, 40, sample=300, seed=9).violations
+        assert sampled and set(sampled) <= set(expected)
+
+
 def test_run_sweep_sampled_deterministic():
     first = run_sweep(6, 5, 10, sample=25, seed=123)
     second = run_sweep(6, 5, 10, sample=25, seed=123)

@@ -1,6 +1,7 @@
 """Tests for prime generation, valuations and the floor inequality (Lemma 1)."""
 
 import math
+import random
 import signal
 from fractions import Fraction
 
@@ -177,7 +178,7 @@ def test_factorize_examples():
     assert factorize(97) == [(97, 1)]
     assert factorize(2 * 3**4 * 101) == [(2, 1), (3, 4), (101, 1)]
     # both sides of 2^32, where trial division switches from the list of
-    # primes below 2^16 to the shared sieve
+    # primes below 2^16 to the blocked trial division over the shared sieve
     assert factorize(2**32 - 5) == [(2**32 - 5, 1)]
     assert factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
     assert factorize(2**32 + 15) == [(2**32 + 15, 1)]
@@ -195,6 +196,78 @@ def test_factorize_reconstructs_argument():
         assert product == m
         assert [p for p, _ in factors] == sorted({p for p, _ in factors})
         assert all(p % d for p, _ in factors for d in range(2, math.isqrt(p) + 1))
+
+
+def is_prime_mr(m: int) -> bool:
+    """Independent oracle: Miller-Rabin with the first seven prime bases,
+    deterministic below 3.4 * 10^14 > 2^46."""
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    if m < 2:
+        return False
+    for q in bases:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in bases:
+        x = pow(base, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(rng, lo: int, hi: int) -> int:
+    while True:
+        m = rng.randrange(lo, hi)
+        if is_prime_mr(m):
+            return m
+
+
+def test_factorize_above_2_32_matches_known_factors():
+    """m >= 2^32 goes through the blocked trial division; each value here is
+    built from primes certified by Miller-Rabin, so its factors are known."""
+    rng = random.Random(15)
+    cases = []
+    for _ in range(6):  # prime squares in [2^32, 2^46)
+        p = random_prime(rng, 1 << 16, 1 << 23)
+        cases.append((p * p, [(p, 2)]))
+    for _ in range(6):  # semiprimes with a factor near 2^16
+        p = random_prime(rng, (1 << 16) - 3000, (1 << 16) + 3000)
+        q = random_prime(rng, (1 << 32) // p + 1, (1 << 46) // p)
+        cases.append((p * q, sorted([(p, 1), (q, 1)]) if p != q else [(p, 2)]))
+    for _ in range(6):  # primes
+        m = random_prime(rng, 1 << 32, 1 << 46)
+        cases.append((m, [(m, 1)]))
+    for _ in range(6):  # small prime powers times a large prime
+        q = random_prime(rng, 1 << 20, 1 << 30)
+        small = {2: rng.randint(0, 6), 3: rng.randint(0, 4), 7: rng.randint(0, 3)}
+        m = q * math.prod(p**e for p, e in small.items())
+        if 1 << 32 <= m < 1 << 46:
+            cases.append((m, sorted([(p, e) for p, e in small.items() if e] + [(q, 1)])))
+    assert len(cases) >= 20 and all(1 << 32 <= m < 1 << 46 for m, _ in cases)
+    for m, expected in cases:
+        assert factorize(m) == expected, m
+
+
+def test_blocked_trial_division_counts_several_primes_of_one_tile(monkeypatch):
+    """A value hit by several primes of one tile keeps every division."""
+    values = [1, 2, 3, 4, 30030, 2**10 * 3**5 * 5**2, 9699690, 999983, 65537 * 13, 510510 * 17]
+    for cells in (1, 3, 4, 64, 1 << 20):  # 4 cells with one live value: four primes per tile
+        monkeypatch.setattr(valuation, "_TILE_CELLS", cells)
+        for batch in ([v] for v in values), [values]:
+            for chunk in batch:
+                index, p, e = valuation._trial_division(np.array(chunk, dtype=np.int64))
+                assert index.dtype == p.dtype == e.dtype == np.int64
+                rows = list(zip(index.tolist(), p.tolist(), e.tolist()))
+                got = [sorted((q, k) for i, q, k in rows if i == j) for j in range(len(chunk))]
+                assert got == [factorize(v) for v in chunk], (cells, chunk)
 
 
 # ---------------------------------------------------------------------------
