@@ -203,16 +203,32 @@ def _check_int64_budget(r: FactorialRatio, args: list[int], n: int) -> None:
 def ratio_valuation_over_primes(
     r: FactorialRatio, n: int, primes: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``ratio_valuation`` over an ascending prime array."""
+    """Vectorized ``ratio_valuation`` over an ascending prime array.
+
+    Legendre's levels run on the primes <= max(isqrt(A), A // (size + 1)),
+    A the largest argument.  Above that split nu_p(a!) = a // p counts the
+    k >= 1 with p <= a // k: each term adds e * (a // first prime above the
+    split) there and -e at each ``searchsorted(primes, a // k, "right")``,
+    at most min(size, isqrt(A)) breakpoints, and one cumsum sums them.
+    """
     _check_n(n)
     args = r.arguments(n)
     _check_int64_budget(r, args, n)
-    total = np.zeros(primes.shape[0], dtype=np.int64)
-    column = np.empty_like(total)
+    size, top = primes.shape[0], max(args, default=0)
+    split = int(np.searchsorted(primes, max(math.isqrt(top), top // (size + 1)), side="right"))
+    total, column, head = np.zeros(size, dtype=np.int64), np.empty(split, dtype=np.int64), 0
+    first, last = primes[[split, -1]].tolist() if split < size else (top + 1, 1)  # no tail: K = 0
     for (_, e), arg in zip(r.terms, args):
-        nu_factorial_over_primes(arg, primes, out=column)
+        nu_factorial_over_primes(arg, primes[:split], out=column)
         column *= e
-        total += column
+        total[:split] += column
+        if k := arg // first:
+            head += e * k
+            # cuts ascend, below size as k > a // last; equal cuts each write their run's length
+            cut = np.searchsorted(primes, arg // np.arange(k, arg // last, -1), side="right")
+            total[cut] -= e * (np.searchsorted(cut, cut, side="right") - np.searchsorted(cut, cut))
+    total[split : split + 1] += head
+    np.cumsum(total[split:], out=total[split:])
     return total
 
 

@@ -415,8 +415,10 @@ def run_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if a_max > 1:  # (a_max, 1, n_max) has the largest multiplier and budget, 4an, of the box
         _instance(conjecture_claim(a_max, 1), n_max)
+    if (triples := _pair_count(a_max, b_max) * n_max) >= 2**63:  # len() and random.sample refuse it
+        raise OverflowError(f"the box has {triples} triples; a sweep indexes at most 2^63 - 1")
     started = time.perf_counter()
-    box = range(_pair_count(a_max, b_max) * n_max)
+    box = range(triples)
     if sample is not None:
         box = sorted(random.Random(seed).sample(box, min(sample, len(box))))
     step = max(1, math.ceil(len(box) / (jobs * 4)))

@@ -338,6 +338,22 @@ def test_sweep_csv_header_only_when_clean(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_sweep_refuses_a_box_of_2_63_triples_or_more(capsys):
+    # 999,999,999 * 10^9 / 2 pairs times 10^9 values of n; sampled or not, the
+    # guard names the count before len() or random.sample sees the range
+    for extra in (("--sample", "5"), ()):
+        code, out, err = run_cli(
+            capsys, "sweep", "--a-max", "1000000000", "--b-max", "999999999",
+            "--n-max", "1000000000", *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the box has 499999999500000000000000000 triples; "
+            "a sweep indexes at most 2^63 - 1\n"
+        )
+
+
 def test_sweep_unwritable_out(capsys):
     code, _, err = run_cli(
         capsys,

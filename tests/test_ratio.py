@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,101 @@ def test_vectorized_valuation_overflow_budget():
     huge = FactorialRatio.from_terms([(form(1), 2**40), (form(2), -(2**40))])
     with pytest.raises(OverflowError):
         ratio_valuation_over_primes(huge, 2**22, primes_upto(10))
+
+
+def scalar_column(r: FactorialRatio, n: int, primes) -> list[int]:
+    return [ratio_valuation(r, n, p) for p in np.asarray(primes).tolist()]
+
+
+def constant_ratio(args) -> FactorialRatio:
+    """prod arg!^e over distinct arguments, exponents cycling through 3, -2, 1, -1, 2."""
+    return FactorialRatio.from_terms(
+        (form(0, a), (3, -2, 1, -1, 2)[i % 5]) for i, a in enumerate(sorted(set(args)))
+    )
+
+
+def split_of(top: int, primes: np.ndarray) -> int:
+    """Index of the first prime counted by breakpoints, as the docstring states it."""
+    return int(np.searchsorted(primes, max(math.isqrt(top), top // (primes.size + 1)), side="right"))
+
+
+@pytest.mark.parametrize("a, b", [(7, 5), (1000, 1)])
+def test_vectorized_valuation_full_columns_match_scalar(a, b):
+    """Every prime up to 2bn+3 at n ~ 10^5, both sides; at (1000, 1) the
+    dividend's arguments reach 2000n, far above the largest prime."""
+    claim, n = conjecture_claim(a, b), 100_003
+    primes = primes_upto(2 * b * n + 3)
+    for side in (claim.divisor_ratio, claim.dividend_ratio):
+        assert ratio_valuation_over_primes(side, n, primes).tolist() == scalar_column(side, n, primes)
+
+
+def test_vectorized_valuation_at_the_split_and_prime_squares():
+    """Largest arguments p^2 - 1, p^2, p^2 + 1 move the split across p; the
+    other arguments sit at the first prime above the split, at squares of the
+    primes around it (+-1) and at 0."""
+    primes = primes_upto(600)
+    for p in primes[:10].tolist():
+        for top in (p * p - 1, p * p, p * p + 1):
+            split = split_of(top, primes)
+            near = primes[max(split - 2, 0) : split + 2].tolist()
+            args = [0, top, int(primes[split])]
+            args += [q * q + d for q in near for d in (-1, 0, 1) if q * q + d <= top]
+            r = constant_ratio(args)
+            assert split_of(max(r.arguments(1)), primes) == split
+            assert ratio_valuation_over_primes(r, 1, primes).tolist() == scalar_column(r, 1, primes)
+
+
+def test_vectorized_valuation_on_empty_and_one_prime_arrays():
+    r = constant_ratio([0, 1, 2, 3, 4, 9, 10, 100, 101, 10**6])
+    empty = ratio_valuation_over_primes(r, 1, np.empty(0, dtype=np.int64))
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    for p in (2, 3, 11, 101, 1009, 1000003):
+        one = np.array([p], dtype=np.int64)
+        assert ratio_valuation_over_primes(r, 1, one).tolist() == scalar_column(r, 1, one)
+
+
+def test_vectorized_valuation_on_sparse_prime_samples():
+    """Few primes and large arguments: A // (size + 1) > isqrt(A) sets the
+    split, with sampled primes on both sides of it in most draws."""
+    pool = primes_upto(2 * 10**6).tolist()
+    rng = random.Random(29)
+    counted = 0
+    for _ in range(40):
+        primes = np.sort(np.array(rng.sample(pool, rng.randint(1, 8)), dtype=np.int64))
+        n = rng.randint(10**3, 10**4)
+        r = FactorialRatio.from_terms(
+            (form(rng.randint(1, 10**3), rng.randint(0, 50)), rng.choice((-3, -1, 1, 2)))
+            for _ in range(5)
+        )
+        top = max(r.arguments(n), default=0)
+        assert top // (primes.size + 1) > math.isqrt(top)
+        counted += split_of(top, primes) < primes.size
+        assert ratio_valuation_over_primes(r, n, primes).tolist() == scalar_column(r, n, primes)
+    assert counted >= 20
+
+
+def test_vectorized_valuation_work_is_bounded_by_the_array_size():
+    """Two primes and an argument near 10^10: without the size + 1 cap on the
+    breakpoints, 100003 alone would get 10^5 of them.  A refused budget
+    allocates no column."""
+    primes = np.array([100003, 1000000007], dtype=np.int64)
+    r = FactorialRatio.from_terms([(form(10**4), 1), (form(1), -1)])
+    n = 10**6 + 7
+    huge = FactorialRatio.from_terms([(form(1), 2**40), (form(2), -(2**40))])
+    many = primes_upto(10**6)  # a column over them is 628 KB
+    tracemalloc.start()
+    try:
+        column = ratio_valuation_over_primes(r, n, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(OverflowError):
+            ratio_valuation_over_primes(huge, 2**22, many)
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert column.tolist() == scalar_column(r, n, primes)
+    assert peak < 1 << 20
+    assert refused_peak < 64 << 10
 
 
 # ---------------------------------------------------------------------------
