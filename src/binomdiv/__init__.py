@@ -12,7 +12,6 @@ an independent arbitrary-precision oracle for desk-scale cross checks.
 from .errors import IntegrityError, ResourceLimitError
 from .oracle import minimal_multiplier
 from .valuation import (
-    INFINITE,
     LemmaFuzzReport,
     factorize,
     kummer_binomial_valuation,
@@ -46,9 +45,6 @@ from .theorem import (
     ProofTrace,
     SweepReport,
     TraceBranch,
-    check_ratio_integrality,
-    check_s_congruence,
-    check_t_congruence,
     conjecture_claim,
     conjecture_ratio,
     crt_split_check,

@@ -13,10 +13,12 @@ from typing import NamedTuple
 from . import oracle
 from .errors import IntegrityError
 from .theorem import (
-    check_s_congruence,
-    check_t_congruence,
     conjecture_claim,
+    s_congruence_claim,
+    s_integrality_claim,
     sweep_pairs,
+    t_congruence_claim,
+    t_integrality_claim,
 )
 from .ratio import claims_hold, verify_claim
 from .valuation import kummer_binomial_valuation, nu_factorial, nu_int, primes_upto
@@ -120,22 +122,26 @@ def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
 
 
 def suite_congruences_vs_oracle(s_n_max: int = 30, t_n_max: int = 20) -> SuiteResult:
-    """The S_n and t_n congruence checks match exact modular arithmetic."""
+    """The S_n and t_n congruence checks match exact modular arithmetic: one
+    ``claims_hold`` call decides each sequence's two claims at every n."""
     failures = []
     checked = 0
     cases = (
-        ("S_n", s_n_max, check_s_congruence, lambda n: 3 * oracle.exact_s(n) % (2 * n + 3)),
-        ("t_n", t_n_max, check_t_congruence, lambda n: 21 * oracle.exact_t(n) % (10 * n + 3)),
+        ("S_n", s_n_max, (s_integrality_claim(), s_congruence_claim()),
+         lambda n: 3 * oracle.exact_s(n) % (2 * n + 3)),
+        ("t_n", t_n_max, (t_integrality_claim(), t_congruence_claim()),
+         lambda n: 21 * oracle.exact_t(n) % (10 * n + 3)),
     )
-    for name, n_max, by_valuation, oracle_remainder in cases:
-        for n in range(1, n_max + 1):
+    for name, n_max, claims, oracle_remainder in cases:
+        ns = range(1, n_max + 1)
+        verdicts = claims_hold(claims, [0] * n_max + [1] * n_max, [*ns, *ns])[0].reshape(2, -1).all(axis=0)
+        for n, holds in zip(ns, verdicts.tolist()):
             checked += 1
             try:
                 by_oracle = oracle_remainder(n) == 0
             except IntegrityError as exc:
                 failures.append(str(exc))
                 continue
-            holds = by_valuation(n)
             if holds != by_oracle or not holds:
                 failures.append(f"{name} congruence mismatch at n={n}")
     return SuiteResult("congruences-vs-bigint", checked, tuple(failures))

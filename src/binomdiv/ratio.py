@@ -35,7 +35,10 @@ nu_p(core).  This module is the only place that comparison is made; a
 row's least failing prime is its witness.  A call holds at most a
 2^20-cell trial-division tile and the table of 2^13 rows at a time.
 Other rows take the full prime enumeration, which ``verify_claim``
-always uses.  ``claim_holds`` and ``modulus_rows`` are one-row calls.
+always uses.  Both paths take their Legendre sums from the one kernel
+``valuation.nu_factorial_over_primes``: the ledger over an array of
+primes per factorial argument, the table over its (row, term) cells
+with one prime per row.  ``claim_holds`` and ``modulus_rows`` are one-row calls.
 ``is_integral_at(r, n)`` is ``claim_holds`` on the claim "denominator
 of r | numerator of r": an uncertified ratio enumerates primes only up
 to its largest denominator argument.
@@ -216,12 +219,10 @@ def ratio_valuation_over_primes(
     _check_int64_budget(r, args, n)
     size, top = primes.shape[0], max(args, default=0)
     split = int(np.searchsorted(primes, max(math.isqrt(top), top // (size + 1)), side="right"))
-    total, column, head = np.zeros(size, dtype=np.int64), np.empty(split, dtype=np.int64), 0
+    total, head = np.zeros(size, dtype=np.int64), 0
     first, last = primes[[split, -1]].tolist() if split < size else (top + 1, 1)  # no tail: K = 0
     for (_, e), arg in zip(r.terms, args):
-        nu_factorial_over_primes(arg, primes[:split], out=column)
-        column *= e
-        total[:split] += column
+        total[:split] += e * nu_factorial_over_primes(arg, primes[:split])
         if k := arg // first:
             head += e * k
             # cuts ascend, below size as k > a // last; equal cuts each write their run's length
@@ -421,9 +422,9 @@ def _modulus_table(
     """(row, p, required, available) int64 columns sorted by (row, p), one per
     prime p of the moduli values of row i = (claims[which[i]], ns[i]); the
     claims are certified and checked.  available is nu_p of the multiplier
-    product, by repeated division, plus the core's Legendre sums, whose
-    deeper levels run over the (row, term) cells still live; int64 sums of
-    signed terms wrap but end exact."""
+    product, by repeated division, plus the core's Legendre sums, one
+    ``nu_factorial_over_primes`` call over the (row, term) cells with one
+    prime per row; int64 sums of signed terms wrap but end exact."""
     def table(rows: list[list[tuple[int, int]]], fill: tuple[int, int]) -> np.ndarray:
         width = max(1, *map(len, rows))
         return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.int64)[which]
@@ -445,18 +446,8 @@ def _modulus_table(
     while (live := np.flatnonzero(rest % p == 0)).size:
         rest[live] //= p[live]
         available[live] += 1
-    exponents, q = core[row, :, 1], core[row, :, 0] * ns[row, None] // p[:, None]
-    available += (exponents * q).sum(axis=1)  # level 1 of every term, then the cells still live
-    cell = np.flatnonzero(q >= p[:, None])
-    owner = cell // q.shape[1]
-    divisor, q = p[owner], q.ravel()[cell]
-    total, live = np.zeros_like(q), np.arange(q.size)
-    while live.size:
-        q //= divisor
-        total[live] += q
-        keep = q >= divisor
-        live, q, divisor = live[keep], q[keep], divisor[keep]
-    np.add.at(available, owner, total * exponents.ravel()[cell])
+    nu = nu_factorial_over_primes(core[row, :, 0] * ns[row, None], p[:, None])
+    available += (core[row, :, 1] * nu).sum(axis=1)
     return row, p, required, available
 
 

@@ -28,8 +28,12 @@ Two classic congruences of the same flavor are stated as claims too,
     3 * S_n == 0 (mod 2n+3),   S_n = C(6n,3n)C(3n,n) / (2(2n+1)C(2n,n))
     21 * t_n == 0 (mod 10n+3), t_n = C(15n,5n)C(5n-1,n-1) / ((10n+1)C(3n,n))
 
-the first of which follows from the theorem at (a,b) = (3,1).  This
-module only states claims and replays proofs; ``ratio`` decides them.
+the first of which follows from the theorem at (a,b) = (3,1).  Since
+(5n-1)!/(5n)! = 1/(5n) and n!/(n-1)! = n, t_n = L(n) / (5(10n+1)) with
+L = C(15n,5n)C(5n,n)/C(3n,n) = (15n)!(2n)!/((10n)!(4n)!(3n)!), and the
+t_n claims are stated that way: every claim here has a Landau-certified
+core with zero offsets.  This module only states claims and replays
+proofs; ``ratio`` decides them.
 """
 
 from __future__ import annotations
@@ -49,9 +53,7 @@ from .ratio import (
     LinearForm,
     _instance,
     binomial_ratio,
-    claim_holds,
     claims_hold,
-    is_integral_at,
     modulus_rows,
     ratio_level_terms,
     ratio_valuation,
@@ -112,11 +114,6 @@ def verify_triple(t: ParamTriple) -> Certificate:
     mathematics, and callers treat it as fatal.
     """
     return verify_claim(conjecture_claim(t.a, t.b), t.n)
-
-
-def check_ratio_integrality(t: ParamTriple) -> bool:
-    """R(a,b,n) is an integer (expected always true)."""
-    return is_integral_at(conjecture_ratio(t.a, t.b), t.n).integral
 
 
 def crt_split_check(t: ParamTriple) -> tuple[Certificate, Certificate]:
@@ -276,13 +273,13 @@ def s_integrality_claim() -> DivisibilityClaim:
 
 
 def t_integrality_claim() -> DivisibilityClaim:
-    """t_n is an integer: (10n+1)C(3n,n) | C(15n,5n)C(5n-1,n-1)."""
+    """t_n is an integer: 5(10n+1)C(3n,n) | C(15n,5n)C(5n,n), i.e. 5(10n+1) | L(n)."""
     return DivisibilityClaim(
-        divisor_moduli=(LinearForm(10, 1),),
+        divisor_moduli=(LinearForm(0, 5), LinearForm(10, 1)),
         divisor_ratio=binomial_ratio(LinearForm(3, 0), LinearForm(1, 0)),
         multiplier_constants=(),
         dividend_ratio=binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
-        * binomial_ratio(LinearForm(5, -1), LinearForm(1, -1)),
+        * binomial_ratio(LinearForm(5, 0), LinearForm(1, 0)),
     )
 
 
@@ -292,8 +289,10 @@ def s_binomial_ratio() -> FactorialRatio:
 
 
 def t_binomial_ratio() -> FactorialRatio:
-    """C(15n,5n)C(5n-1,n-1)/C(3n,n), the factorial part of t_n."""
-    return t_integrality_claim().core
+    """C(15n,5n)C(5n-1,n-1)/C(3n,n) = L(n)/5, t_n's offset form, built apart from the claims."""
+    top = binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
+    offsets = binomial_ratio(LinearForm(5, -1), LinearForm(1, -1))
+    return top * offsets / binomial_ratio(LinearForm(3, 0), LinearForm(1, 0))
 
 
 def s_valuation(n: int, p: int) -> int:
@@ -312,7 +311,7 @@ def s_congruence_claim() -> DivisibilityClaim:
 
 
 def t_congruence_claim() -> DivisibilityClaim:
-    """21*t_n == 0 (mod 10n+3): (10n+3)(10n+1)C(3n,n) | 21 C(15n,5n)C(5n-1,n-1)."""
+    """21*t_n == 0 (mod 10n+3): 5(10n+1)(10n+3) | 21 L(n)."""
     return _with_modulus(t_integrality_claim(), LinearForm(10, 3), 21)
 
 
@@ -324,16 +323,6 @@ def _with_modulus(
         divisor_moduli=claim.divisor_moduli + (modulus,),
         multiplier_constants=claim.multiplier_constants + (multiplier,),
     )
-
-
-def check_s_congruence(n: int) -> bool:
-    """3*S_n == 0 (mod 2n+3); also asserts that S_n itself is an integer."""
-    return claim_holds(s_integrality_claim(), n)[0] and claim_holds(s_congruence_claim(), n)[0]
-
-
-def check_t_congruence(n: int) -> bool:
-    """21*t_n == 0 (mod 10n+3); also asserts that t_n itself is an integer."""
-    return claim_holds(t_integrality_claim(), n)[0] and claim_holds(t_congruence_claim(), n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 
 Everything in this module is exact: integers, or rationals in lowest
 terms (``fractions.Fraction``).  No floating point enters any
-computation; the only float ever returned is the ``INFINITE`` marker
-for the valuation of 0.
+computation or result; the valuation of 0 is refused with ``ValueError``.
 
 Valuations of factorials use Legendre's formula
 
     nu_p(m!) = sum_{i>=1} floor(m / p^i)
 
 computed by iterated division ``q <- q // p``, so no power ``p^i`` is
-ever materialized and no intermediate exceeds ``m``.  The independent
-cross-check is Kummer's theorem: ``nu_p(C(m, k))`` equals the number of
-carries when adding ``k`` and ``m - k`` in base ``p``.
+ever materialized and no intermediate exceeds ``m``.  Both verdict paths
+of ``ratio`` take the one vectorized form, ``nu_factorial_over_primes``.
+The independent cross-check is Kummer's theorem: ``nu_p(C(m, k))``
+equals the number of carries when adding ``k`` and ``m - k`` in base ``p``.
 
 The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
@@ -28,14 +28,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ResourceLimitError
-
-#: Valuation of 0; compares greater than every finite valuation.
-INFINITE = math.inf
 
 #: Hard ceiling for sieve limits (memory guard).
 SIEVE_LIMIT = 2**31
@@ -52,8 +49,6 @@ _SEGMENT = 1 << 20
 
 #: Cells (values x primes) per tile of ``_trial_division``.
 _TILE_CELLS = 1 << 20
-
-Valuation = Union[int, float]
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +168,17 @@ def _trial_division(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 # valuations
 
-def nu_int(m: int, p: int) -> Valuation:
+def nu_int(m: int, p: int) -> int:
     """Largest k with p^k | m, by repeated exact division.
 
-    Returns ``INFINITE`` for m == 0.  The sign of m is ignored.
+    The sign of m is ignored; m == 0 raises ``ValueError``.
     Primality of p is the caller's responsibility: callers draw p from a
     prime table, and a per-call check would dominate the hot loops.
     """
     if p < 2:  # the division loop would never end
         raise ValueError(f"p must be a prime, got {p}")
-    if m == 0:
-        return INFINITE
+    if m == 0:  # every power of p divides 0: the loop would never end either
+        raise ValueError("the valuation of 0 is infinite")
     m = abs(m)
     k = 0
     while m % p == 0:
@@ -206,26 +201,23 @@ def nu_factorial(m: int, p: int) -> int:
     return total
 
 
-def nu_factorial_over_primes(m: int, primes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """nu_p(m!) for every p in an ascending prime array, vectorized, written
-    into ``out`` (a fresh int64 array if None) and returned.
+def nu_factorial_over_primes(m: int | np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """nu_p(m!) elementwise over int64 m and primes p broadcast together: one
+    argument against an array of primes, or arguments against one prime per row.
 
-    For p > isqrt(m), floor(m/p) is all of nu_p(m!): one division covers the
-    primes <= m, and the level loop runs over the primes <= isqrt(m) alone,
-    whose live entries form a shrinking prefix (floor(m/p^i) falls with p).
+    Level 1 is one division over every cell; the deeper levels run only over
+    the cells whose quotient is still >= p, a set that shrinks each level.
     """
-    if out is None:
-        out = np.empty(primes.shape[0], dtype=np.int64)
-    k = int(np.searchsorted(primes, m, side="right"))
-    np.floor_divide(m, primes[:k], out=out[:k])
-    out[k:] = 0
-    k = int(np.searchsorted(primes, math.isqrt(m), side="right"))
-    q = out[:k] // primes[:k]
-    while k:
-        out[:k] += q
-        q //= primes[:k]
-        k = int(np.count_nonzero(q))
-        q = q[:k]
+    out = np.floor_divide(m, primes)
+    flat = out.reshape(-1)  # a view: out is a fresh array
+    p = np.broadcast_to(primes, out.shape).ravel()
+    cell = np.flatnonzero(flat >= p)
+    q, p = flat[cell], p[cell]
+    while cell.size:
+        q //= p
+        flat[cell] += q
+        keep = q >= p
+        cell, q, p = cell[keep], q[keep], p[keep]
     return out
 
 

@@ -11,21 +11,24 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from binomdiv import oracle
-from binomdiv.ratio import claim_holds
+from binomdiv.ratio import _integrality_claim, claim_holds, claims_hold, is_integral_at
 from binomdiv.theorem import (
     ParamTriple,
     TraceBranch,
-    check_ratio_integrality,
-    check_s_congruence,
-    check_t_congruence,
     conjecture_claim,
+    conjecture_ratio,
     crt_split_check,
     proof_trace,
+    s_congruence_claim,
+    s_integrality_claim,
     s_valuation,
     sweep_pairs,
+    t_congruence_claim,
+    t_integrality_claim,
     verify_triple,
 )
 from binomdiv.valuation import (
@@ -43,6 +46,13 @@ SWEEP_A_MAX, SWEEP_B_MAX, SWEEP_N_MAX = 25, 24, 100
 
 def _report(label: str, detail: str) -> None:
     print(f"\nACCEPTANCE {label}: PASS ({detail})")
+
+
+def _failing_ns(claims, n_max: int) -> list[int]:
+    """The n <= n_max at which some claim fails, by one ``claims_hold`` call."""
+    ns = np.tile(np.arange(1, n_max + 1), len(claims))
+    holds, _ = claims_hold(claims, np.repeat(np.arange(len(claims)), n_max), ns)
+    return sorted(set(ns[~holds].tolist()))
 
 
 def _sweep_box():
@@ -101,10 +111,17 @@ def test_02_oracle_equivalence_desk_box():
 
 def test_03_core_ratio_integrality():
     """R(a,b,n) integral on the full sweep box; exact division for a <= 8."""
-    checked = 0
-    for a, b, n in _sweep_box():
-        assert check_ratio_integrality(ParamTriple(a, b, n)), (a, b, n)
-        checked += 1
+    pairs = sweep_pairs(SWEEP_A_MAX, SWEEP_B_MAX)
+    claims = [_integrality_claim(conjecture_ratio(a, b)) for a, b in pairs]
+    which = np.repeat(np.arange(len(pairs)), SWEEP_N_MAX)
+    ns = np.tile(np.arange(1, SWEEP_N_MAX + 1), len(pairs))
+    holds, witness = claims_hold(claims, which, ns)
+    assert holds.all() and not witness.any(), [(*pairs[which[i]], ns[i]) for i in np.flatnonzero(~holds)]
+    checked = holds.size
+    assert checked == len(list(_sweep_box()))
+    for a, b in ((2, 1), (SWEEP_A_MAX, 1), (SWEEP_A_MAX, SWEEP_B_MAX)):  # the box corners
+        for n in (1, SWEEP_N_MAX):
+            assert is_integral_at(conjecture_ratio(a, b), n) == (True, None), (a, b, n)
     oracle_checked = 0
     for a, b in sweep_pairs(8, 7):
         for n in range(1, 41):
@@ -118,8 +135,7 @@ def test_03_core_ratio_integrality():
 
 def test_04_s_congruence_regression():
     """3*S_n == 0 (mod 2n+3) for n <= 300; oracle-confirmed for n <= 60."""
-    for n in range(1, 301):
-        assert check_s_congruence(n), n
+    assert _failing_ns((s_integrality_claim(), s_congruence_claim()), 300) == []
     for n in range(1, 61):
         assert (3 * oracle.exact_s(n)) % (2 * n + 3) == 0, n
     _report("4 S_n congruence", "n <= 300 by valuations, n <= 60 by big integers")
@@ -127,8 +143,7 @@ def test_04_s_congruence_regression():
 
 def test_05_t_congruence_regression():
     """21*t_n == 0 (mod 10n+3) for n <= 150; oracle-confirmed for n <= 40."""
-    for n in range(1, 151):
-        assert check_t_congruence(n), n
+    assert _failing_ns((t_integrality_claim(), t_congruence_claim()), 150) == []
     for n in range(1, 41):
         assert (21 * oracle.exact_t(n)) % (10 * n + 3) == 0, n
     _report("5 t_n congruence", "n <= 150 by valuations, n <= 40 by big integers")
@@ -204,7 +219,7 @@ def test_09_s_congruence_follows_from_theorem():
             s_side = nu_int(3, q) + s_valuation(n, q)
             assert s_side == available, (n, q)
             assert s_side >= required, (n, q)
-        assert check_s_congruence(n)
+    assert _failing_ns((s_integrality_claim(), s_congruence_claim()), 100) == []
     _report("9 congruence from theorem", "modulus-2n+3 certificates imply it, n <= 100")
 
 

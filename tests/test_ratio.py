@@ -58,6 +58,18 @@ def form(c, d=0):
 
 CENTRAL = binomial_ratio(form(2), form(1))  # C(2n, n)
 
+# t_n's claims in their offset form, t_n = C(15n,5n)C(5n-1,n-1) / ((10n+1)C(3n,n)):
+# no Landau certificate covers the (5n-1)! and (n-1)! terms, so they take the full ledger
+OFFSET_T_INTEGRALITY = DivisibilityClaim(
+    (form(10, 1),),
+    binomial_ratio(form(3), form(1)),
+    (),
+    binomial_ratio(form(15), form(5)) * binomial_ratio(form(5, -1), form(1, -1)),
+)
+OFFSET_T_CONGRUENCE = dataclasses.replace(
+    OFFSET_T_INTEGRALITY, divisor_moduli=(form(10, 1), form(10, 3)), multiplier_constants=(21,)
+)
+
 
 # ---------------------------------------------------------------------------
 # forms
@@ -378,6 +390,11 @@ def test_landau_certificate_covers_the_papers_ratios():
     )
     assert integral_for_all_n(chebyshev)
     assert integral_for_all_n(s_binomial_ratio())
+    # L = (15n)!(2n)!/((10n)!(4n)!(3n)!), the core of both t_n claims
+    assert t_integrality_claim().core == t_congruence_claim().core == FactorialRatio.from_terms(
+        [(form(15), 1), (form(2), 1), (form(10), -1), (form(4), -1), (form(3), -1)]
+    )
+    assert integral_for_all_n(t_integrality_claim().core)
 
 
 def test_landau_certificate_refuses_what_it_cannot_prove():
@@ -386,7 +403,7 @@ def test_landau_certificate_refuses_what_it_cannot_prove():
     # (2n)!/n! has surplus s = 1 and is certified; n!/(2n)! has s = -1 and is not
     assert integral_for_all_n(FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]))
     assert not integral_for_all_n(FactorialRatio.from_terms([(form(1), 1), (form(2), -1)]))
-    assert not integral_for_all_n(t_binomial_ratio())  # offsets
+    assert not integral_for_all_n(OFFSET_T_INTEGRALITY.core)  # offsets
     # C(2mn, mn) with m past the cap is integral, but its breakpoint array is too long to try
     m = LANDAU_MAX_BREAKPOINTS + 1
     wide = binomial_ratio(form(2 * m), form(m))
@@ -742,8 +759,8 @@ def test_claims_hold_matches_the_reference_on_weakened_claims():
 
 
 def test_claims_hold_mixes_certified_and_uncertified_claims():
-    """S_n claims take the table, t_n claims the full ledger, in one batch."""
-    claims = [s_integrality_claim(), s_congruence_claim(), t_integrality_claim(), t_congruence_claim()]
+    """S_n claims take the table, offset-form t_n claims the full ledger, in one batch."""
+    claims = [s_integrality_claim(), s_congruence_claim(), OFFSET_T_INTEGRALITY, OFFSET_T_CONGRUENCE]
     claims += [dataclasses.replace(c, multiplier_constants=(1,)) for c in claims[1::2]]
     assert [c._certified for c in claims] == [True, True, False, False, True, False]
     rng = random.Random(6)
@@ -754,6 +771,26 @@ def test_claims_hold_mixes_certified_and_uncertified_claims():
     assert got == [claim_holds(claims[k], n) for k, n in zip(which, ns)]
     assert got == [(c.holds, c.witness) for c in map(verify_claim, (claims[k] for k in which), ns)]
     assert {k for (h, _), k in zip(got, which) if not h} == {4, 5}
+
+
+def test_certified_t_claims_match_the_offset_form():
+    """t_n = L(n) / (5(10n+1)): the restated claims, also with the congruence's
+    multiplier 21 weakened to 1, 3 or 7, give the verdicts and witnesses of the
+    offset-form claims' full ledger for n <= 200, and over n <= 3,000 in one
+    call the weakened ones fail at 132, 78 and 58 values of n."""
+    pairs = [(t_integrality_claim(), OFFSET_T_INTEGRALITY), (t_congruence_claim(), OFFSET_T_CONGRUENCE)]
+    pairs += [
+        tuple(dataclasses.replace(c, multiplier_constants=(m,)) for c in pairs[1]) for m in (1, 3, 7)
+    ]
+    assert [(new._certified, old._certified) for new, old in pairs] == [(True, False)] * 5
+    ns, which = np.arange(1, 3001), np.repeat(np.arange(len(pairs)), 3000)
+    verdicts = claims_hold([new for new, _ in pairs], which, np.tile(ns, len(pairs)))
+    holds, witness = (column.reshape(len(pairs), ns.size) for column in verdicts)
+    for k, (_, old) in enumerate(pairs):
+        for n in range(1, 201):
+            cert = verify_claim(old, n)
+            assert (bool(holds[k, n - 1]), int(witness[k, n - 1]) or None) == (cert.holds, cert.witness), (k, n)
+    assert (~holds).sum(axis=1).tolist() == [0, 0, 132, 78, 58]
 
 
 def test_claims_hold_checks_each_claim_at_both_ends():
@@ -774,7 +811,7 @@ def test_claim_core_and_multipliers_are_computed_once(monkeypatch):
     assert claim.core == claim.dividend_ratio / claim.divisor_ratio == conjecture_ratio(3, 1)
     assert claim.core is claim.core
     assert s_binomial_ratio() == s_integrality_claim().core
-    assert t_binomial_ratio() == t_integrality_claim().core
+    assert t_binomial_ratio() == OFFSET_T_INTEGRALITY.core
     calls = {"integral_for_all_n": 0, "_trial_division": 0}
     for name in calls:
         original = getattr(ratio_module, name)
@@ -816,8 +853,8 @@ def test_both_verdict_paths_refuse_a_bad_instance_alike():
     )
     # the cancelled (n-2)! leaves the S_n and t_n cores: one certified, one not
     assert certified.dividend_ratio / certified.divisor_ratio == s_binomial_ratio()
-    assert uncertified.dividend_ratio / uncertified.divisor_ratio == t_binomial_ratio()
-    assert integral_for_all_n(s_binomial_ratio()) and not integral_for_all_n(t_binomial_ratio())
+    assert uncertified.dividend_ratio / uncertified.divisor_ratio == OFFSET_T_INTEGRALITY.core
+    assert integral_for_all_n(s_binomial_ratio()) and not integral_for_all_n(OFFSET_T_INTEGRALITY.core)
     expected = {
         0: (ValueError, "n must be >= 1, got 0"),
         1: (ValueError, r"factorial argument \(n-2\) evaluates to -1 at n=1"),

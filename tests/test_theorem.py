@@ -9,14 +9,11 @@ import pytest
 
 from binomdiv import oracle, theorem
 from binomdiv.errors import IntegrityError
-from binomdiv.ratio import LinearForm, claim_holds, ratio_valuation
+from binomdiv.ratio import LinearForm, claim_holds, is_integral_at, ratio_valuation
 from binomdiv.theorem import (
     ModulusSide,
     ParamTriple,
     TraceBranch,
-    check_ratio_integrality,
-    check_s_congruence,
-    check_t_congruence,
     conjecture_claim,
     conjecture_ratio,
     crt_split_check,
@@ -110,9 +107,9 @@ def test_verify_triple_agrees_with_big_integers_small_box():
             assert cert.holds
 
 
-def test_check_ratio_integrality_examples():
-    assert check_ratio_integrality(ParamTriple(2, 1, 1))
-    assert check_ratio_integrality(ParamTriple(3, 1, 1))
+def test_conjecture_ratio_integrality_examples():
+    assert is_integral_at(conjecture_ratio(2, 1), 1) == (True, None)
+    assert is_integral_at(conjecture_ratio(3, 1), 1) == (True, None)
     assert oracle.exact_conjecture_ratio(3, 1, 1) == 30
 
 
@@ -250,20 +247,20 @@ def test_traces_reconstruct_certificate_requirements():
 
 def test_s_congruence_small_n_against_oracle():
     for n in range(1, 25):
-        assert check_s_congruence(n)
+        assert claim_holds(s_integrality_claim(), n)[0] and claim_holds(s_congruence_claim(), n)[0]
         assert (3 * oracle.exact_s(n)) % (2 * n + 3) == 0
 
 
 def test_s_congruence_prime_power_modulus():
     # n = 3: modulus 9 = 3^2 exercises the e = 2 path
-    assert check_s_congruence(3)
+    assert claim_holds(s_congruence_claim(), 3) == (True, None)
     assert nu_int(3, 3) + s_valuation(3, 3) >= 2
     assert (3 * oracle.exact_s(3)) % 9 == 0
 
 
 def test_t_congruence_small_n_against_oracle():
     for n in range(1, 18):
-        assert check_t_congruence(n)
+        assert claim_holds(t_integrality_claim(), n)[0] and claim_holds(t_congruence_claim(), n)[0]
         assert (21 * oracle.exact_t(n)) % (10 * n + 3) == 0
 
 

@@ -14,7 +14,6 @@ from binomdiv import valuation
 from binomdiv.errors import ResourceLimitError
 from binomdiv.valuation import (
     FUZZ_MAX_DEN,
-    INFINITE,
     factorize,
     kummer_binomial_valuation,
     lemma1_margin,
@@ -102,9 +101,9 @@ def test_nu_int_examples():
     assert nu_int(1, 17) == 0
 
 
-def test_nu_int_of_zero_is_infinite():
-    assert nu_int(0, 7) == INFINITE
-    assert nu_int(0, 7) > 10**18
+def test_nu_int_of_zero_raises():
+    with pytest.raises(ValueError, match="valuation of 0"):
+        nu_int(0, 7)
 
 
 def test_nu_factorial_examples():
@@ -162,14 +161,29 @@ def test_nu_factorial_over_primes_matches_scalar():
 
 
 def test_nu_factorial_over_primes_around_prime_powers():
-    """Level 1 is one division over every prime <= m, the deeper levels a loop
-    over the primes <= isqrt(m): pinned to the scalar sum where they meet."""
+    """Level 1 is one division over every prime, the deeper levels a loop
+    over the cells with quotient >= p: pinned to the scalar sum where they meet."""
     primes = primes_upto(20000)
     ms = [m for p in (2, 3, 7, 101, 139) for m in (p * p - 1, p * p, p * p + 1, p**3)]
     for m in [*ms, 10**8 + 7, 2**40 + 1]:
-        out = np.full(primes.size, -1, dtype=np.int64)
-        assert nu_factorial_over_primes(m, primes, out=out) is out
+        out = nu_factorial_over_primes(m, primes)
         assert out.tolist() == [nu_factorial(m, p) for p in primes.tolist()]
+
+
+def test_nu_factorial_over_primes_with_one_prime_per_row():
+    """The 2-D form of the reduced verdicts: a table of arguments against a
+    column of primes, around each prime power p^k, at 0 and at 2^40 + 1."""
+    primes = np.array([2, 3, 5, 7, 101, 3001], dtype=np.int64)
+    powers = [[p**k for k in range(1, 5)] for p in primes.tolist()]
+    m = np.array([[0, 2**40 + 1, *(q + d for q in row for d in (-1, 0, 1))] for row in powers])
+    got = nu_factorial_over_primes(m, primes[:, None])
+    assert got.shape == m.shape and got.dtype.name == "int64"
+    assert got.tolist() == [[nu_factorial(a, p) for a in row] for row, p in zip(m.tolist(), primes.tolist())]
+    # rows of one argument each, and a row of several arguments against one prime
+    assert nu_factorial_over_primes(m[:, :1] + 10**6, primes[:, None]).ravel().tolist() == [
+        nu_factorial(10**6, p) for p in primes.tolist()
+    ]
+    assert nu_factorial_over_primes(m[2], 5).tolist() == [nu_factorial(a, 5) for a in m[2].tolist()]
 
 
 def test_factorize_examples():
