@@ -45,7 +45,8 @@ a claim renders as "<moduli> <divisor ratio> | <multipliers> <dividend ratio>".
 
 One 64-bit rule: a claim is refused (exit 2) at n when a moduli value or
 a side's factorial arguments times |exponent| (4*a*n here) reach 2^63;
-``sweep`` checks its box's corner first.  ``trace`` has no such limit.
+``sweep`` checks its box's corner first.  ``trace`` has no 64-bit rule,
+but its modulus is trial-divided up to isqrt <= ``SIEVE_LIMIT`` (exit 2).
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
 _CSV_COMMANDS = ("verify", "sweep", "integrality")
 _JSON_BLOCK_ROWS = 2**14  # certificate entries per chunk of a JSON report
+_HUMAN_MAX_ENTRIES = 60  # longer certificate tables are elided from human reports
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,12 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
-def _certificate_lines(cert: Certificate, max_entries: int = 60) -> list[str]:
+def _certificate_lines(cert: Certificate) -> list[str]:
     lines = [f"verdict: {cert.verdict}", f"primes with required > 0: {cert.primes.size}"]
     margin = cert.min_margin()
     if margin is not None:
         lines.append(f"min margin (available - required): {margin}")
-    if cert.primes.size > max_entries:
+    if cert.primes.size > _HUMAN_MAX_ENTRIES:
         lines.append("(entry table elided; rerun with --format json --out FILE)")
     elif cert.primes.size:
         lines.append(f"{'p':>12} {'required':>9} {'available':>10}")

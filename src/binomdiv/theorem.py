@@ -193,11 +193,11 @@ def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
 def _trace(t: ParamTriple, p: int, side: ModulusSide, known_prime: bool = False) -> ProofTrace:
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
-    if modulus % p:
+    alpha = nu_int(modulus, p)  # refuses p < 2 before anything divides by p
+    if not alpha:
         raise ValueError(f"p={p} does not divide {side.value} = {modulus}")
     if not known_prime and factorize(p) != [(p, 1)]:  # after the check above: p <= modulus
         raise ValueError(f"p must be a prime, got {p}")
-    alpha = nu_int(modulus, p)
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
     # terms[i] is the level-i addend of nu_p(R); levels past the table add 0

@@ -18,9 +18,9 @@ The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
 
 All public operations are pure functions of their inputs.  The only
-module-level state is the grow-only prime cache of ``primes_upto`` and
-the primes below 2^16 that ``factorize`` lists on first use; both are
-invisible to callers and each worker process owns its own copy.
+module-level state is the list of primes below 2^16 that ``factorize``
+builds on first use; it is invisible to callers and each worker process
+owns its own copy.
 """
 
 from __future__ import annotations
@@ -79,30 +79,18 @@ def _segmented_sieve(limit: int, segment: int = _SEGMENT) -> np.ndarray:
     return out
 
 
-_cached_primes = np.empty(0, dtype=np.int64)
-_cached_limit = 1
-
-
 def primes_upto(limit: int) -> np.ndarray:
-    """Read-only ascending int64 array of all primes <= limit (cached).
+    """Read-only ascending int64 array of all primes <= limit, sieved per call.
 
-    The array is a view of the grow-only cache, so it is never written
-    to.  Raises ``ResourceLimitError`` for limits beyond ``SIEVE_LIMIT``.
+    Raises ``ResourceLimitError`` for limits beyond ``SIEVE_LIMIT``.
     """
-    global _cached_primes, _cached_limit
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit > SIEVE_LIMIT:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the {SIEVE_LIMIT} memory guard"
         )
-    if limit > _cached_limit:
-        # Grow geometrically so ascending request patterns stay O(n log n).
-        new_limit = min(max(limit, 2 * _cached_limit, 1 << 16), SIEVE_LIMIT)
-        _cached_primes = _segmented_sieve(new_limit)
-        _cached_limit = new_limit
-    k = int(np.searchsorted(_cached_primes, limit, side="right"))
-    return _cached_primes[:k]
+    return _segmented_sieve(limit)
 
 
 @cache
@@ -115,8 +103,8 @@ def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
 
     Trial division by the primes below 2^16 when m < 2^32, else the blocked
-    ``_trial_division`` by the shared prime cache up to isqrt(m), which must
-    stay below ``SIEVE_LIMIT``.
+    ``_trial_division`` by the primes up to isqrt(m), which must stay below
+    ``SIEVE_LIMIT``.
     """
     if m < 1:
         raise ValueError(f"cannot factor {m}; argument must be >= 1")

@@ -235,6 +235,16 @@ def test_trace_has_no_64_bit_limit(capsys):
     assert "all satisfied: True" in out
 
 
+def test_trace_past_the_sieve_guard_exits_2(capsys):
+    # 2bn+3 = 2^63 + 3: its isqrt 3,037,000,499 is past SIEVE_LIMIT, refused before any sieve
+    code, out, err = run_cli(
+        capsys, "trace", "--a", "2", "--b", "1", "--n", str(2**62), "--modulus", "2bn+3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: sieve limit 3037000499 exceeds the 2147483648 memory guard\n"
+
+
 def test_trace_rejects_bad_modulus_selector(capsys):
     assert main(["trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+5"]) == 2
 

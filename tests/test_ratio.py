@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -516,6 +518,29 @@ def test_verify_claim_example_31():
     assert cert.holds
     dividend = 3 * 2 * 8 * big_binomial(6, 3) * big_binomial(3, 1)
     assert dividend == 2880 and dividend % 30 == 0 and dividend // 30 == 96
+
+
+def test_verify_claim_keeps_no_memory_once_its_certificate_is_gone():
+    """After verify_claim at n = 10^6 returns and its certificate is deleted,
+    under 1 MiB of traced memory is still held: no prime array outlives the
+    call.  A fresh interpreter, so no sieve run by an earlier test is reused."""
+    code = (
+        "import tracemalloc\n"
+        "from binomdiv.ratio import verify_claim\n"
+        "from binomdiv.theorem import conjecture_claim\n"
+        "claim = conjecture_claim(7, 5)\n"
+        "tracemalloc.start()\n"
+        "cert = verify_claim(claim, 10**6)\n"
+        "assert cert.holds\n"
+        "del cert\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    held = int(proc.stdout)
+    assert held < 1 << 20, f"{held} bytes held after the certificate was deleted"
 
 
 def test_degenerate_claim_holds_with_zero_margins():

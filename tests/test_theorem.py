@@ -201,6 +201,11 @@ def test_proof_trace_requires_dividing_prime(monkeypatch):
         proof_trace(ParamTriple(3, 1, 3), 9)  # 2bn+3 = 9
     with pytest.raises(ValueError, match="p must be a prime, got 9"):
         omitted_branch_trace(ParamTriple(3, 1, 4), 9)  # 2bn+1 = 9
+    # p < 2 is refused before the modulus is divided by p or p is factored
+    for p in (0, -3, 1):
+        for trace in (proof_trace, omitted_branch_trace):
+            with pytest.raises(ValueError, match=f"p must be a prime, got {p}$"):
+                trace(ParamTriple(3, 1, 3), p)
     # traces_for_modulus passes the primes of its one factorization
     calls = []
     monkeypatch.setattr(theorem, "factorize", lambda m: calls.append(m) or factorize(m))
