@@ -47,7 +47,6 @@ from .theorem import (
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    crt_split_check,
     omitted_branch_trace,
     proof_trace,
     run_sweep,

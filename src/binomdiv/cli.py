@@ -45,8 +45,8 @@ a claim renders as "<moduli> <divisor ratio> | <multipliers> <dividend ratio>".
 
 One 64-bit rule: a claim is refused (exit 2) at n when a moduli value or
 a side's factorial arguments times |exponent| (4*a*n here) reach 2^63;
-``sweep`` checks its box's corner first.  ``trace`` has no 64-bit rule,
-but its modulus is trial-divided up to isqrt <= ``SIEVE_LIMIT`` (exit 2).
+``sweep`` checks its box's corner first.  ``trace`` computes in Python
+integers, but its modulus must be < 2^63 to be factored (exit 2).
 """
 
 from __future__ import annotations

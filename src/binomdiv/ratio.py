@@ -396,14 +396,15 @@ def _instance(claim: DivisibilityClaim, n: int) -> tuple[list[int], list[int], l
 
 
 def _claim_valuations(
-    claim: DivisibilityClaim, n: int
+    claim: DivisibilityClaim, n: int, sieve: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """(primes, required, available) arrays over all primes that matter,
     and the witness: the least prime with available < required, or None.
+    The primes are sieved, or sliced from ``sieve``, which must reach the bound.
     """
     moduli_values, divisor_args, _ = _instance(claim, n)
     bound = max(moduli_values + divisor_args, default=0)
-    primes = primes_upto(bound)
+    primes = primes_upto(bound) if sieve is None else sieve[: np.searchsorted(sieve, bound, "right")]
 
     required = ratio_valuation_over_primes(claim.divisor_ratio, n, primes)
     available = ratio_valuation_over_primes(claim.dividend_ratio, n, primes)
@@ -474,20 +475,25 @@ def claims_hold(
     n: moduli, arguments and budget are affine in n, so the ends bound
     every row.  Certified rows are decided by ``_modulus_table``, in slices
     of ``_TABLE_ROWS``; the others enumerate every prime that matters, row
-    by row, as ``verify_claim`` does.
+    by row, as ``verify_claim`` does, but slicing one sieve up to the
+    largest bound the ends give.
     """
     which, ns = np.asarray(which, dtype=np.intp), np.asarray(ns)
     order = np.argsort(which, kind="stable")
     present, starts = np.unique(which[order], return_index=True)
     ends = (f.reduceat(ns[order], starts).tolist() for f in (np.minimum, np.maximum))
+    reach = dict.fromkeys(present.tolist(), 0)  # each claim's largest full-ledger bound
     for k, lo, hi in zip(present.tolist(), *ends):
         for n in dict.fromkeys((lo, hi)):
-            _instance(claims[k], n)
+            moduli_values, divisor_args, _ = _instance(claims[k], n)
+            reach[k] = max([reach[k], *moduli_values, *divisor_args])
     holds, witness = np.ones(which.size, dtype=bool), np.zeros(which.size, dtype=np.int64)
     certified = np.zeros(len(claims), dtype=bool)
     certified[present] = [claims[k]._certified for k in present.tolist()]
-    for i in np.flatnonzero(~certified[which]).tolist():
-        w = _claim_valuations(claims[which[i]], int(ns[i]))[3]
+    if (full := np.flatnonzero(~certified[which])).size:
+        sieve = primes_upto(max(reach[k] for k in present.tolist() if not certified[k]))
+    for i in full.tolist():
+        w = _claim_valuations(claims[which[i]], int(ns[i]), sieve)[3]
         holds[i], witness[i] = w is None, w or 0
     kept = [k for k in np.flatnonzero(certified).tolist() if claims[k].divisor_moduli]
     tabled = np.zeros(len(claims), dtype=bool)

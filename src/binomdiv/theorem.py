@@ -54,7 +54,6 @@ from .ratio import (
     _instance,
     binomial_ratio,
     claims_hold,
-    modulus_rows,
     ratio_level_terms,
     ratio_valuation,
     verify_claim,
@@ -116,23 +115,6 @@ def verify_triple(t: ParamTriple) -> Certificate:
     return verify_claim(conjecture_claim(t.a, t.b), t.n)
 
 
-def crt_split_check(t: ParamTriple) -> tuple[Certificate, Certificate]:
-    """Split the claim over the coprime moduli 2bn+1 and 2bn+3.
-
-    Returns one certificate per modulus, the ``modulus_rows`` of the
-    claim restricted to that modulus: for each prime of the modulus,
-    required is its exponent and available is
-    nu_p(3(a-b)(3a-b)) + nu_p(R).  Given that R is integral, both
-    certificates hold iff ``verify_triple`` holds.
-    """
-    claim = conjecture_claim(t.a, t.b)
-    branch1, branch3 = (
-        Certificate.from_rows(t.n, modulus_rows(replace(claim, divisor_moduli=(m,)), t.n))
-        for m in claim.divisor_moduli
-    )
-    return branch1, branch3
-
-
 # ---------------------------------------------------------------------------
 # proof traces
 
@@ -190,13 +172,13 @@ def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
     return _trace(t, p, ModulusSide.TWO_BN_PLUS_1)
 
 
-def _trace(t: ParamTriple, p: int, side: ModulusSide, known_prime: bool = False) -> ProofTrace:
+def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
     alpha = nu_int(modulus, p)  # refuses p < 2 before anything divides by p
     if not alpha:
         raise ValueError(f"p={p} does not divide {side.value} = {modulus}")
-    if not known_prime and factorize(p) != [(p, 1)]:  # after the check above: p <= modulus
+    if factorize(p) != [(p, 1)]:  # after the check above: p <= modulus
         raise ValueError(f"p must be a prime, got {p}")
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
@@ -255,7 +237,7 @@ def _trace(t: ParamTriple, p: int, side: ModulusSide, known_prime: bool = False)
 
 def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
     """One trace per prime factor of the selected modulus."""
-    return [_trace(t, p, side, known_prime=True) for p, _ in factorize(side.at(t))]
+    return [_trace(t, p, side) for p, _ in factorize(side.at(t))]
 
 
 # ---------------------------------------------------------------------------

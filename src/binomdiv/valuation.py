@@ -17,17 +17,17 @@ equals the number of carries when adding ``k`` and ``m - k`` in base ``p``.
 The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
 
-All public operations are pure functions of their inputs.  The only
-module-level state is the list of primes below 2^16 that ``factorize``
-builds on first use; it is invisible to callers and each worker process
-owns its own copy.
+All public operations are pure functions of their inputs.  The module
+keeps no state beyond the constant table of the primes below 2^10, built
+at import, which both shapes of the factorizer trial-divide by before
+Miller-Rabin and Pollard rho take the cofactors left over; neither sieves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -93,49 +93,58 @@ def primes_upto(limit: int) -> np.ndarray:
     return _segmented_sieve(limit)
 
 
-@cache
-def _small_primes() -> list[int]:
-    """The primes below 2^16: they cover isqrt(m) for every m < 2^32."""
-    return primes_upto((1 << 16) - 1).tolist()
+#: The primes below 2^10, the one trial-division table of ``factorize`` and
+#: ``_trial_division``: a cofactor below 2^20 left by them is prime.
+_TRIAL_PRIMES = _segmented_sieve((1 << 10) - 1)
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for odd m > 37 by the first 12 prime bases,
+    exact below 3.3 * 10^24: with m - 1 = d 2^s, d odd, each base a has
+    a^d = 1 or a^(d 2^j) = -1 (mod m) for some j < s."""
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    d = (m - 1) >> s
+    return all(pow(a, d, m) == 1 or m - 1 in (pow(a, d << j, m) for j in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def _split(m: int) -> Counter[int]:
+    """The prime factors, with multiplicity, of m > 1 with no prime factor
+    below 2^10: m when m < 2^20 or ``_is_prime(m)``, else those of the two
+    parts at the factor g that Pollard rho finds (Floyd cycle detection; a
+    walk that closes on g = m restarts with c + 1)."""
+    if m < 1 << 20 or _is_prime(m):
+        return Counter({m: 1})
+    for c in range(1, m):  # rho finds a factor long before c runs out
+        x, y, g = 2, 2, 1
+        while g == 1:
+            x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+            g = math.gcd(x - y, m)
+        if g != m:
+            return _split(g) + _split(m // g)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m >= 1 as ascending (prime, exponent) pairs.
+    """Prime factorization of 1 <= m < 2^63 as ascending (prime, exponent) pairs.
 
-    Trial division by the primes below 2^16 when m < 2^32, else the blocked
-    ``_trial_division`` by the primes up to isqrt(m), which must stay below
-    ``SIEVE_LIMIT``.
+    Trial division by the primes below 2^10, reusing ``nu_int``, then
+    ``_split`` of the cofactor left over; no sieve is run.
     """
-    if m < 1:
-        raise ValueError(f"cannot factor {m}; argument must be >= 1")
-    if m >= 1 << 32:
-        _, primes, exponents = _trial_division(np.array([m]))
-        order = np.argsort(primes)
-        return list(zip(primes[order].tolist(), exponents[order].tolist()))
-    out: list[tuple[int, int]] = []
-    rest = m
-    for p in _small_primes():
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out.append((p, e))
-    if rest > 1:
-        out.append((rest, 1))
-    return out
+    if not 1 <= m < 1 << 63:
+        raise ValueError(f"cannot factor {m}; argument must be >= 1 and fit in 64 bits")
+    out = [(p, nu_int(m, p)) for p in _TRIAL_PRIMES[m % _TRIAL_PRIMES == 0].tolist()]
+    m //= math.prod(p**e for p, e in out)
+    return out + sorted(_split(m).items()) if m > 1 else out
 
 
 def _trial_division(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(index, p, e) int64 columns, one per p^e || values[index] (each in
-    [1, 2^63)), by trial division with the primes <= isqrt(max) in tiles of
-    at most ``_TILE_CELLS`` live values x primes.  A value leaves once
-    p^2 > its cofactor, so a cofactor > 1 left over is prime.  Two primes of
-    one tile can hit one value: exponents are counted on copies, and
-    ``floor_divide.at`` applies every division."""
-    primes = primes_upto(math.isqrt(int(values.max(initial=1))))  # refuses m >= 2^63
+    [1, 2^63)), by trial division with the table primes <= isqrt(max) in tiles
+    of at most ``_TILE_CELLS`` live values x primes; a value leaves once p^2 >
+    its cofactor.  A cofactor left over is prime below 2^20, and goes through
+    ``_split`` from 2^20 on.  Two primes of one tile can hit one value:
+    exponents are counted on copies, and ``floor_divide.at`` applies each."""
+    primes = _TRIAL_PRIMES[: np.searchsorted(_TRIAL_PRIMES, math.isqrt(int(values.max(initial=1))), "right")]
     rest, live, start, found = values.astype(np.int64), np.arange(values.size), 0, []
     while start < primes.size and (live := live[rest[live] >= primes[start] ** 2]).size:
         tile = primes[start : start + max(1, _TILE_CELLS // live.size)]
@@ -148,6 +157,10 @@ def _trial_division(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
             e[more] += 1
         np.floor_divide.at(rest, index, rest[index] // q)  # rest // q is p^e
         found.append((index, p, e))
+    for i in np.flatnonzero(rest >= 1 << 20).tolist():
+        p, e = np.array(list(_split(int(rest[i])).items()), dtype=np.int64).T
+        found.append((np.full(p.size, i), p, e))
+        rest[i] = 1
     index = np.flatnonzero(rest > 1)
     found.append((index, rest[index], np.ones_like(index)))
     return tuple(np.concatenate(column) for column in zip(*found))

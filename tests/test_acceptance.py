@@ -10,18 +10,25 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from binomdiv import oracle
-from binomdiv.ratio import _integrality_claim, claim_holds, claims_hold, is_integral_at
+from binomdiv.ratio import (
+    LinearForm,
+    _integrality_claim,
+    claim_holds,
+    claims_hold,
+    is_integral_at,
+    modulus_rows,
+)
 from binomdiv.theorem import (
     ParamTriple,
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    crt_split_check,
     proof_trace,
     s_congruence_claim,
     s_integrality_claim,
@@ -210,10 +217,11 @@ def test_08_proof_trace_level_laws():
 
 def test_09_s_congruence_follows_from_theorem():
     """At (a,b) = (3,1) the 2n+3 certificate implies the S_n congruence."""
+    two_bn_plus_3 = replace(conjecture_claim(3, 1), divisor_moduli=(LinearForm(2, 3),))
     for n in range(1, 101):
-        _, branch3 = crt_split_check(ParamTriple(3, 1, n))
-        assert branch3.holds
-        for q, required, available in branch3.entries:
+        rows = list(modulus_rows(two_bn_plus_3, n))
+        assert all(available >= required for _, required, available in rows)
+        for q, required, available in rows:
             # available = nu_q(48 R(3,1,n)); R = 2(2n+1) S_n and q is odd,
             # coprime to 2n+1, so this equals nu_q(3 S_n) exactly.
             s_side = nu_int(3, q) + s_valuation(n, q)

@@ -236,13 +236,13 @@ def test_trace_has_no_64_bit_limit(capsys):
 
 
 def test_trace_past_the_sieve_guard_exits_2(capsys):
-    # 2bn+3 = 2^63 + 3: its isqrt 3,037,000,499 is past SIEVE_LIMIT, refused before any sieve
+    # 2bn+3 = 2^63 + 3: the one 64-bit rule refuses to factor it
     code, out, err = run_cli(
         capsys, "trace", "--a", "2", "--b", "1", "--n", str(2**62), "--modulus", "2bn+3"
     )
     assert code == 2
     assert out == ""
-    assert err == "error: sieve limit 3037000499 exceeds the 2147483648 memory guard\n"
+    assert err == f"error: cannot factor {2**63 + 3}; argument must be >= 1 and fit in 64 bits\n"
 
 
 def test_trace_rejects_bad_modulus_selector(capsys):

@@ -798,6 +798,19 @@ def test_claims_hold_mixes_certified_and_uncertified_claims():
     assert {k for (h, _), k in zip(got, which) if not h} == {4, 5}
 
 
+def test_uncertified_rows_of_one_call_share_one_sieve(monkeypatch):
+    """The full-ledger rows of one call slice one sieve, up to their largest
+    bound (10n+1 at n = 40), and keep the verdicts of ``verify_claim``."""
+    claims = [s_congruence_claim(), OFFSET_T_INTEGRALITY, OFFSET_T_CONGRUENCE]
+    which, ns = [1, 2, 0, 1, 2, 1], [7, 3, 600, 40, 1, 2]  # the certified row's 2n+3 is larger
+    limits = []
+    monkeypatch.setattr(ratio_module, "primes_upto", lambda limit: limits.append(limit) or primes_upto(limit))
+    holds, witness = claims_hold(claims, which, ns)
+    assert limits == [401]
+    got = list(zip(holds.tolist(), (w or None for w in witness.tolist())))
+    assert got == [(c.holds, c.witness) for c in map(verify_claim, (claims[k] for k in which), ns)]
+
+
 def test_certified_t_claims_match_the_offset_form():
     """t_n = L(n) / (5(10n+1)): the restated claims, also with the congruence's
     multiplier 21 weakened to 1, 3 or 7, give the verdicts and witnesses of the

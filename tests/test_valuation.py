@@ -191,14 +191,14 @@ def test_factorize_examples():
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(2 * 3**4 * 101) == [(2, 1), (3, 4), (101, 1)]
-    # both sides of 2^32, where trial division switches from the list of
-    # primes below 2^16 to the blocked trial division over the shared sieve
+    # cofactors past the table of primes below 2^10, on both sides of 2^32
     assert factorize(2**32 - 5) == [(2**32 - 5, 1)]
     assert factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
     assert factorize(2**32 + 15) == [(2**32 + 15, 1)]
-    assert factorize(65537**2) == [(65537, 2)]  # needs a prime above 2^16
-    with pytest.raises(ValueError):
-        factorize(0)
+    assert factorize(65537**2) == [(65537, 2)]
+    for m in (0, -1, 2**63, 2**63 + 3):  # outside [1, 2^63)
+        with pytest.raises(ValueError, match="must be >= 1 and fit in 64 bits"):
+            factorize(m)
 
 
 def test_factorize_reconstructs_argument():
@@ -212,10 +212,9 @@ def test_factorize_reconstructs_argument():
         assert all(p % d for p, _ in factors for d in range(2, math.isqrt(p) + 1))
 
 
-def is_prime_mr(m: int) -> bool:
-    """Independent oracle: Miller-Rabin with the first seven prime bases,
-    deterministic below 3.4 * 10^14 > 2^46."""
-    bases = (2, 3, 5, 7, 11, 13, 17)
+def is_prime_mr(m: int, bases: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)) -> bool:
+    """Independent oracle: Miller-Rabin, with the first twelve prime bases
+    deterministic below 3.3 * 10^24 > 2^63."""
     if m < 2:
         return False
     for q in bases:
@@ -245,8 +244,9 @@ def random_prime(rng, lo: int, hi: int) -> int:
 
 
 def test_factorize_above_2_32_matches_known_factors():
-    """m >= 2^32 goes through the blocked trial division; each value here is
-    built from primes certified by Miller-Rabin, so its factors are known."""
+    """Cofactors past the primes below 2^10 go through Miller-Rabin and rho;
+    each value here is built from primes certified by ``is_prime_mr``, so its
+    factors are known."""
     rng = random.Random(15)
     cases = []
     for _ in range(6):  # prime squares in [2^32, 2^46)
@@ -270,18 +270,89 @@ def test_factorize_above_2_32_matches_known_factors():
         assert factorize(m) == expected, m
 
 
+def known(*factors: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
+    """(m, factors) for ascending (prime, exponent) pairs, each prime
+    certified by ``is_prime_mr``: an expected factorization that shares no
+    code with the factorizer."""
+    assert all(is_prime_mr(p) for p, _ in factors)
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+    return math.prod(p**e for p, e in factors), list(factors)
+
+
+#: Values whose cofactor after the primes below 2^10 is >= 2^20, so both
+#: factorizer shapes hand it to ``_split``.
+SPLIT_CASES = [
+    known((149491, 1), (747451, 1), (34233211, 1)),  # a strong pseudoprime to every base <= 23
+    known((1031, 2)),  # the least cofactor >= 2^20
+    known((1031, 1), (1033, 1)),
+    known((3037000493, 2)),  # a prime square just below 2^63
+    known((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)),  # 2^63 - 1
+    known((2**63 - 25, 1)),  # the largest prime below 2^63
+    known((65537, 3)),
+    known(*((p, 1) for p in (1031, 1033, 1039, 1049, 1051, 1061))),  # six primes above 2^10
+]
+
+#: Small values hit by several primes of one tile.
+TILE_CASES = [
+    known(),
+    known((2, 1)),
+    known((3, 1)),
+    known((2, 2)),
+    known((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)),
+    known((2, 10), (3, 5), (5, 2)),
+    known((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1)),
+    known((999983, 1)),
+    known((13, 1), (65537, 1)),
+    known((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 2)),
+]
+
+
+def test_split_cases_are_the_pinned_values(monkeypatch):
+    values = [m for m, _ in SPLIT_CASES]
+    assert values[0] == 3825123056546413051 and values[4] == 2**63 - 1
+    assert values[3] == 3037000493**2 < 2**63 <= 3037000500**2
+    assert all(1 << 20 <= m < 1 << 63 for m in values)
+    # the pseudoprime passes Miller-Rabin to the bases 2..23; 29..37 expose it
+    assert is_prime_mr(values[0], bases=(2, 3, 5, 7, 11, 13, 17, 19, 23))
+    assert not is_prime_mr(values[0]) and not valuation._is_prime(values[0])
+    calls = []
+    split = valuation._split
+    monkeypatch.setattr(valuation, "_split", lambda m: calls.append(m) or split(m))
+    for m, expected in SPLIT_CASES:
+        calls.clear()
+        assert factorize(m) == expected, m
+        assert calls, m  # the cofactor went through _split
+
+
 def test_blocked_trial_division_counts_several_primes_of_one_tile(monkeypatch):
-    """A value hit by several primes of one tile keeps every division."""
-    values = [1, 2, 3, 4, 30030, 2**10 * 3**5 * 5**2, 9699690, 999983, 65537 * 13, 510510 * 17]
+    """A value hit by several primes of one tile keeps every division, and a
+    cofactor >= 2^20 is split, under several tile sizes, one value per call
+    and batched; the expected factors are built from ``is_prime_mr`` primes."""
     for cells in (1, 3, 4, 64, 1 << 20):  # 4 cells with one live value: four primes per tile
         monkeypatch.setattr(valuation, "_TILE_CELLS", cells)
-        for batch in ([v] for v in values), [values]:
+        for batch in ([case] for case in TILE_CASES), [TILE_CASES], [TILE_CASES + SPLIT_CASES]:
             for chunk in batch:
-                index, p, e = valuation._trial_division(np.array(chunk, dtype=np.int64))
+                values = np.array([m for m, _ in chunk], dtype=np.int64)
+                index, p, e = valuation._trial_division(values)
                 assert index.dtype == p.dtype == e.dtype == np.int64
                 rows = list(zip(index.tolist(), p.tolist(), e.tolist()))
                 got = [sorted((q, k) for i, q, k in rows if i == j) for j in range(len(chunk))]
-                assert got == [factorize(v) for v in chunk], (cells, chunk)
+                assert got == [factors for _, factors in chunk], (cells, values)
+
+
+def test_trial_division_keeps_cofactors_below_2_20_vectorized(monkeypatch):
+    """Only cofactors >= 2^20 leave the vectorized column for ``_split``."""
+    calls = []
+    split = valuation._split
+    monkeypatch.setattr(valuation, "_split", lambda m: calls.append(m) or split(m))
+    primes = [1039, 104729, (1 << 20) - 3]  # (1 << 20) - 3 = 1048573 is prime
+    assert all(is_prime_mr(p) for p in primes)
+    index, p, e = valuation._trial_division(np.array([2 * q for q in primes] + [1031 * 1033], dtype=np.int64))
+    assert calls[0] == 1031 * 1033 and sorted(calls[1:]) == [1031, 1033]  # rho, then both parts
+    assert sorted(zip(index.tolist(), p.tolist(), e.tolist())) == [
+        (0, 2, 1), (0, 1039, 1), (1, 2, 1), (1, 104729, 1),
+        (2, 2, 1), (2, (1 << 20) - 3, 1), (3, 1031, 1), (3, 1033, 1),
+    ]
 
 
 # ---------------------------------------------------------------------------
