@@ -26,12 +26,12 @@ from .ratio import (
     Certificate,
     DivisibilityClaim,
     FactorialRatio,
-    IntegralityResult,
     LinearForm,
     binomial_ratio,
     claim_holds,
     claims_hold,
     integral_for_all_n,
+    integrality_claim,
     is_integral_at,
     modulus_rows,
     ratio_level_terms,
@@ -47,12 +47,10 @@ from .theorem import (
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    omitted_branch_trace,
-    proof_trace,
     run_sweep,
     sweep_pairs,
+    trace,
     traces_for_modulus,
-    verify_triple,
 )
 
 __version__ = "0.1.0"

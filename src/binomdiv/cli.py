@@ -27,8 +27,10 @@ Each result carries certificate entries as {"p": p, "required": r,
 read-only int64 columns ``primes``, ``required`` and ``available``
 (``entries`` is a lazy view of them as rows) in blocks of 2^14 rows, so
 no report is held whole in memory.  Reports are deterministic
-for a fixed config and seed, except for the wall-clock
-``summary.seconds`` field.
+for a fixed config and seed, except for the wall-clock seconds:
+``_render`` reads one clock around the whole handler, and that
+reading is ``summary.seconds``, the CSV ``seconds`` column and the
+human "wall time" line.
 
 CSV output (verify / sweep / integrality only; the other commands exit 2)
 has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
@@ -60,7 +62,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +70,7 @@ import numpy as np
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
-    Certificate, FactorialRatio, IntegralityResult, LinearForm, _integrality_claim, claims_hold,
+    Certificate, FactorialRatio, LinearForm, claims_hold, integrality_claim, verify_claim,
 )
 from .theorem import (
     ModulusSide,
@@ -78,7 +80,6 @@ from .theorem import (
     conjecture_ratio,
     run_sweep,
     traces_for_modulus,
-    verify_triple,
 )
 from .valuation import lemma_fuzz
 
@@ -95,16 +96,16 @@ class _Report:
 
     The report bodies are thunks, so only the format asked for is built
     (``verify --format human`` never builds the certificate dicts).
-    ``rows`` yields ``(a, b, n, verdict, witness)``; None means no CSV form.
+    ``lines`` takes the wall-clock seconds; ``rows`` yields
+    ``(a, b, n, verdict, witness)``; None means no CSV form.
     """
 
     params: dict
     checked: int
     violations: int
-    seconds: float
     summary_line: str
     results: Callable[[], list]
-    lines: Callable[[], list[str]]
+    lines: Callable[[float], list[str]]
     rows: Callable[[], Iterable[tuple]] | None = None
 
 
@@ -124,22 +125,10 @@ def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) ->
 
 
 def _trace_dict(trace: ProofTrace) -> dict:
-    return {
-        "a": trace.triple.a,
-        "b": trace.triple.b,
-        "n": trace.triple.n,
-        "p": trace.p,
-        "modulus_side": trace.modulus_side.value,
-        "modulus_value": trace.modulus_value,
-        "alpha": trace.alpha,
-        "beta": trace.beta,
-        "gamma": trace.gamma,
-        "tau": trace.tau,
-        "branch": trace.branch.value,
-        "levels": [[i, term] for i, term in trace.levels],
-        "satisfied": trace.satisfied,
-        "failures": list(trace.failures),
-    }
+    """The trace's fields, its triple's as a, b and n; json writes the tuples as lists."""
+    doc = {f.name: getattr(trace, f.name) for f in fields(trace)}
+    doc.update(vars(doc.pop("triple")), modulus_side=trace.modulus_side.value, branch=trace.branch.value)
+    return doc
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
@@ -239,7 +228,9 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
             Path(args.out).parent.stat()
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, args.out) from None
+    started = time.perf_counter()
     report = args.handler(args)
+    seconds = time.perf_counter() - started
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -254,7 +245,7 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
             "summary": {
                 "checked": report.checked,
                 "violations": report.violations,
-                "seconds": report.seconds,
+                "seconds": seconds,
             },
         }
         return report, itertools.chain(_json_chunks(doc), ["\n"])
@@ -262,9 +253,9 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
         writer.writerow(["a", "b", "n", "verdict", "witness_prime", "seconds"])
-        writer.writerows((*row, f"{report.seconds:.6f}") for row in report.rows())
+        writer.writerows((*row, f"{seconds:.6f}") for row in report.rows())
         return report, [buffer.getvalue()]
-    return report, ["\n".join(report.lines()) + "\n"]
+    return report, ["\n".join(report.lines(seconds)) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +263,16 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
 
 def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
-    started = time.perf_counter()
-    cert = verify_triple(triple)
-    seconds = time.perf_counter() - started
+    claim = conjecture_claim(args.a, args.b)
+    cert = verify_claim(claim, args.n)
     return _Report(
         params={"a": args.a, "b": args.b, "n": args.n},
         checked=1,
         violations=0 if cert.holds else 1,
-        seconds=seconds,
         summary_line=f"verify a={args.a} b={args.b} n={args.n}: {cert.verdict}",
         results=lambda: [_result_dict(triple, cert.witness, cert)],
-        lines=lambda: [
-            f"claim: {conjecture_claim(args.a, args.b)}",
+        lines=lambda seconds: [
+            f"claim: {claim}",
             f"instance: a={args.a} b={args.b} n={args.n}",
             *_certificate_lines(cert),
             f"wall time: {seconds:.3f}s",
@@ -296,15 +285,15 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
     report = run_sweep(
         args.a_max, args.b_max, args.n_max, jobs=args.jobs, sample=args.sample, seed=args.seed
     )
-    found = [(triple, witness, verify_triple(triple)) for triple, witness in report.violations]
+    found = [(t, w, verify_claim(conjecture_claim(t.a, t.b), t.n)) for t, w in report.violations]
 
-    def lines() -> list[str]:
+    def lines(seconds: float) -> list[str]:
         mode = "sampled" if args.sample is not None else "exhaustive"
         out = [
             f"sweep: a <= {args.a_max}, b <= {args.b_max}, n <= {args.n_max} ({mode})",
             f"checked: {report.checked} triples",
             f"violations: {len(found)}",
-            f"wall time: {report.seconds:.3f}s",
+            f"wall time: {seconds:.3f}s",
         ]
         for triple, witness, cert in found:
             out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
@@ -320,7 +309,6 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
         },
         checked=report.checked,
         violations=len(found),
-        seconds=report.seconds,
         summary_line=f"sweep checked={report.checked} violations={len(found)}",
         results=lambda: [
             {
@@ -344,18 +332,15 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
 def _cmd_trace(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     side = ModulusSide(args.modulus)
-    started = time.perf_counter()
     traces = traces_for_modulus(triple, side)
-    seconds = time.perf_counter() - started
     all_satisfied = all(tr.satisfied for tr in traces)
     return _Report(
         params={"a": args.a, "b": args.b, "n": args.n, "modulus": args.modulus},
         checked=len(traces),
         violations=sum(not tr.satisfied for tr in traces),
-        seconds=seconds,
         summary_line=f"trace {side.value}: {'satisfied' if all_satisfied else 'VIOLATION'}",
         results=lambda: [_trace_dict(tr) for tr in traces],
-        lines=lambda: [
+        lines=lambda seconds: [
             f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {side.at(triple)}",
             *(line for tr in traces for line in _trace_lines(tr)),
             f"all satisfied: {all_satisfied}",
@@ -364,14 +349,11 @@ def _cmd_trace(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
-    started = time.perf_counter()
     report = lemma_fuzz(args.samples, args.max_den, seed=args.seed)
-    seconds = time.perf_counter() - started
     return _Report(
         params={"samples": args.samples, "max_den": args.max_den},
         checked=report.samples,
         violations=len(report.violations),
-        seconds=seconds,
         summary_line=f"lemma-fuzz violations={len(report.violations)}",
         results=lambda: [
             {
@@ -381,7 +363,7 @@ def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
             for x, y in report.violations
         ],
         # No timing line: identical seeds must give byte-identical output.
-        lines=lambda: [
+        lines=lambda seconds: [
             f"lemma-fuzz: samples={report.samples} max_den={report.max_den} seed={report.seed}",
             f"violations: {len(report.violations)}",
             *(f"VIOLATION at x={x}, y={y}" for x, y in report.violations),
@@ -414,19 +396,15 @@ def _cmd_integrality(args: argparse.Namespace) -> _Report:
         [(LinearForm(c, 0), 1) for c in numerators]
         + [(LinearForm(c, 0), -1) for c in denominators]
     )
-    started = time.perf_counter()
     ns = range(1, args.n_max + 1)
-    holds, witness = claims_hold((_integrality_claim(ratio),), np.zeros(len(ns), np.intp), ns)
-    witnesses = [w or None for w in witness.tolist()]
-    outcomes = list(zip(ns, map(IntegralityResult, holds.tolist(), witnesses)))
-    seconds = time.perf_counter() - started
-    bad = sum(not res.integral for _, res in outcomes)
+    holds, witness = claims_hold((integrality_claim(ratio),), np.zeros(len(ns), np.intp), ns)
+    outcomes = list(zip(ns, holds.tolist(), [w or None for w in witness.tolist()]))
+    bad = sum(not integral for _, integral, _ in outcomes)
 
-    def lines() -> list[str]:
+    def lines(seconds: float) -> list[str]:
         out = [f"ratio: {ratio}"]
-        for n, res in outcomes:
-            verdict = "integral" if res.integral else f"non-integral (witness p={res.witness})"
-            out.append(f"n={n}: {verdict}")
+        for n, integral, w in outcomes:
+            out.append(f"n={n}: {'integral' if integral else f'non-integral (witness p={w})'}")
         out.append(f"non-integral at {bad} of {len(outcomes)} values of n")
         return out
 
@@ -434,27 +412,23 @@ def _cmd_integrality(args: argparse.Namespace) -> _Report:
         params={"num": numerators, "den": denominators, "n_max": args.n_max},
         checked=len(outcomes),
         violations=bad,
-        seconds=seconds,
         summary_line=f"integrality non-integral={bad}/{len(outcomes)}",
         results=lambda: [
-            {"n": n, "integral": res.integral, "witness_prime": res.witness}
-            for n, res in outcomes
+            {"n": n, "integral": integral, "witness_prime": w} for n, integral, w in outcomes
         ],
         lines=lines,
         rows=lambda: [
-            (None, None, n, "integral" if res.integral else "non-integral", res.witness)
-            for n, res in outcomes
+            (None, None, n, "integral" if integral else "non-integral", w)
+            for n, integral, w in outcomes
         ],
     )
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
-    started = time.perf_counter()
     suites = run_all()
-    seconds = time.perf_counter() - started
     failed = sum(not s.passed for s in suites)
 
-    def lines() -> list[str]:
+    def lines(seconds: float) -> list[str]:
         out = []
         for s in suites:
             status = "ok" if s.passed else f"FAIL ({len(s.failures)} failures)"
@@ -467,7 +441,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
         params={},
         checked=sum(s.checked for s in suites),
         violations=failed,
-        seconds=seconds,
         summary_line=f"oracle-check failed-suites={failed}",
         results=lambda: [
             {"suite": s.name, "checked": s.checked, "failures": list(s.failures)}

@@ -47,8 +47,9 @@ def _trial_division_primes(limit: int) -> list[int]:
     return out
 
 
-def suite_sieve(limit: int = 2000) -> SuiteResult:
+def suite_sieve() -> SuiteResult:
     """Sieve output equals brute-force trial-division enumeration."""
+    limit = 2000
     failures = []
     expected = _trial_division_primes(limit)
     got = primes_upto(limit).tolist()
@@ -57,13 +58,13 @@ def suite_sieve(limit: int = 2000) -> SuiteResult:
     return SuiteResult("sieve-vs-trial-division", limit, tuple(failures))
 
 
-def suite_legendre_incremental(m_max: int = 500, p_max: int = 50) -> SuiteResult:
-    """nu_p(m!) equals the running sum of nu_p(j) for j = 1..m."""
+def suite_legendre_incremental() -> SuiteResult:
+    """nu_p(m!) equals the running sum of nu_p(j) for j = 1..m <= 500, p <= 50."""
     failures = []
     checked = 0
-    for p in primes_upto(p_max).tolist():
+    for p in primes_upto(50).tolist():
         running = 0
-        for m in range(1, m_max + 1):
+        for m in range(1, 501):
             running += nu_int(m, p)
             checked += 1
             if nu_factorial(m, p) != running:
@@ -71,13 +72,13 @@ def suite_legendre_incremental(m_max: int = 500, p_max: int = 50) -> SuiteResult
     return SuiteResult("legendre-vs-incremental", checked, tuple(failures))
 
 
-def suite_kummer(m_max: int = 200, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -> SuiteResult:
-    """Carry counts equal Legendre differences for C(m, k)."""
+def suite_kummer() -> SuiteResult:
+    """Carry counts equal Legendre differences for C(m, k), m <= 200, p <= 11."""
     failures = []
     checked = 0
-    for p in primes:
-        table = [nu_factorial(m, p) for m in range(m_max + 1)]
-        for m in range(m_max + 1):
+    for p in (2, 3, 5, 7, 11):
+        table = [nu_factorial(m, p) for m in range(201)]
+        for m in range(201):
             for k in range(m + 1):
                 checked += 1
                 if kummer_binomial_valuation(m, k, p) != table[m] - table[k] - table[m - k]:
@@ -85,8 +86,8 @@ def suite_kummer(m_max: int = 200, primes: tuple[int, ...] = (2, 3, 5, 7, 11)) -
     return SuiteResult("kummer-vs-legendre", checked, tuple(failures))
 
 
-def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
-    """Valuation verdicts equal exact big-integer divisibility.
+def suite_claims_vs_oracle() -> SuiteResult:
+    """Valuation verdicts equal exact big-integer divisibility, a <= 5, n <= 10.
 
     Both valuation routes are pinned: ``claims_hold`` (the reduced path
     for these certified claims, one call per pair) and the full ledger of
@@ -94,24 +95,13 @@ def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
     """
     failures = []
     checked = 0
-    for a, b in sweep_pairs(a_max, a_max - 1):
+    for a, b in sweep_pairs(5, 4):
         claim = conjecture_claim(a, b)
-        verdicts = claims_hold((claim,), [0] * n_max, range(1, n_max + 1))[0].tolist()
+        verdicts = claims_hold((claim,), [0] * 10, range(1, 11))[0].tolist()
         for n, holds in enumerate(verdicts, start=1):
             checked += 1
-            divisor = (
-                (2 * b * n + 1)
-                * (2 * b * n + 3)
-                * oracle.big_binomial(2 * b * n, b * n)
-            )
-            dividend = (
-                3
-                * (a - b)
-                * (3 * a - b)
-                * oracle.big_binomial(2 * a * n, a * n)
-                * oracle.big_binomial(a * n, b * n)
-            )
-            exact = oracle.divides(divisor, dividend)
+            divisor, dividend = oracle.conjecture_sides(a, b, n)
+            exact = oracle.divides(divisor, 3 * (a - b) * (3 * a - b) * dividend)
             if holds != exact:
                 failures.append(f"verdict mismatch at a={a} b={b} n={n}")
             elif verify_claim(claim, n).holds != exact:
@@ -121,15 +111,15 @@ def suite_claims_vs_oracle(a_max: int = 5, n_max: int = 10) -> SuiteResult:
     return SuiteResult("claims-vs-bigint", checked, tuple(failures))
 
 
-def suite_congruences_vs_oracle(s_n_max: int = 30, t_n_max: int = 20) -> SuiteResult:
-    """The S_n and t_n congruence checks match exact modular arithmetic: one
-    ``claims_hold`` call decides each sequence's two claims at every n."""
+def suite_congruences_vs_oracle() -> SuiteResult:
+    """The S_n (n <= 30) and t_n (n <= 20) congruence checks match exact modular
+    arithmetic: one ``claims_hold`` call decides each sequence's two claims at every n."""
     failures = []
     checked = 0
     cases = (
-        ("S_n", s_n_max, (s_integrality_claim(), s_congruence_claim()),
+        ("S_n", 30, (s_integrality_claim(), s_congruence_claim()),
          lambda n: 3 * oracle.exact_s(n) % (2 * n + 3)),
-        ("t_n", t_n_max, (t_integrality_claim(), t_congruence_claim()),
+        ("t_n", 20, (t_integrality_claim(), t_congruence_claim()),
          lambda n: 21 * oracle.exact_t(n) % (10 * n + 3)),
     )
     for name, n_max, claims, oracle_remainder in cases:
@@ -147,12 +137,13 @@ def suite_congruences_vs_oracle(s_n_max: int = 30, t_n_max: int = 20) -> SuiteRe
     return SuiteResult("congruences-vs-bigint", checked, tuple(failures))
 
 
-def suite_minimal_multiplier(a_max: int = 5, n_max: int = 5) -> SuiteResult:
-    """The exact minimal multiplier always divides 3(a-b)(3a-b) (else the oracle raises)."""
+def suite_minimal_multiplier() -> SuiteResult:
+    """The exact minimal multiplier always divides 3(a-b)(3a-b) (else the oracle
+    raises), a <= 5, n <= 5."""
     failures = []
     checked = 0
-    for a, b in sweep_pairs(a_max, a_max - 1):
-        for n in range(1, n_max + 1):
+    for a, b in sweep_pairs(5, 4):
+        for n in range(1, 6):
             checked += 1
             try:
                 oracle.minimal_multiplier(a, b, n)

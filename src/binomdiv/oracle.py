@@ -67,17 +67,23 @@ def exact_t(n: int) -> int:
     return _exact_quotient(numerator, denominator, f"t_{n}")
 
 
+def conjecture_sides(a: int, b: int, n: int) -> tuple[int, int]:
+    """D = (2bn+1)(2bn+3)C(2bn,bn) and B = C(2an,an)C(an,bn), literally:
+    the theorem says D | 3(a-b)(3a-b) B."""
+    divisor = (2 * b * n + 1) * (2 * b * n + 3) * big_binomial(2 * b * n, b * n)
+    return divisor, big_binomial(2 * a * n, a * n) * big_binomial(a * n, b * n)
+
+
 def minimal_multiplier(a: int, b: int, n: int) -> int:
     """Smallest constant M with divisor | M * dividend-binomials, exactly.
 
-    M = D / gcd(D, B) for D = (2bn+1)(2bn+3)C(2bn,bn) and
-    B = C(2an,an)C(an,bn).  The theorem guarantees M | 3(a-b)(3a-b); a
-    violation is surfaced as ``IntegrityError``.
+    M = D / gcd(D, B) for ``conjecture_sides`` D and B.  The theorem
+    guarantees M | 3(a-b)(3a-b); a violation is surfaced as
+    ``IntegrityError``.
     """
     if b < 1 or a <= b or n < 1:
         raise ValueError(f"need a > b >= 1 and n >= 1, got a={a}, b={b}, n={n}")
-    divisor = (2 * b * n + 1) * (2 * b * n + 3) * big_binomial(2 * b * n, b * n)
-    dividend = big_binomial(2 * a * n, a * n) * big_binomial(a * n, b * n)
+    divisor, dividend = conjecture_sides(a, b, n)
     m_min = divisor // math.gcd(divisor, dividend)
     bound = 3 * (a - b) * (3 * a - b)
     if bound % m_min:

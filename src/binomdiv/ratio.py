@@ -58,7 +58,6 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -533,13 +532,8 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     return Certificate(n, primes[keep], required, available, witness is None, witness)
 
 
-class IntegralityResult(NamedTuple):
-    integral: bool
-    witness: int | None  # least prime with negative valuation
-
-
 @lru_cache(maxsize=4096)
-def _integrality_claim(r: FactorialRatio) -> DivisibilityClaim:
+def integrality_claim(r: FactorialRatio) -> DivisibilityClaim:
     """The claim "denominator of r divides numerator of r"."""
     return DivisibilityClaim(
         divisor_moduli=(),
@@ -549,6 +543,7 @@ def _integrality_claim(r: FactorialRatio) -> DivisibilityClaim:
     )
 
 
-def is_integral_at(r: FactorialRatio, n: int) -> IntegralityResult:
-    """Whether the ratio evaluates to an integer at n, decided by ``claim_holds``."""
-    return IntegralityResult(*claim_holds(_integrality_claim(r), n))
+def is_integral_at(r: FactorialRatio, n: int) -> tuple[bool, int | None]:
+    """(integral, least prime with negative valuation or None) of the ratio
+    at n: ``claim_holds`` on ``integrality_claim(r)``."""
+    return claim_holds(integrality_claim(r), n)

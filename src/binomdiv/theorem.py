@@ -14,10 +14,10 @@ is itself an integer: each per-level Legendre addend of nu_p(R) is the
 margin of the floor inequality (Lemma 1), >= 0 in closed form by
 ``valuation.lemma1_margin``.
 
-``proof_trace`` replays the per-prime case analysis that proves the
-2bn+3 half: with p^alpha || 2bn+3, beta = nu_p(a-b),
-gamma = nu_p(3a-b) and tau = max(beta, gamma), either the multiplier
-already covers alpha, or (p >= 5) each Legendre level in
+``trace(t, p, ModulusSide.TWO_BN_PLUS_3)`` replays the per-prime case
+analysis that proves the 2bn+3 half: with p^alpha || 2bn+3,
+beta = nu_p(a-b), gamma = nu_p(3a-b) and tau = max(beta, gamma), either
+the multiplier already covers alpha, or (p >= 5) each Legendre level in
 (tau, alpha] contributes exactly 1, or p = 3 splits on 9 | n.  No
 comparable case analysis is worked out for the 2bn+1 modulus, so its
 trace records level data informationally and asserts only the
@@ -41,13 +41,11 @@ from __future__ import annotations
 import enum
 import math
 import random
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ratio import (
-    Certificate,
     DivisibilityClaim,
     FactorialRatio,
     LinearForm,
@@ -56,7 +54,6 @@ from .ratio import (
     claims_hold,
     ratio_level_terms,
     ratio_valuation,
-    verify_claim,
 )
 from .valuation import factorize, nu_int
 
@@ -106,15 +103,6 @@ def conjecture_ratio(a: int, b: int) -> FactorialRatio:
     return _r_integrality_claim(a, b).core  # trace takes a >= 1.02e9; conjecture_claim refuses it
 
 
-def verify_triple(t: ParamTriple) -> Certificate:
-    """Certificate for the claim at one (a, b, n); expected to hold.
-
-    A failing verdict would mean an implementation bug, never new
-    mathematics, and callers treat it as fatal.
-    """
-    return verify_claim(conjecture_claim(t.a, t.b), t.n)
-
-
 # ---------------------------------------------------------------------------
 # proof traces
 
@@ -158,21 +146,11 @@ class ProofTrace:
     failures: tuple[str, ...]
 
 
-def proof_trace(t: ParamTriple, p: int) -> ProofTrace:
-    """Case analysis for a prime p | 2bn+3; every assertion is expected to pass."""
-    return _trace(t, p, ModulusSide.TWO_BN_PLUS_3)
-
-
-def omitted_branch_trace(t: ParamTriple, p: int) -> ProofTrace:
-    """Numeric check for a prime p | 2bn+1: only the final inequality is asserted.
-
-    The case analysis is not replicated for this modulus; per-level
-    data is recorded for inspection without asserting any pattern.
+def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
+    """The case analysis for a prime p of the side's modulus; every assertion
+    is expected to pass.  On the 2bn+1 side only the final inequality is
+    asserted, and the per-level data is recorded without any pattern.
     """
-    return _trace(t, p, ModulusSide.TWO_BN_PLUS_1)
-
-
-def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
     alpha = nu_int(modulus, p)  # refuses p < 2 before anything divides by p
@@ -237,7 +215,7 @@ def _trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
 
 def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
     """One trace per prime factor of the selected modulus."""
-    return [_trace(t, p, side) for p, _ in factorize(side.at(t))]
+    return [trace(t, p, side) for p, _ in factorize(side.at(t))]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +295,6 @@ class SweepReport:
     n_max: int
     checked: int
     violations: tuple[tuple[ParamTriple, int], ...]
-    seconds: float
 
 
 def _pair(k: int, b_max: int) -> tuple[int, int]:
@@ -388,7 +365,6 @@ def run_sweep(
         _instance(conjecture_claim(a_max, 1), n_max)
     if (triples := _pair_count(a_max, b_max) * n_max) >= 2**63:  # len() and random.sample refuse it
         raise OverflowError(f"the box has {triples} triples; a sweep indexes at most 2^63 - 1")
-    started = time.perf_counter()
     box = range(triples)
     if sample is not None:
         box = sorted(random.Random(seed).sample(box, min(sample, len(box))))
@@ -411,5 +387,4 @@ def run_sweep(
         n_max=n_max,
         checked=checked,
         violations=violations,
-        seconds=time.perf_counter() - started,
     )

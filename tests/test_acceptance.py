@@ -15,28 +15,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from binomdiv import oracle
+from binomdiv import oracle, theorem
 from binomdiv.ratio import (
     LinearForm,
-    _integrality_claim,
     claim_holds,
     claims_hold,
+    integrality_claim,
     is_integral_at,
     modulus_rows,
+    verify_claim,
 )
 from binomdiv.theorem import (
+    ModulusSide,
     ParamTriple,
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    proof_trace,
     s_congruence_claim,
     s_integrality_claim,
     s_valuation,
     sweep_pairs,
     t_congruence_claim,
     t_integrality_claim,
-    verify_triple,
 )
 from binomdiv.valuation import (
     factorize,
@@ -119,7 +119,7 @@ def test_02_oracle_equivalence_desk_box():
 def test_03_core_ratio_integrality():
     """R(a,b,n) integral on the full sweep box; exact division for a <= 8."""
     pairs = sweep_pairs(SWEEP_A_MAX, SWEEP_B_MAX)
-    claims = [_integrality_claim(conjecture_ratio(a, b)) for a, b in pairs]
+    claims = [integrality_claim(conjecture_ratio(a, b)) for a, b in pairs]
     which = np.repeat(np.arange(len(pairs)), SWEEP_N_MAX)
     ns = np.tile(np.arange(1, SWEEP_N_MAX + 1), len(pairs))
     holds, witness = claims_hold(claims, which, ns)
@@ -199,7 +199,7 @@ def test_08_proof_trace_level_laws():
         if n % 9 == 0:
             assert nu_int(modulus, 3) == 1, (a, b, n)
         for p, alpha in factorize(modulus):
-            trace = proof_trace(t, p)
+            trace = theorem.trace(t, p, ModulusSide.TWO_BN_PLUS_3)
             traces += 1
             assert trace.satisfied, (a, b, n, p, trace.failures)
             assert trace.alpha == alpha
@@ -240,7 +240,7 @@ def test_10_large_n_performance(monkeypatch, tmp_path):
     monkeypatch.setattr(oracle, "big_binomial", _forbidden)
     monkeypatch.setattr(oracle, "exact_conjecture_ratio", _forbidden)
     started = time.perf_counter()
-    cert = verify_triple(ParamTriple(7, 5, 1_000_000))
+    cert = verify_claim(conjecture_claim(7, 5), 1_000_000)
     wall = time.perf_counter() - started
     assert cert.holds
     assert wall < 10, f"verification took {wall:.1f}s, budget is 10s"

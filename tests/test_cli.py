@@ -9,7 +9,8 @@ from binomdiv import cli, crosscheck, oracle
 from binomdiv.cli import main
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import Certificate
-from binomdiv.theorem import ParamTriple, SweepReport, run_sweep, verify_triple
+from binomdiv.ratio import verify_claim
+from binomdiv.theorem import ParamTriple, SweepReport, conjecture_claim, run_sweep
 
 
 def run_cli(capsys, *argv):
@@ -98,8 +99,8 @@ def _stdlib_json(text, certificates):
 )
 def test_verify_json_equals_the_stdlib_encoder(capsys, monkeypatch, a, b, n, rows, sizes):
     if rows is not None:
-        monkeypatch.setattr(cli, "verify_triple", lambda t: Certificate.from_rows(t.n, rows))
-    cert = cli.verify_triple(ParamTriple(a, b, n))
+        monkeypatch.setattr(cli, "verify_claim", lambda claim, n: Certificate.from_rows(n, rows))
+    cert = cli.verify_claim(conjecture_claim(a, b), n)
     assert len(cert.entries) in sizes
     code, text, _ = run_cli(
         capsys, "verify", "--a", str(a), "--b", str(b), "--n", str(n), "--format", "json"
@@ -110,13 +111,13 @@ def test_verify_json_equals_the_stdlib_encoder(capsys, monkeypatch, a, b, n, row
 
 def test_sweep_violation_json_equals_the_stdlib_encoder(capsys, monkeypatch):
     found = ((ParamTriple(3, 1, 5), 2), (ParamTriple(4, 3, 6), 3))
-    fake = SweepReport(4, 3, 6, checked=36, violations=found, seconds=0.25)
+    fake = SweepReport(4, 3, 6, checked=36, violations=found)
     monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: fake)
     code, text, _ = run_cli(
         capsys, "sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6", "--format", "json"
     )
     assert code == 1
-    assert text == _stdlib_json(text, [verify_triple(t) for t, _ in found])
+    assert text == _stdlib_json(text, [verify_claim(conjecture_claim(t.a, t.b), t.n) for t, _ in found])
 
 
 def test_json_text_writes_entries_at_any_depth():
@@ -166,7 +167,7 @@ def test_json_chunks_match_the_stdlib_encoder_at_block_boundaries(monkeypatch):
 def test_verify_json_at_block_boundaries(capsys, monkeypatch, tmp_path, size, to_file):
     monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", _BLOCK_ROWS)
     cert = _edge_certificate(size)
-    monkeypatch.setattr(cli, "verify_triple", lambda t: cert)
+    monkeypatch.setattr(cli, "verify_claim", lambda claim, n: cert)
     out_file = tmp_path / "r.json"
     argv = ["verify", "--a", "3", "--b", "1", "--n", str(size + 1), "--format", "json"]
     code, text, _ = run_cli(capsys, *argv, *(["--out", str(out_file)] if to_file else []))
@@ -520,6 +521,39 @@ def test_oracle_integrity_error_is_a_suite_failure(capsys, monkeypatch, name, su
     assert f"{result.name:<28} {result.checked:>8} checks  FAIL (1 failures)" in out
     assert f"    corrupted oracle value at {bad}" in out
     assert out.endswith("suites failed: 1/6\n")
+
+
+# ---------------------------------------------------------------------------
+# wall clock
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--a", "3", "--b", "1", "--n", "5"], ["sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6"]],
+    ids=["verify", "sweep"],
+)
+def test_one_clock_reading_in_every_format(capsys, monkeypatch, argv):
+    """``_render`` reads the clock once before and once after the handler; that
+    one reading is the JSON summary.seconds, the CSV column and the wall time line."""
+    readings = []
+
+    def fake_clock():
+        readings.append(1000.0 + 2.5 * len(readings))
+        return readings[-1]
+
+    monkeypatch.setattr(cli.time, "perf_counter", fake_clock)
+    # a reported violation gives the sweep's CSV a row
+    found = ((ParamTriple(3, 1, 5), 2),)
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: SweepReport(4, 3, 6, 36, found))
+    shown = {}
+    for fmt in ("json", "csv", "human"):
+        readings.clear()
+        code, shown[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == (argv[0] == "sweep")
+        assert len(readings) == 2
+    assert json.loads(shown["json"])["summary"]["seconds"] == 2.5
+    header, row = shown["csv"].splitlines()
+    assert header.endswith(",seconds") and row.endswith(",2.500000")
+    assert "wall time: 2.500s" in shown["human"].splitlines()
 
 
 # ---------------------------------------------------------------------------

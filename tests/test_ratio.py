@@ -342,7 +342,7 @@ def test_is_integral_examples():
     chebyshev = FactorialRatio.from_terms(
         [(form(30), 1), (form(1), 1), (form(15), -1), (form(10), -1), (form(6), -1)]
     )
-    assert is_integral_at(chebyshev, 1).integral
+    assert is_integral_at(chebyshev, 1)[0]
     inverse_central = FactorialRatio.from_terms([(form(1), 2), (form(2), -1)])
     assert is_integral_at(inverse_central, 1) == (False, 2)
 
@@ -351,14 +351,14 @@ def test_is_integral_agrees_with_exact_arithmetic():
     def check(r, n):
         result = is_integral_at(r, n)
         value = exact_ratio_value(r, n)
-        assert result.integral == (value.denominator == 1)
+        assert result[0] == (value.denominator == 1)
         negative = [
             int(p) for p in primes_upto(max(r.arguments(n), default=0))
             if ratio_valuation(r, n, int(p)) < 0
         ]
-        assert result.witness == (negative[0] if negative else None)
-        if not result.integral:
-            assert value.denominator % result.witness == 0
+        assert result[1] == (negative[0] if negative else None)
+        if not result[0]:
+            assert value.denominator % result[1] == 0
 
     rng = random.Random(5)
     for _ in range(80):
@@ -482,8 +482,8 @@ def test_is_integral_sieves_only_to_the_largest_denominator_argument():
 
 
 def test_is_integral_empty_and_tiny_ratios():
-    assert is_integral_at(FactorialRatio.from_terms([]), 3).integral
-    assert is_integral_at(FactorialRatio.from_terms([(form(0, 1), 5)]), 1).integral
+    assert is_integral_at(FactorialRatio.from_terms([]), 3)[0]
+    assert is_integral_at(FactorialRatio.from_terms([(form(0, 1), 5)]), 1)[0]
 
 
 # ---------------------------------------------------------------------------

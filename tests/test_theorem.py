@@ -16,6 +16,7 @@ from binomdiv.ratio import (
     is_integral_at,
     modulus_rows,
     ratio_valuation,
+    verify_claim,
 )
 from binomdiv.theorem import (
     ModulusSide,
@@ -23,8 +24,6 @@ from binomdiv.theorem import (
     TraceBranch,
     conjecture_claim,
     conjecture_ratio,
-    omitted_branch_trace,
-    proof_trace,
     run_sweep,
     s_congruence_claim,
     s_integrality_claim,
@@ -34,7 +33,6 @@ from binomdiv.theorem import (
     t_integrality_claim,
     t_valuation,
     traces_for_modulus,
-    verify_triple,
 )
 from binomdiv.valuation import factorize, nu_int
 
@@ -86,11 +84,11 @@ def test_conjecture_ratio_merges_to_central_binomial_for_a_2b():
 # verification vs the oracle
 
 def test_verify_triple_small_instances():
-    cert = verify_triple(ParamTriple(2, 1, 1))
+    cert = verify_claim(conjecture_claim(2, 1), 1)
     assert cert.holds
     assert oracle.exact_conjecture_ratio(2, 1, 1) == 6
 
-    cert = verify_triple(ParamTriple(3, 1, 1))
+    cert = verify_claim(conjecture_claim(3, 1), 1)
     assert cert.holds
     # divisor 30, dividend 48*C(6,3)*C(3,1) = 2880, quotient 96
     dividend = 48 * oracle.big_binomial(6, 3) * oracle.big_binomial(3, 1)
@@ -100,7 +98,7 @@ def test_verify_triple_small_instances():
 def test_verify_triple_agrees_with_big_integers_small_box():
     for a, b in sweep_pairs(5, 4):
         for n in range(1, 9):
-            cert = verify_triple(ParamTriple(a, b, n))
+            cert = verify_claim(conjecture_claim(a, b), n)
             divisor = (
                 (2 * b * n + 1) * (2 * b * n + 3) * oracle.big_binomial(2 * b * n, b * n)
             )
@@ -156,7 +154,7 @@ def test_crt_split_equivalent_to_full_verdict():
         for n in range(1, 13):
             t = ParamTriple(a, b, n)
             branch1, branch3 = crt_split(t)
-            assert (branch1.holds and branch3.holds) == verify_triple(t).holds
+            assert (branch1.holds and branch3.holds) == verify_claim(conjecture_claim(a, b), n).holds
             for cert, modulus in ((branch1, 2 * b * n + 1), (branch3, 2 * b * n + 3)):
                 rows = tuple(
                     (
@@ -179,7 +177,7 @@ def test_crt_split_equivalent_to_full_verdict():
 # proof traces
 
 def test_proof_trace_level_analysis_311():
-    trace = proof_trace(ParamTriple(3, 1, 1), 5)
+    trace = theorem.trace(ParamTriple(3, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3)
     assert (trace.alpha, trace.beta, trace.gamma, trace.tau) == (1, 0, 0, 0)
     assert trace.branch is TraceBranch.LEVEL_ANALYSIS
     assert trace.levels == ((1, 1),)
@@ -187,7 +185,7 @@ def test_proof_trace_level_analysis_311():
 
 
 def test_proof_trace_multiplier_covers_211():
-    trace = proof_trace(ParamTriple(2, 1, 1), 5)
+    trace = theorem.trace(ParamTriple(2, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3)
     assert trace.gamma == 1  # nu_5(3a-b) = nu_5(5)
     assert trace.tau == 1 >= trace.alpha
     assert trace.branch is TraceBranch.MULTIPLIER_COVERS
@@ -195,7 +193,7 @@ def test_proof_trace_multiplier_covers_211():
 
 
 def test_proof_trace_p3_empty_level_range():
-    trace = proof_trace(ParamTriple(5, 3, 1), 3)  # 2bn+3 = 9
+    trace = theorem.trace(ParamTriple(5, 3, 1), 3, ModulusSide.TWO_BN_PLUS_3)  # 2bn+3 = 9
     assert (trace.alpha, trace.beta, trace.gamma, trace.tau) == (2, 0, 1, 1)
     assert trace.branch is TraceBranch.LEVEL_ANALYSIS
     assert trace.levels == ()  # range tau+2..alpha is empty
@@ -203,7 +201,7 @@ def test_proof_trace_p3_empty_level_range():
 
 
 def test_proof_trace_nine_divides_n():
-    trace = proof_trace(ParamTriple(3, 1, 9), 3)  # 2bn+3 = 21
+    trace = theorem.trace(ParamTriple(3, 1, 9), 3, ModulusSide.TWO_BN_PLUS_3)  # 2bn+3 = 21
     assert trace.branch is TraceBranch.NINE_DIVIDES_N
     assert trace.alpha == 1
     assert trace.satisfied
@@ -211,34 +209,34 @@ def test_proof_trace_nine_divides_n():
 
 def test_proof_trace_requires_dividing_prime():
     with pytest.raises(ValueError):
-        proof_trace(ParamTriple(3, 1, 1), 7)
+        theorem.trace(ParamTriple(3, 1, 1), 7, ModulusSide.TWO_BN_PLUS_3)
     # composite divisors of the modulus are refused, not reported as failed analyses
     with pytest.raises(ValueError, match="p must be a prime, got 9"):
-        proof_trace(ParamTriple(3, 1, 3), 9)  # 2bn+3 = 9
+        theorem.trace(ParamTriple(3, 1, 3), 9, ModulusSide.TWO_BN_PLUS_3)  # 2bn+3 = 9
     with pytest.raises(ValueError, match="p must be a prime, got 9"):
-        omitted_branch_trace(ParamTriple(3, 1, 4), 9)  # 2bn+1 = 9
+        theorem.trace(ParamTriple(3, 1, 4), 9, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 9
     # p < 2 is refused before the modulus is divided by p or p is factored
     for p in (0, -3, 1):
-        for trace in (proof_trace, omitted_branch_trace):
+        for side in ModulusSide:
             with pytest.raises(ValueError, match=f"p must be a prime, got {p}$"):
-                trace(ParamTriple(3, 1, 3), p)
+                theorem.trace(ParamTriple(3, 1, 3), p, side)
     # traces_for_modulus traces the primes of its modulus
     traces = traces_for_modulus(ParamTriple(3, 1, 3), ModulusSide.TWO_BN_PLUS_3)
     assert [tr.p for tr in traces] == [3]
 
 
 def test_omitted_branch_trace_examples():
-    trace = omitted_branch_trace(ParamTriple(2, 1, 1), 3)  # 2bn+1 = 3
+    trace = theorem.trace(ParamTriple(2, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 3
     assert trace.alpha == 1
     assert trace.branch is TraceBranch.OMITTED_BRANCH_NUMERIC
     assert trace.beta is None and trace.tau is None
     assert trace.satisfied  # nu_3(15 * 6) = 2 >= 1
 
-    trace = omitted_branch_trace(ParamTriple(3, 2, 1), 5)  # 2bn+1 = 5
+    trace = theorem.trace(ParamTriple(3, 2, 1), 5, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 5
     assert trace.alpha == 1 and trace.satisfied  # nu_5(21 * 10) = 1
 
     with pytest.raises(ValueError):
-        omitted_branch_trace(ParamTriple(3, 2, 1), 3)
+        theorem.trace(ParamTriple(3, 2, 1), 3, ModulusSide.TWO_BN_PLUS_1)
 
 
 def test_traces_reconstruct_certificate_requirements():
@@ -246,7 +244,7 @@ def test_traces_reconstruct_certificate_requirements():
     for a, b in sweep_pairs(8, 7):
         for n in range(1, 21):
             t = ParamTriple(a, b, n)
-            cert = verify_triple(t)
+            cert = verify_claim(conjecture_claim(a, b), n)
             entries = {p: (req, av) for p, req, av in cert.entries}
             divisor_ratio = conjecture_claim(a, b).divisor_ratio
             alphas: dict[int, int] = {}
@@ -364,7 +362,6 @@ def test_run_sweep_small_box():
     report = run_sweep(4, 3, 6)
     assert report.checked == len(sweep_pairs(4, 3)) * 6
     assert report.violations == ()
-    assert report.seconds > 0
 
 
 def test_run_sweep_empty_box():
@@ -376,9 +373,7 @@ def test_run_sweep_empty_box():
 def test_run_sweep_parallel_matches_serial():
     serial = run_sweep(5, 4, 8, jobs=1)
     parallel = run_sweep(5, 4, 8, jobs=2)
-    assert dataclasses.replace(serial, seconds=0.0) == dataclasses.replace(
-        parallel, seconds=0.0
-    )
+    assert serial == parallel
 
 
 @pytest.mark.parametrize("sample", [None, 700])
@@ -388,7 +383,6 @@ def test_run_sweep_reports_do_not_depend_on_jobs_or_block(monkeypatch, sample):
     for block in (theorem._SWEEP_BLOCK, 7):
         monkeypatch.setattr(theorem, "_SWEEP_BLOCK", block)
         reports += [run_sweep(9, 8, 30, jobs=jobs, sample=sample, seed=4) for jobs in (1, 2)]
-    reports = [dataclasses.replace(r, seconds=0.0) for r in reports]
     assert all(r == reports[0] for r in reports)
     assert reports[0].checked == (sample or len(sweep_pairs(9, 8)) * 30)
 
@@ -452,9 +446,7 @@ def test_run_sweep_pool_is_capped_at_the_payload_count(monkeypatch):
     for kwargs in ({}, {"sample": 5, "seed": 3}):
         serial = run_sweep(3, 2, 10, jobs=1, **kwargs)
         pooled = run_sweep(3, 2, 10, jobs=500, **kwargs)
-        assert dataclasses.replace(pooled, seconds=0.0) == dataclasses.replace(
-            serial, seconds=0.0
-        )
+        assert pooled == serial
     assert len(seen) == 2
     assert all(1 < workers <= payloads for workers, payloads in seen)
 
@@ -497,7 +489,7 @@ def test_trace_laws_small_box():
             if n % 9 == 0:
                 assert nu_int(2 * b * n + 3, 3) == 1
             for p, alpha in factorize(2 * b * n + 3):
-                trace = proof_trace(t, p)
+                trace = theorem.trace(t, p, ModulusSide.TWO_BN_PLUS_3)
                 assert trace.satisfied, (t, p, trace.failures)
                 if trace.branch is TraceBranch.LEVEL_ANALYSIS:
                     assert all(term == 1 for _, term in trace.levels)
