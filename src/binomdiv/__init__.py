@@ -20,6 +20,7 @@ from .valuation import (
     nu_factorial,
     nu_factorial_over_primes,
     nu_int,
+    prime_pi_table,
     primes_upto,
 )
 from .ratio import (
@@ -30,12 +31,11 @@ from .ratio import (
     binomial_ratio,
     claim_holds,
     claims_hold,
+    counted_ledger,
     integral_for_all_n,
     integrality_claim,
     is_integral_at,
-    modulus_rows,
     ratio_level_terms,
-    ratio_valuation,
     ratio_valuation_over_primes,
     verify_claim,
 )

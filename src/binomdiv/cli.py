@@ -9,8 +9,12 @@ Commands:
   oracle-check  cross-validation suites (valuation engine vs big integers)
 
 Each ``_cmd_*`` handler validates its input, runs its library call and
-returns a ``_Report``; ``_render`` alone turns that into json, csv or
-human text chunks, and ``main`` streams them with ``writelines`` to
+returns a ``_Report``.  ``verify`` reads its verdict, count and margin from
+``counted_ledger`` where it applies, holding no ledger over every prime;
+the JSON entries (built after the clock), a human table of at most 60 rows
+and a failing verdict's witness come from ``verify_claim``, checked against
+it (``IntegrityError``).  ``_render`` alone turns a report into json, csv
+or human text chunks, and ``main`` streams them with ``writelines`` to
 stdout or to ``--out``, opened only once the JSON skeleton is encoded.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
@@ -70,7 +74,8 @@ import numpy as np
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
-    Certificate, FactorialRatio, LinearForm, claims_hold, integrality_claim, verify_claim,
+    Certificate, FactorialRatio, LedgerSummary, LinearForm, claims_hold, counted_ledger,
+    integrality_claim, verify_claim,
 )
 from .theorem import (
     ModulusSide,
@@ -171,17 +176,17 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
-def _certificate_lines(cert: Certificate) -> list[str]:
-    lines = [f"verdict: {cert.verdict}", f"primes with required > 0: {cert.primes.size}"]
-    margin = cert.min_margin()
-    if margin is not None:
-        lines.append(f"min margin (available - required): {margin}")
-    if cert.primes.size > _HUMAN_MAX_ENTRIES:
+def _certificate_lines(summary: LedgerSummary, cert: Certificate | None) -> list[str]:
+    """The ledger's lines; a table or a violation reads ``cert``, otherwise None will do."""
+    lines = [f"verdict: {cert.verdict if cert else 'Holds'}", f"primes with required > 0: {summary.count}"]
+    if summary.min_margin is not None:
+        lines.append(f"min margin (available - required): {summary.min_margin}")
+    if summary.count > _HUMAN_MAX_ENTRIES:
         lines.append("(entry table elided; rerun with --format json --out FILE)")
-    elif cert.primes.size:
+    elif summary.count:
         lines.append(f"{'p':>12} {'required':>9} {'available':>10}")
         lines.extend(f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert.entries)
-    if not cert.holds:
+    if not summary.holds:
         lines.append(f"VIOLATION at witness prime p={cert.witness}")
     return lines
 
@@ -264,20 +269,30 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
 def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
-    cert = verify_claim(claim, args.n)
+    counted = counted_ledger(claim, args.n)
+
+    def ledger() -> Certificate:
+        cert = verify_claim(claim, args.n)
+        if counted not in (None, cert.summary()):
+            raise IntegrityError(f"counted ledger {counted} != {cert.summary()} at n={args.n}")
+        return cert
+
+    cert = None if counted and counted.holds else ledger()
+    summary = cert.summary() if cert else counted
+    verdict, witness = (cert.verdict, cert.witness) if cert else ("Holds", None)
     return _Report(
         params={"a": args.a, "b": args.b, "n": args.n},
         checked=1,
-        violations=0 if cert.holds else 1,
-        summary_line=f"verify a={args.a} b={args.b} n={args.n}: {cert.verdict}",
-        results=lambda: [_result_dict(triple, cert.witness, cert)],
+        violations=0 if summary.holds else 1,
+        summary_line=f"verify a={args.a} b={args.b} n={args.n}: {verdict}",
+        results=lambda: [_result_dict(triple, witness, cert or ledger())],
         lines=lambda seconds: [
             f"claim: {claim}",
             f"instance: a={args.a} b={args.b} n={args.n}",
-            *_certificate_lines(cert),
+            *_certificate_lines(summary, cert or (ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None)),
             f"wall time: {seconds:.3f}s",
         ],
-        rows=lambda: [(args.a, args.b, args.n, cert.verdict, cert.witness)],
+        rows=lambda: [(args.a, args.b, args.n, verdict, witness)],
     )
 
 
@@ -297,7 +312,7 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
         ]
         for triple, witness, cert in found:
             out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
-            out.extend(f"  {ln}" for ln in _certificate_lines(cert))
+            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), cert))
         return out
 
     return _Report(

@@ -38,10 +38,15 @@ Other rows take the full prime enumeration, which ``verify_claim``
 always uses.  Both paths take their Legendre sums from the one kernel
 ``valuation.nu_factorial_over_primes``: the ledger over an array of
 primes per factorial argument, the table over its (row, term) cells
-with one prime per row.  ``claim_holds`` and ``modulus_rows`` are one-row calls.
+with one prime per row.  ``claim_holds`` is a one-row call.
 ``is_integral_at(r, n)`` is ``claim_holds`` on the claim "denominator
 of r | numerator of r": an uncertified ratio enumerates primes only up
 to its largest denominator argument.
+
+Counted ledgers.  ``counted_ledger`` gives a claim's verdict, count of
+primes with required > 0 and least margin, as ``verify_claim`` would, by
+counting the primes between Legendre breakpoints with a pi table instead
+of enumerating them, when no ratio term has an offset.
 
 Canonical text form (also documented in the CLI):
 
@@ -58,10 +63,14 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .valuation import _trial_division, nu_factorial, nu_factorial_over_primes, primes_upto
+from .valuation import (
+    SIEVE_LIMIT, _segmented_sieve, _trial_division, nu_factorial_over_primes, prime_pi_table,
+    primes_upto,
+)
 
 _I64_MAX = 2**63
 
@@ -172,15 +181,6 @@ def _check_n(n: int) -> None:
 # ---------------------------------------------------------------------------
 # valuation of a ratio
 
-def ratio_valuation(r: FactorialRatio, n: int, p: int) -> int:
-    """nu_p of the ratio at n: sum of exponent * nu_p(argument!).
-
-    May be negative; that is exactly what non-integrality looks like.
-    """
-    _check_n(n)
-    return sum(e * nu_factorial(_argument(form, n), p) for form, e in r.terms)
-
-
 def ratio_level_terms(r: FactorialRatio, n: int, p: int) -> list[int]:
     """All nontrivial per-level addends (levels 1, 2, ... until empty); they sum to nu_p."""
     _check_n(n)
@@ -205,7 +205,7 @@ def _check_int64_budget(r: FactorialRatio, args: list[int], n: int) -> None:
 def ratio_valuation_over_primes(
     r: FactorialRatio, n: int, primes: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``ratio_valuation`` over an ascending prime array.
+    """nu_p of the ratio at n, sum e * nu_p(argument!), over an ascending prime array.
 
     Legendre's levels run on the primes <= max(isqrt(A), A // (size + 1)),
     A the largest argument.  Above that split nu_p(a!) = a // p counts the
@@ -365,17 +365,17 @@ class Certificate:
     def verdict(self) -> str:
         return "Holds" if self.holds else f"Fails(p={self.witness})"
 
-    @classmethod
-    def from_rows(cls, n: int, rows: Iterable[tuple[int, int, int]]) -> "Certificate":
-        """Certificate over (prime, required, available) rows, ascending by prime."""
-        primes, required, available = np.array(list(rows), dtype=np.int64).reshape(-1, 3).T
-        failing = primes[available < required]
-        witness = int(failing[0]) if failing.size else None
-        return cls(n, primes, required, available, witness is None, witness)
+    def summary(self) -> "LedgerSummary":
+        margin = int((self.available - self.required).min()) if self.primes.size else None
+        return LedgerSummary(self.holds, self.primes.size, margin)
 
-    def min_margin(self) -> int | None:
-        """Smallest available - required over the entries (None if empty)."""
-        return int((self.available - self.required).min()) if self.primes.size else None
+
+class LedgerSummary(NamedTuple):
+    """A verdict, the primes with required > 0 and least margin over them, if any."""
+
+    holds: bool
+    count: int
+    min_margin: int | None
 
 
 def _instance(claim: DivisibilityClaim, n: int) -> tuple[list[int], list[int], list[int]]:
@@ -399,8 +399,8 @@ def _claim_valuations(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
     """(primes, required, available) arrays over all primes that matter,
     and the witness: the least prime with available < required, or None.
-    The primes are sieved, or sliced from ``sieve``, which must reach the bound.
-    """
+    The primes are sieved, or those of ``sieve`` up to the bound, which must
+    include every prime of the moduli values and multipliers up to it."""
     moduli_values, divisor_args, _ = _instance(claim, n)
     bound = max(moduli_values + divisor_args, default=0)
     primes = primes_upto(bound) if sieve is None else sieve[: np.searchsorted(sieve, bound, "right")]
@@ -449,19 +449,6 @@ def _modulus_table(
     nu = nu_factorial_over_primes(core[row, :, 0] * ns[row, None], p[:, None])
     available += (core[row, :, 1] * nu).sum(axis=1)
     return row, p, required, available
-
-
-def modulus_rows(claim: DivisibilityClaim, n: int) -> Iterator[tuple[int, int, int]]:
-    """(p, required, available) for each prime p of the moduli values, ascending:
-    the exponent of p in their product against nu_p(multipliers) +
-    nu_p(``claim.core``), the one-row table of ``claims_hold``.  They decide
-    the claim at n when its core is certified; other claims raise ``ValueError``.
-    """
-    if not claim._certified:
-        raise ValueError(f"core ratio of {claim} has no Landau certificate")
-    _instance(claim, n)
-    _, p, required, available = _modulus_table((claim,), np.zeros(1, np.intp), [n])
-    return zip(p.tolist(), required.tolist(), available.tolist())
 
 
 def claims_hold(
@@ -530,6 +517,55 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     required = required[keep]  # each full column is freed before the next is filtered
     available = available[keep]
     return Certificate(n, primes[keep], required, available, witness is None, witness)
+
+
+def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
+    """``_counted_ledger`` where it applies and pays, else None: where a ratio
+    term has an offset, (L n)^3 > bound^4 (the pi table's work against the
+    sieve's) or the bound is past ``SIEVE_LIMIT``."""
+    moduli_values, divisor_args, _ = _instance(claim, n)
+    terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
+    bound = max(moduli_values + divisor_args, default=0)
+    size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
+    if any(f.offset for f, _ in terms) or size**3 > bound**4 or bound > SIEVE_LIMIT:
+        return None
+    return _counted_ledger(claim, n)
+
+
+def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary:
+    """``verify_claim(claim, n).summary()`` for ratio terms without offsets.
+    Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p is
+    constant between breakpoints a // k = (L n) // (k L / c), and
+    ``prime_pi_table(L n)`` counts each interval's primes but the moduli's and
+    multipliers', which take full columns with the primes <= r and those past
+    the last breakpoint below top = min(bound, largest argument)."""
+    moduli_values, divisor_args, dividend_args = _instance(claim, n)
+    bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
+    terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
+    size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
+    root, top = math.isqrt(size), min(bound, max(args, default=0))
+    cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
+    cuts = cuts[cuts <= max(top, root)]  # root, then the breakpoints up to top
+    special = np.concatenate((_trial_division(np.array(moduli_values, dtype=np.int64))[1],
+                              claim._multiplier_nu[0]))
+    special = np.unique(special[special <= bound])
+    gap = _segmented_sieve(top, start=cuts[-1] + 1)
+    primes, required, available, witness = _claim_valuations(
+        claim, n, np.unique(np.concatenate((primes_upto(root), special, gap))))
+    small, large = prime_pi_table(size)
+    ends = cuts[1:]  # > root: size // end indexes large; Legendre's sum at any x > isqrt(a) is a // x
+    pi = np.concatenate(([small[-1]], large[size // ends]))
+    counts = np.diff(pi - np.searchsorted(special, cuts, "right"))  # less the special primes
+    need, have = (ratio_valuation_over_primes(side, n, ends)
+                  for side in (claim.divisor_ratio, claim.dividend_ratio))
+    live = counts > 0
+    counted = live & (need > 0)
+    margins = np.concatenate(((available - required)[required > 0], (have - need)[counted]))
+    return LedgerSummary(
+        witness is None and not (live & (have < need)).any(),
+        int((required > 0).sum() + counts[counted].sum()),
+        int(margins.min()) if margins.size else None,
+    )
 
 
 @lru_cache(maxsize=4096)

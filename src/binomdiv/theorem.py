@@ -42,6 +42,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,9 +54,8 @@ from .ratio import (
     binomial_ratio,
     claims_hold,
     ratio_level_terms,
-    ratio_valuation,
 )
-from .valuation import factorize, nu_int
+from .valuation import factorize, is_prime, nu_int
 
 
 def _check_pair(a: int, b: int) -> None:
@@ -98,6 +98,7 @@ def conjecture_claim(a: int, b: int) -> DivisibilityClaim:
     )
 
 
+@lru_cache(maxsize=4096)
 def conjecture_ratio(a: int, b: int) -> FactorialRatio:
     """R(a,b,n) = C(2an,an)C(an,bn)/C(2bn,bn), the integer-valued core ratio."""
     return _r_integrality_claim(a, b).core  # trace takes a >= 1.02e9; conjecture_claim refuses it
@@ -156,7 +157,7 @@ def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     alpha = nu_int(modulus, p)  # refuses p < 2 before anything divides by p
     if not alpha:
         raise ValueError(f"p={p} does not divide {side.value} = {modulus}")
-    if factorize(p) != [(p, 1)]:  # after the check above: p <= modulus
+    if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
@@ -241,28 +242,6 @@ def t_integrality_claim() -> DivisibilityClaim:
         dividend_ratio=binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
         * binomial_ratio(LinearForm(5, 0), LinearForm(1, 0)),
     )
-
-
-def s_binomial_ratio() -> FactorialRatio:
-    """C(6n,3n)C(3n,n)/C(2n,n), the factorial part of S_n."""
-    return s_integrality_claim().core
-
-
-def t_binomial_ratio() -> FactorialRatio:
-    """C(15n,5n)C(5n-1,n-1)/C(3n,n) = L(n)/5, t_n's offset form, built apart from the claims."""
-    top = binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
-    offsets = binomial_ratio(LinearForm(5, -1), LinearForm(1, -1))
-    return top * offsets / binomial_ratio(LinearForm(3, 0), LinearForm(1, 0))
-
-
-def s_valuation(n: int, p: int) -> int:
-    """nu_p(S_n), computed from valuations alone (may be negative)."""
-    return ratio_valuation(s_binomial_ratio(), n, p) - nu_int(2, p) - nu_int(2 * n + 1, p)
-
-
-def t_valuation(n: int, p: int) -> int:
-    """nu_p(t_n), computed from valuations alone (may be negative)."""
-    return ratio_valuation(t_binomial_ratio(), n, p) - nu_int(10 * n + 1, p)
 
 
 def s_congruence_claim() -> DivisibilityClaim:

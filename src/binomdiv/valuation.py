@@ -18,9 +18,10 @@ The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
 
 All public operations are pure functions of their inputs.  The module
-keeps no state beyond the constant table of the primes below 2^10, built
-at import, which both shapes of the factorizer trial-divide by before
-Miller-Rabin and Pollard rho take the cofactors left over; neither sieves.
+keeps no state beyond the constant table of the primes below 2^10 and
+their product, built at import: both shapes of the factorizer divide by
+the table before Miller-Rabin and Pollard rho take the cofactors left
+over, and ``is_prime`` tests coprimality to the product; none sieves.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ _TILE_CELLS = 1 << 20
 # ---------------------------------------------------------------------------
 # primes
 
-def _segmented_sieve(limit: int, segment: int = _SEGMENT) -> np.ndarray:
-    """Primes <= limit by a segmented sieve of Eratosthenes: a plain sieve to
-    root = max(isqrt(limit), 2), then odd numbers only (``flags[i]`` is lo + 2i)."""
+def _segmented_sieve(limit: int, segment: int = _SEGMENT, start: int = 0) -> np.ndarray:
+    """Primes in [start, limit] by a segmented sieve of Eratosthenes: a plain sieve
+    to root = max(isqrt(limit), 2), then odd numbers only (``flags[i]`` is lo + 2i)."""
     root = max(math.isqrt(limit), 2)
     base_flags = np.ones(root + 1, dtype=bool)
     base_flags[:2] = False
@@ -64,9 +65,9 @@ def _segmented_sieve(limit: int, segment: int = _SEGMENT) -> np.ndarray:
         if base_flags[p]:
             base_flags[p * p :: p] = False
     base = np.flatnonzero(base_flags).astype(np.int64)
-    chunks = [base[base <= limit]]
+    chunks = [base[(start <= base) & (base <= limit)]]
     odd_base = base[1:].tolist()
-    lo = root + 1 | 1
+    lo = max(root + 1, start) | 1
     while lo <= limit:
         count = min(segment, (limit - lo) // 2 + 1)
         flags = np.ones(count, dtype=bool)
@@ -93,9 +94,30 @@ def primes_upto(limit: int) -> np.ndarray:
     return _segmented_sieve(limit)
 
 
+def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """pi at every limit // j: small[v] = pi(v) for v <= r = isqrt(limit) and
+    large[j] = pi(limit // j) for 1 <= j <= r, by Legendre-Meissel's recurrence
+    in Lucy_Hedgehog's form: from S(v) = v - 1, each prime p <= r takes
+    S(v) -= S(v // p) - pi(p - 1) for v >= p^2.  O(limit^(3/4)) time, O(r) memory."""
+    r = math.isqrt(limit)
+    j = np.arange(r + 1, dtype=np.int64)
+    small, large = np.maximum(j - 1, 0), np.maximum(limit // np.maximum(j, 1) - 1, 0)
+    for p in primes_upto(r).tolist():
+        sp, top = small[p - 1], min(r, limit // (p * p))
+        k = min(top, r // p)  # large[j p] for j <= k, small[(limit // p) // j] above
+        large[1 : k + 1] -= large[p : p * k + 1 : p] - sp
+        if top > k:
+            large[k + 1 : top + 1] -= small[(limit // p) // j[k + 1 : top + 1]] - sp
+        if p * p <= r:  # after large, which reads the old small
+            small[p * p :] -= small[j[p * p :] // p] - sp
+    return small, large
+
+
 #: The primes below 2^10, the one trial-division table of ``factorize`` and
 #: ``_trial_division``: a cofactor below 2^20 left by them is prime.
 _TRIAL_PRIMES = _segmented_sieve((1 << 10) - 1)
+#: Their product: m is coprime to it iff no table prime divides m.
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES.tolist())
 
 
 def _is_prime(m: int) -> bool:
@@ -106,6 +128,14 @@ def _is_prime(m: int) -> bool:
     d = (m - 1) >> s
     return all(pow(a, d, m) == 1 or m - 1 in (pow(a, d << j, m) for j in range(s))
                for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
+def is_prime(m: int) -> bool:
+    """Whether m is prime, without factoring it: the table below 2^10, then
+    coprimality to its primes, and from 2^20 on ``_is_prime`` too."""
+    if m < 1 << 10:
+        return m in _TRIAL_PRIMES
+    return math.gcd(m, _TRIAL_PRODUCT) == 1 and (m < 1 << 20 or _is_prime(m))
 
 
 def _split(m: int) -> Counter[int]:

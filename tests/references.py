@@ -1,0 +1,63 @@
+"""Reference routes that the tests pin the package to and that no code of
+the package calls: certificates built from rows, the one-row table of the
+reduced verdicts, a ratio's valuation at one prime, and S_n's and t_n's
+valuations prime by prime, with t_n in its offset form, which no claim of
+the package uses."""
+
+import numpy as np
+
+from binomdiv.ratio import Certificate, LinearForm, _argument, _check_n, _instance, _modulus_table, binomial_ratio
+from binomdiv.theorem import s_integrality_claim
+from binomdiv.valuation import nu_factorial, nu_int
+
+
+def ratio_valuation(r, n, p):
+    """nu_p of the ratio at n: sum of exponent * nu_p(argument!).
+
+    May be negative; that is exactly what non-integrality looks like.
+    """
+    _check_n(n)
+    return sum(e * nu_factorial(_argument(form, n), p) for form, e in r.terms)
+
+
+def certificate_from_rows(n, rows):
+    """Certificate over (prime, required, available) rows, ascending by prime."""
+    primes, required, available = np.array(list(rows), dtype=np.int64).reshape(-1, 3).T
+    failing = primes[available < required]
+    witness = int(failing[0]) if failing.size else None
+    return Certificate(n, primes, required, available, witness is None, witness)
+
+
+def modulus_rows(claim, n):
+    """(p, required, available) for each prime p of the moduli values, ascending:
+    the exponent of p in their product against nu_p(multipliers) +
+    nu_p(``claim.core``), the one-row table of ``claims_hold``.  They decide
+    the claim at n when its core is certified; other claims raise ``ValueError``.
+    """
+    if not claim._certified:
+        raise ValueError(f"core ratio of {claim} has no Landau certificate")
+    _instance(claim, n)
+    _, p, required, available = _modulus_table((claim,), np.zeros(1, np.intp), [n])
+    return zip(p.tolist(), required.tolist(), available.tolist())
+
+
+def s_binomial_ratio():
+    """C(6n,3n)C(3n,n)/C(2n,n), the factorial part of S_n."""
+    return s_integrality_claim().core
+
+
+def t_binomial_ratio():
+    """C(15n,5n)C(5n-1,n-1)/C(3n,n) = L(n)/5, t_n's offset form, built apart from the claims."""
+    top = binomial_ratio(LinearForm(15, 0), LinearForm(5, 0))
+    offsets = binomial_ratio(LinearForm(5, -1), LinearForm(1, -1))
+    return top * offsets / binomial_ratio(LinearForm(3, 0), LinearForm(1, 0))
+
+
+def s_valuation(n, p):
+    """nu_p(S_n), computed from valuations alone (may be negative)."""
+    return ratio_valuation(s_binomial_ratio(), n, p) - nu_int(2, p) - nu_int(2 * n + 1, p)
+
+
+def t_valuation(n, p):
+    """nu_p(t_n), computed from valuations alone (may be negative)."""
+    return ratio_valuation(t_binomial_ratio(), n, p) - nu_int(10 * n + 1, p)

@@ -22,7 +22,6 @@ from binomdiv.ratio import (
     claims_hold,
     integrality_claim,
     is_integral_at,
-    modulus_rows,
     verify_claim,
 )
 from binomdiv.theorem import (
@@ -33,7 +32,6 @@ from binomdiv.theorem import (
     conjecture_ratio,
     s_congruence_claim,
     s_integrality_claim,
-    s_valuation,
     sweep_pairs,
     t_congruence_claim,
     t_integrality_claim,
@@ -47,6 +45,7 @@ from binomdiv.valuation import (
     nu_int,
     primes_upto,
 )
+from references import modulus_rows, s_valuation
 
 SWEEP_A_MAX, SWEEP_B_MAX, SWEEP_N_MAX = 25, 24, 100
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface and report formats."""
 
+import dataclasses
 import json
 import re
 
@@ -11,6 +12,7 @@ from binomdiv.errors import IntegrityError
 from binomdiv.ratio import Certificate
 from binomdiv.ratio import verify_claim
 from binomdiv.theorem import ParamTriple, SweepReport, conjecture_claim, run_sweep
+from references import certificate_from_rows
 
 
 def run_cli(capsys, *argv):
@@ -90,7 +92,7 @@ def _stdlib_json(text, certificates):
 @pytest.mark.parametrize(
     "a, b, n, rows, sizes",
     [
-        (3, 1, 5, [], range(1)),  # Certificate.from_rows(n, []): entries render as []
+        (3, 1, 5, [], range(1)),  # certificate_from_rows(n, []): entries render as []
         (3, 1, 5, [(7, 1, 2)], range(1, 2)),
         (2, 1, 1, None, range(2, 10)),  # None: the real certificate
         (7, 5, 60, None, range(61, 10**4)),  # past the human table's 60 rows
@@ -99,7 +101,9 @@ def _stdlib_json(text, certificates):
 )
 def test_verify_json_equals_the_stdlib_encoder(capsys, monkeypatch, a, b, n, rows, sizes):
     if rows is not None:
-        monkeypatch.setattr(cli, "verify_claim", lambda claim, n: Certificate.from_rows(n, rows))
+        fake = certificate_from_rows(n, rows)
+        monkeypatch.setattr(cli, "verify_claim", lambda claim, n: fake)
+        monkeypatch.setattr(cli, "counted_ledger", lambda claim, n: fake.summary())  # the JSON cross-check
     cert = cli.verify_claim(conjecture_claim(a, b), n)
     assert len(cert.entries) in sizes
     code, text, _ = run_cli(
@@ -121,7 +125,7 @@ def test_sweep_violation_json_equals_the_stdlib_encoder(capsys, monkeypatch):
 
 
 def test_json_text_writes_entries_at_any_depth():
-    cert, empty = Certificate.from_rows(4, [(2, 1, 3), (3, 2, 2)]), Certificate.from_rows(1, [])
+    cert, empty = certificate_from_rows(4, [(2, 1, 3), (3, 2, 2)]), certificate_from_rows(1, [])
     rows = [{"p": 2, "required": 1, "available": 3}, {"p": 3, "required": 2, "available": 2}]
     doc = {"entries": cert, "x": [{"y": {"entries": cert}}, {"entries": empty}]}
     reference = {"entries": rows, "x": [{"y": {"entries": rows}}, {"entries": []}]}
@@ -140,7 +144,7 @@ def _edge_certificate(size: int, shift: int = 0) -> Certificate:
     """``size`` rows whose three columns each cycle through zero, negative,
     multi-digit and int64-extreme values."""
     v = _EDGE_VALUES
-    return Certificate.from_rows(
+    return certificate_from_rows(
         size, [(v[(i + shift) % 6], v[(i + shift + 2) % 6], v[(i + shift + 4) % 6]) for i in range(size)]
     )
 
@@ -168,6 +172,7 @@ def test_verify_json_at_block_boundaries(capsys, monkeypatch, tmp_path, size, to
     monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", _BLOCK_ROWS)
     cert = _edge_certificate(size)
     monkeypatch.setattr(cli, "verify_claim", lambda claim, n: cert)
+    monkeypatch.setattr(cli, "counted_ledger", lambda claim, n: cert.summary())  # the JSON cross-check
     out_file = tmp_path / "r.json"
     argv = ["verify", "--a", "3", "--b", "1", "--n", str(size + 1), "--format", "json"]
     code, text, _ = run_cli(capsys, *argv, *(["--out", str(out_file)] if to_file else []))
@@ -194,6 +199,55 @@ def test_verify_csv_row(capsys):
     header, row = out.strip().splitlines()
     assert header == "a,b,n,verdict,witness_prime,seconds"
     assert row.startswith("2,1,3,Holds,,")
+
+
+@pytest.mark.parametrize(
+    "n, fmt, full",
+    [(10**5, "human", 0), (10**5, "csv", 0), (10**5, "json", 1), (40, "human", 1), (40, "csv", 0), (33, "csv", 1)],
+)
+def test_verify_builds_the_full_ledger_only_where_the_report_needs_it(capsys, monkeypatch, n, fmt, full):
+    """(7, 5) takes the counted route from n = 34 on; at n = 40 the human
+    table's 58 rows come from the full ledger, at n = 10^5 the JSON entries."""
+    calls = []
+    monkeypatch.setattr(cli, "verify_claim", lambda claim, n: calls.append(n) or verify_claim(claim, n))
+    code, out, _ = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", str(n), "--format", fmt)
+    assert code == 0 and len(calls) == full
+    if fmt == "human":
+        cert = verify_claim(conjecture_claim(7, 5), n)
+        assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert)) + "\n" in out
+
+
+def test_verify_failing_verdict_comes_from_the_full_ledger(capsys, monkeypatch):
+    """With multiplier 1, (2, 1) fails at n = 31: the counted ledger says so,
+    and the witness, table and exit code come from ``verify_claim``."""
+    def weaker(a, b):
+        return dataclasses.replace(conjecture_claim(a, b), multiplier_constants=(1,))
+
+    monkeypatch.setattr(cli, "conjecture_claim", weaker)
+    cert = verify_claim(weaker(2, 1), 31)
+    assert cli.counted_ledger(weaker(2, 1), 31) == cert.summary() and cert.verdict == "Fails(p=5)"
+    argv = ("verify", "--a", "2", "--b", "1", "--n", "31", "--format")
+    code, human, _ = run_cli(capsys, *argv, "human")
+    assert code == 1
+    assert "\n".join(cli._certificate_lines(cert.summary(), cert)).endswith("VIOLATION at witness prime p=5")
+    assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert)) + "\n" in human
+    code, csv_text, _ = run_cli(capsys, *argv, "csv")
+    assert code == 1 and csv_text.splitlines()[1].startswith("2,1,31,Fails(p=5),5,")
+    code, text, _ = run_cli(capsys, *argv, "json")
+    assert code == 1 and text == _stdlib_json(text, [cert])
+
+
+@pytest.mark.parametrize("field", ["holds", "count", "min_margin"])
+def test_verify_json_cross_checks_the_counted_ledger(capsys, monkeypatch, field):
+    counted = cli.counted_ledger
+
+    def wrong(claim, n):
+        summary = counted(claim, n)
+        return summary._replace(**{field: not summary.holds if field == "holds" else getattr(summary, field) + 1})
+
+    monkeypatch.setattr(cli, "counted_ledger", wrong)
+    code, out, err = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", "1000", "--format", "json")
+    assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger LedgerSummary(")
 
 
 # ---------------------------------------------------------------------------

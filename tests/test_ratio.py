@@ -14,6 +14,7 @@ import pytest
 from binomdiv import ratio as ratio_module
 from binomdiv import valuation as valuation_module
 from binomdiv.cli import main
+from binomdiv.errors import ResourceLimitError
 from binomdiv.oracle import big_binomial
 from binomdiv.ratio import (
     LANDAU_MAX_BREAKPOINTS,
@@ -24,26 +25,26 @@ from binomdiv.ratio import (
     binomial_ratio,
     claim_holds,
     claims_hold,
+    counted_ledger,
     integral_for_all_n,
     is_integral_at,
-    modulus_rows,
     ratio_level_terms,
-    ratio_valuation,
     ratio_valuation_over_primes,
     verify_claim,
 )
 from binomdiv.theorem import (
     conjecture_claim,
     conjecture_ratio,
-    s_binomial_ratio,
     s_congruence_claim,
     s_integrality_claim,
     sweep_pairs,
-    t_binomial_ratio,
     t_congruence_claim,
     t_integrality_claim,
 )
 from binomdiv.valuation import primes_upto
+from references import (
+    certificate_from_rows, modulus_rows, ratio_valuation, s_binomial_ratio, t_binomial_ratio,
+)
 
 
 def exact_ratio_value(r: FactorialRatio, n: int) -> Fraction:
@@ -553,7 +554,7 @@ def test_degenerate_claim_holds_with_zero_margins():
     cert = verify_claim(claim, 4)
     assert cert.holds
     assert cert.entries and all(req == av for _, req, av in cert.entries)
-    assert cert.min_margin() == 0
+    assert cert.summary().min_margin == 0
 
 
 def test_claim_validation():
@@ -596,7 +597,7 @@ def test_certificate_columns_are_read_only_int64(monkeypatch):
         for name in ("__iter__", "__getitem__"):
             m.setattr(type(cert.entries), name, lambda *_: pytest.fail("len built rows"))
         assert len(cert.entries) == cert.primes.size > 0
-    rows = Certificate.from_rows(3, [(2, 1, 4), (5, 2, 2)])
+    rows = certificate_from_rows(3, [(2, 1, 4), (5, 2, 2)])
     caller = np.array([2, 3], dtype=np.int64)
     view = Certificate(1, caller, caller, caller, True, None)
     for c in (cert, rows, view):
@@ -618,17 +619,17 @@ def test_certificate_columns_are_read_only_int64(monkeypatch):
 
 def test_certificate_from_rows_witness_and_margin_match_python():
     rng = random.Random(6)
-    empty = Certificate.from_rows(5, [])
+    empty = certificate_from_rows(5, [])
     assert (empty.entries, empty.holds, empty.witness) == ((), True, None)
-    assert empty.min_margin() is None and empty.primes.shape == (0,)
+    assert empty.summary().min_margin is None and empty.primes.shape == (0,)
     for _ in range(300):
         primes = sorted(rng.sample(primes_upto(200).tolist(), rng.randint(1, 12)))
         rows = [(p, rng.randint(1, 5), rng.randint(-1, 6)) for p in primes]
-        cert = Certificate.from_rows(7, iter(rows))
+        cert = certificate_from_rows(7, iter(rows))
         failing = [p for p, req, av in rows if av < req]
         assert cert.entries == tuple(rows)
         assert (cert.holds, cert.witness) == (not failing, min(failing, default=None))
-        assert cert.min_margin() == min(av - req for _, req, av in rows)
+        assert cert.summary().min_margin == min(av - req for _, req, av in rows)
 
 
 def test_reduced_verdict_matches_full_ledger_on_failing_claims():
@@ -668,9 +669,9 @@ def test_modulus_rows_decide_certified_claims_only():
         available == (p == 3) + ratio_valuation(conjecture_ratio(3, 1), 9, p)
         for p, _, available in rows
     )
-    cert = Certificate.from_rows(9, rows)
+    cert = certificate_from_rows(9, rows)
     assert (cert.n, cert.entries, cert.holds, cert.witness) == (9, tuple(rows), True, None)
-    failing = Certificate.from_rows(1, [(2, 1, 1), (3, 2, 1), (5, 2, 0)])
+    failing = certificate_from_rows(1, [(2, 1, 1), (3, 2, 1), (5, 2, 0)])
     assert (failing.holds, failing.witness) == (False, 3)
     offsets = binomial_ratio(form(5, -1), form(1, -1))  # C(5n-1, n-1): no certificate
     uncertified = DivisibilityClaim((form(2, 1),), CENTRAL, (), CENTRAL * offsets)
@@ -958,3 +959,61 @@ def test_per_level_terms_nonnegative_for_conjecture_shape():
             for n in range(1, 51):
                 for p in primes_upto(2 * a * n).tolist():
                     assert all(term >= 0 for term in ratio_level_terms(r, n, p))
+
+
+# ---------------------------------------------------------------------------
+# counted ledgers
+
+def test_counted_ledger_matches_the_full_ledger_on_the_conjecture():
+    """a <= 8 at n = 1, 2, 3 and a seeded sample of n <= 2,000, with the
+    paper's multiplier and with multiplier 1, at any scale: (verdict, count,
+    least margin) against ``verify_claim``'s enumeration of every prime, so a
+    weakened claim's counted verdict fails exactly where the full one does."""
+    rng = random.Random(23)
+    failing = 0
+    for a, b in sweep_pairs(8, 7):
+        claim = conjecture_claim(a, b)
+        weaker = dataclasses.replace(claim, multiplier_constants=(1,))
+        for n in (1, 2, 3, *rng.sample(range(4, 2001), 4)):
+            for c in (claim, weaker):
+                full = verify_claim(c, n).summary()
+                assert ratio_module._counted_ledger(c, n) == full, (str(c), n)
+                failing += not full.holds
+    assert failing > 0
+
+
+def test_counted_ledger_at_scale():
+    claim, n = conjecture_claim(7, 5), 10**7 + 500
+    assert counted_ledger(claim, n) == verify_claim(claim, n).summary()
+
+
+def test_counted_ledger_matches_on_moduli_and_multipliers_past_the_head():
+    """Constant moduli, moduli above the largest argument, moduli sharing
+    primes and multipliers with large prime factors, on zero-offset cores."""
+    rng = random.Random(24)
+    moduli_pool = [form(0, 5), form(0, 27), form(3, 1), form(10, 1), form(10, 3), form(40, 7), form(1, 1)]
+    cores = [s_binomial_ratio(), t_integrality_claim().core, conjecture_ratio(7, 5), CENTRAL]
+    for _ in range(120):
+        moduli = tuple(rng.sample(moduli_pool, rng.randint(0, 3)))
+        multipliers = tuple(rng.choices((1, 3, 21, 999983, 2 * 1000003), k=rng.randint(0, 2)))
+        divisor = rng.choice([FactorialRatio(), CENTRAL, binomial_ratio(form(3), form(1))])
+        claim = DivisibilityClaim(moduli, divisor, multipliers, divisor * rng.choice(cores))
+        n = rng.randint(1, 3000)
+        assert ratio_module._counted_ledger(claim, n) == verify_claim(claim, n).summary(), (str(claim), n)
+
+
+def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only():
+    # t_n's offset form never takes the counted route; its zero-offset form does
+    for n in (1, 100, 10**5):
+        assert counted_ledger(OFFSET_T_INTEGRALITY, n) is None
+        assert counted_ledger(OFFSET_T_CONGRUENCE, n) is None
+    zero = t_integrality_claim()
+    assert counted_ledger(zero, 10**5) == verify_claim(zero, 10**5).summary()
+    # (L n)^3 <= bound^4: for (7, 5), L = 70 and the bound is 10n + 3
+    claim = conjecture_claim(7, 5)
+    assert (70 * 33) ** 3 > 333**4 and (70 * 34) ** 3 <= 343**4
+    assert counted_ledger(claim, 33) is None and counted_ledger(claim, 34) is not None
+    # a bound past the sieve's guard is left to verify_claim's refusal
+    assert counted_ledger(claim, 3 * 10**8) is None
+    with pytest.raises(ResourceLimitError, match="exceeds the"):
+        verify_claim(claim, 3 * 10**8)

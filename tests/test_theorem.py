@@ -10,12 +10,9 @@ import pytest
 from binomdiv import oracle, theorem
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import (
-    Certificate,
     LinearForm,
     claim_holds,
     is_integral_at,
-    modulus_rows,
-    ratio_valuation,
     verify_claim,
 )
 from binomdiv.theorem import (
@@ -27,14 +24,13 @@ from binomdiv.theorem import (
     run_sweep,
     s_congruence_claim,
     s_integrality_claim,
-    s_valuation,
     sweep_pairs,
     t_congruence_claim,
     t_integrality_claim,
-    t_valuation,
     traces_for_modulus,
 )
 from binomdiv.valuation import factorize, nu_int
+from references import certificate_from_rows, modulus_rows, ratio_valuation, s_valuation, t_valuation
 
 
 def test_param_triple_validation():
@@ -125,7 +121,7 @@ def crt_split(t):
     to 2bn+1 and to 2bn+3."""
     claim = conjecture_claim(t.a, t.b)
     return [
-        Certificate.from_rows(t.n, modulus_rows(dataclasses.replace(claim, divisor_moduli=(m,)), t.n))
+        certificate_from_rows(t.n, modulus_rows(dataclasses.replace(claim, divisor_moduli=(m,)), t.n))
         for m in claim.divisor_moduli
     ]
 
@@ -170,7 +166,7 @@ def test_crt_split_equivalent_to_full_verdict():
                 )
                 failing = [p for p, e, av in rows if av < e]
                 assert (cert.holds, cert.witness) == (not failing, min(failing, default=None))
-                assert cert.min_margin() == min(av - e for _, e, av in rows)
+                assert cert.summary().min_margin == min(av - e for _, e, av in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from binomdiv.errors import ResourceLimitError
 from binomdiv.valuation import (
     FUZZ_MAX_DEN,
     factorize,
+    is_prime,
     kummer_binomial_valuation,
     lemma1_margin,
     lemma_fuzz,
     nu_factorial,
     nu_factorial_over_primes,
     nu_int,
+    prime_pi_table,
     primes_upto,
     _segmented_sieve,
 )
@@ -89,6 +91,32 @@ def test_primes_upto_cache_slices_consistently():
     small = primes_upto(100).tolist()
     assert small == [p for p in big if p <= 100]
     assert not primes_upto(9000).flags.writeable
+
+
+def test_segmented_sieve_from_a_start():
+    reference = trial_division_primes(3010)
+    for start in [*range(0, 60), 1021, 1024, 2047, 2999, 3000, 3001]:
+        for limit, segment in ((3000, 64), (2000, 7), (start + 3, 1)):
+            got = _segmented_sieve(limit, segment=segment, start=start).tolist()
+            assert got == [p for p in reference if start <= p <= limit], (start, limit)
+
+
+def test_prime_pi_table_at_every_quotient():
+    """small[v] = pi(v) for v <= isqrt(N) and large[j] = pi(N // j) for
+    1 <= j <= isqrt(N): every N // j, against the sieve's count."""
+    rng = random.Random(21)
+    for limit in [*range(0, 300), 10**6, 10**6 - 1, *rng.sample(range(300, 10**6), 12)]:
+        primes, root = primes_upto(limit), math.isqrt(limit)
+        small, large = prime_pi_table(limit)
+        assert small.dtype == large.dtype == np.int64 and small.size == large.size == root + 1
+        assert small.tolist() == np.searchsorted(primes, np.arange(root + 1), "right").tolist()
+        j = np.arange(1, root + 1)
+        assert large[1:].tolist() == np.searchsorted(primes, limit // j, "right").tolist(), limit
+
+
+def test_prime_pi_table_at_powers_of_ten():
+    known = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
+    assert [int(prime_pi_table(10**k)[1][1]) for k in range(1, 11)] == known
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +366,17 @@ def test_blocked_trial_division_counts_several_primes_of_one_tile(monkeypatch):
                 rows = list(zip(index.tolist(), p.tolist(), e.tolist()))
                 got = [sorted((q, k) for i, q, k in rows if i == j) for j in range(len(chunk))]
                 assert got == [factors for _, factors in chunk], (cells, values)
+
+
+def test_is_prime_against_trial_division_and_miller_rabin():
+    """Below 2^17 every m against trial division; above, values around 2^20,
+    products of two primes past 2^10 and the pinned split cases."""
+    reference = set(trial_division_primes(1 << 17))
+    assert [m for m in range(-3, 1 << 17) if is_prime(m)] == sorted(reference)
+    rng = random.Random(22)
+    values = [*range((1 << 20) - 200, (1 << 20) + 200), 1031 * 1033, 1031 * 1031, (1 << 61) - 1]
+    values += [m for m, _ in SPLIT_CASES] + [rng.randrange(1 << 20, 1 << 62) | 1 for _ in range(200)]
+    assert all(is_prime(m) == is_prime_mr(m) for m in values)
 
 
 def test_trial_division_keeps_cofactors_below_2_20_vectorized(monkeypatch):
