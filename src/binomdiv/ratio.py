@@ -68,8 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .valuation import (
-    SIEVE_LIMIT, _segmented_sieve, _trial_division, nu_factorial_over_primes, prime_pi_table,
-    primes_upto,
+    SIEVE_LIMIT, _trial_division, nu_factorial_over_primes, prime_pi_table, primes_upto,
 )
 
 _I64_MAX = 2**63
@@ -460,9 +459,9 @@ def claims_hold(
     Each claim is first checked by ``_instance`` at its least and largest
     n: moduli, arguments and budget are affine in n, so the ends bound
     every row.  Certified rows are decided by ``_modulus_table``, in slices
-    of ``_TABLE_ROWS``; the others enumerate every prime that matters, row
-    by row, as ``verify_claim`` does, but slicing one sieve up to the
-    largest bound the ends give.
+    of ``_TABLE_ROWS`` (rows without moduli pad with 1, so they hold); the
+    others enumerate every prime that matters, row by row, as ``verify_claim``
+    does, but slicing one sieve up to the largest bound the ends give.
     """
     which, ns = np.asarray(which, dtype=np.intp), np.asarray(ns)
     order = np.argsort(which, kind="stable")
@@ -481,10 +480,8 @@ def claims_hold(
     for i in full.tolist():
         w = _claim_valuations(claims[which[i]], int(ns[i]), sieve)[3]
         holds[i], witness[i] = w is None, w or 0
-    kept = [k for k in np.flatnonzero(certified).tolist() if claims[k].divisor_moduli]
-    tabled = np.zeros(len(claims), dtype=bool)
-    tabled[kept] = True  # a certified claim without moduli holds at every n
-    rows = np.flatnonzero(tabled[which])
+    kept = np.flatnonzero(certified).tolist()
+    rows = np.flatnonzero(certified[which])
     for lo in range(0, rows.size, _TABLE_ROWS):
         part = rows[lo : lo + _TABLE_ROWS]
         local = np.searchsorted(kept, which[part])
@@ -520,9 +517,9 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
 
 
 def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
-    """``_counted_ledger`` where it applies and pays, else None: where a ratio
-    term has an offset, (L n)^3 > bound^4 (the pi table's work against the
-    sieve's) or the bound is past ``SIEVE_LIMIT``."""
+    """``_counted_ledger`` where it applies, pays and decides, else None: where
+    a ratio term has an offset, (L n)^3 > bound^4 (the pi table's work against
+    the sieve's) or the bound is past ``SIEVE_LIMIT``."""
     moduli_values, divisor_args, _ = _instance(claim, n)
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
     bound = max(moduli_values + divisor_args, default=0)
@@ -532,13 +529,14 @@ def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     return _counted_ledger(claim, n)
 
 
-def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary:
-    """``verify_claim(claim, n).summary()`` for ratio terms without offsets.
-    Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p is
-    constant between breakpoints a // k = (L n) // (k L / c), and
-    ``prime_pi_table(L n)`` counts each interval's primes but the moduli's and
-    multipliers', which take full columns with the primes <= r and those past
-    the last breakpoint below top = min(bound, largest argument)."""
+def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
+    """``verify_claim(claim, n).summary()`` for ratio terms without offsets, or
+    None.  Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p
+    is constant between breakpoints a // k = (L n) // (k L / c): the primes of
+    each interval but the moduli's and multipliers' are counted by
+    ``prime_pi_table(L n)``, and those take full columns with the primes <= r.
+    Past the last breakpoint below top = min(bound, largest argument) the others
+    require 0 and have the dividend's nu at top: None where it is negative."""
     moduli_values, divisor_args, dividend_args = _instance(claim, n)
     bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
@@ -546,12 +544,13 @@ def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary:
     root, top = math.isqrt(size), min(bound, max(args, default=0))
     cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
     cuts = cuts[cuts <= max(top, root)]  # root, then the breakpoints up to top
+    if top > root and ratio_valuation_over_primes(claim.dividend_ratio, n, np.array([top]))[0] < 0:
+        return None  # no integer dividend gets here
     special = np.concatenate((_trial_division(np.array(moduli_values, dtype=np.int64))[1],
                               claim._multiplier_nu[0]))
     special = np.unique(special[special <= bound])
-    gap = _segmented_sieve(top, start=cuts[-1] + 1)
     primes, required, available, witness = _claim_valuations(
-        claim, n, np.unique(np.concatenate((primes_upto(root), special, gap))))
+        claim, n, np.unique(np.concatenate((primes_upto(root), special))))
     small, large = prime_pi_table(size)
     ends = cuts[1:]  # > root: size // end indexes large; Legendre's sum at any x > isqrt(a) is a // x
     pi = np.concatenate(([small[-1]], large[size // ends]))

@@ -304,8 +304,8 @@ def sweep_pairs(a_max: int, b_max: int) -> list[tuple[int, int]]:
 _SWEEP_BLOCK = 1 << 15
 
 
-def _sweep_chunk(job) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Worker: verify (b_max, n_max, box indices), return (checked, violations)."""
+def _sweep_chunk(job) -> list[tuple[int, int, int, int]]:
+    """Worker: verify (b_max, n_max, box indices), return the violations."""
     b_max, n_max, indices = job
     violations: list[tuple[int, int, int, int]] = []
     for lo in range(0, len(indices), _SWEEP_BLOCK):
@@ -314,7 +314,7 @@ def _sweep_chunk(job) -> tuple[int, list[tuple[int, int, int, int]]]:
         pairs, ns = [_pair(k, b_max) for k in ks.tolist()], box % n_max + 1
         holds, witness = claims_hold([conjecture_claim(*pair) for pair in pairs], which, ns)
         violations += [(*pairs[which[i]], int(ns[i]), int(witness[i])) for i in np.flatnonzero(~holds)]
-    return len(indices), violations
+    return violations
 
 
 def run_sweep(
@@ -357,13 +357,12 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_sweep_chunk, payloads))
 
-    checked = sum(c for c, _ in outcomes)
-    raw = sorted(v for _, vs in outcomes for v in vs)
+    raw = sorted(v for vs in outcomes for v in vs)
     violations = tuple((ParamTriple(a, b, n), w) for a, b, n, w in raw)
     return SweepReport(
         a_max=a_max,
         b_max=b_max,
         n_max=n_max,
-        checked=checked,
+        checked=len(box),  # the payloads partition the box
         violations=violations,
     )

@@ -17,11 +17,12 @@ equals the number of carries when adding ``k`` and ``m - k`` in base ``p``.
 The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
 
-All public operations are pure functions of their inputs.  The module
-keeps no state beyond the constant table of the primes below 2^10 and
-their product, built at import: both shapes of the factorizer divide by
-the table before Miller-Rabin and Pollard rho take the cofactors left
-over, and ``is_prime`` tests coprimality to the product; none sieves.
+All public operations are pure functions of their inputs.  ``primes_upto``
+is the one sieve and ``is_prime`` the one primality test.  The module keeps
+no state beyond the table of the primes below 2^10, which ``primes_upto``
+builds at import, and their product, which ``is_prime`` tests coprimality
+to below 2^20: both shapes of the factorizer divide by the table before
+``is_prime`` and Pollard rho take the cofactors left over; neither sieves.
 """
 
 from __future__ import annotations
@@ -55,33 +56,10 @@ _TILE_CELLS = 1 << 20
 # ---------------------------------------------------------------------------
 # primes
 
-def _segmented_sieve(limit: int, segment: int = _SEGMENT, start: int = 0) -> np.ndarray:
-    """Primes in [start, limit] by a segmented sieve of Eratosthenes: a plain sieve
-    to root = max(isqrt(limit), 2), then odd numbers only (``flags[i]`` is lo + 2i)."""
-    root = max(math.isqrt(limit), 2)
-    base_flags = np.ones(root + 1, dtype=bool)
-    base_flags[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base_flags[p]:
-            base_flags[p * p :: p] = False
-    base = np.flatnonzero(base_flags).astype(np.int64)
-    chunks = [base[(start <= base) & (base <= limit)]]
-    odd_base = base[1:].tolist()
-    lo = max(root + 1, start) | 1
-    while lo <= limit:
-        count = min(segment, (limit - lo) // 2 + 1)
-        flags = np.ones(count, dtype=bool)
-        for p in odd_base:  # lo + 2i == 0 (mod p) at i = -lo/2 (mod p); lo > p
-            flags[(-lo * (p + 1) // 2) % p :: p] = False
-        chunks.append(np.flatnonzero(flags) * 2 + lo)
-        lo += 2 * count
-    out = np.concatenate(chunks)
-    out.flags.writeable = False
-    return out
-
-
 def primes_upto(limit: int) -> np.ndarray:
-    """Read-only ascending int64 array of all primes <= limit, sieved per call.
+    """Read-only ascending int64 array of all primes <= limit, sieved per call:
+    a plain sieve to root = max(isqrt(limit), 2), then odd numbers only, in
+    segments of ``_SEGMENT`` (``flags[i]`` is lo + 2i).
 
     Raises ``ResourceLimitError`` for limits beyond ``SIEVE_LIMIT``.
     """
@@ -91,7 +69,26 @@ def primes_upto(limit: int) -> np.ndarray:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the {SIEVE_LIMIT} memory guard"
         )
-    return _segmented_sieve(limit)
+    root = max(math.isqrt(limit), 2)
+    base_flags = np.ones(root + 1, dtype=bool)
+    base_flags[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base_flags[p]:
+            base_flags[p * p :: p] = False
+    base = np.flatnonzero(base_flags).astype(np.int64)
+    chunks = [base[base <= limit]]
+    odd_base = base[1:].tolist()
+    lo = (root + 1) | 1
+    while lo <= limit:
+        count = min(_SEGMENT, (limit - lo) // 2 + 1)
+        flags = np.ones(count, dtype=bool)
+        for p in odd_base:  # lo + 2i == 0 (mod p) at i = -lo/2 (mod p); lo > p
+            flags[(-lo * (p + 1) // 2) % p :: p] = False
+        chunks.append(np.flatnonzero(flags) * 2 + lo)
+        lo += 2 * count
+    out = np.concatenate(chunks)
+    out.flags.writeable = False
+    return out
 
 
 def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,35 +112,40 @@ def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 #: The primes below 2^10, the one trial-division table of ``factorize`` and
 #: ``_trial_division``: a cofactor below 2^20 left by them is prime.
-_TRIAL_PRIMES = _segmented_sieve((1 << 10) - 1)
+_TRIAL_PRIMES = primes_upto((1 << 10) - 1)
 #: Their product: m is coprime to it iff no table prime divides m.
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES.tolist())
 
 
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin for odd m > 37 by the first 12 prime bases,
-    exact below 3.3 * 10^24: with m - 1 = d 2^s, d odd, each base a has
-    a^d = 1 or a^(d 2^j) = -1 (mod m) for some j < s."""
+def is_prime(m: int) -> bool:
+    """Whether m is prime, without factoring it: below 2^20 by the table below
+    2^10 and coprimality to its primes, above by deterministic Miller-Rabin to
+    the first 12 prime bases, exact below 3.3 * 10^24 (Sorenson and Webster,
+    Math. Comp. 2017): with m - 1 = d 2^s, d odd, each base a has x = a^d = 1,
+    or x^(2^j) = -1 (mod m) for some j < s, each power the square of the last."""
+    if m < 1 << 20:
+        return m in _TRIAL_PRIMES if m < 1 << 10 else math.gcd(m, _TRIAL_PRODUCT) == 1
     s = ((m - 1) & (1 - m)).bit_length() - 1
     d = (m - 1) >> s
-    return all(pow(a, d, m) == 1 or m - 1 in (pow(a, d << j, m) for j in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-
-
-def is_prime(m: int) -> bool:
-    """Whether m is prime, without factoring it: the table below 2^10, then
-    coprimality to its primes, and from 2^20 on ``_is_prime`` too."""
-    if m < 1 << 10:
-        return m in _TRIAL_PRIMES
-    return math.gcd(m, _TRIAL_PRODUCT) == 1 and (m < 1 << 20 or _is_prime(m))
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _split(m: int) -> Counter[int]:
     """The prime factors, with multiplicity, of m > 1 with no prime factor
-    below 2^10: m when m < 2^20 or ``_is_prime(m)``, else those of the two
-    parts at the factor g that Pollard rho finds (Floyd cycle detection; a
+    below 2^10: m when ``is_prime(m)`` (always below 2^20), else those of the
+    two parts at the factor g that Pollard rho finds (Floyd cycle detection; a
     walk that closes on g = m restarts with c + 1)."""
-    if m < 1 << 20 or _is_prime(m):
+    if is_prime(m):
         return Counter({m: 1})
     for c in range(1, m):  # rho finds a factor long before c runs out
         x, y, g = 2, 2, 1

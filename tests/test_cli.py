@@ -3,10 +3,11 @@
 import dataclasses
 import json
 import re
+import types
 
 import pytest
 
-from binomdiv import cli, crosscheck, oracle
+from binomdiv import cli, crosscheck, oracle, theorem
 from binomdiv.cli import main
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import Certificate
@@ -300,6 +301,21 @@ def test_trace_past_the_sieve_guard_exits_2(capsys):
     assert err == f"error: cannot factor {2**63 + 3}; argument must be >= 1 and fit in 64 bits\n"
 
 
+def test_trace_prints_a_failed_analysis_and_exits_1(capsys, monkeypatch):
+    # the level terms of R are >= 0 and the analysed ones are exactly 1: force zeros
+    monkeypatch.setattr(theorem, "ratio_level_terms", lambda r, n, p: [0])
+    code, out, err = run_cli(capsys, "trace", "--a", "3", "--b", "1", "--n", "1", "--modulus", "2bn+3")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-6:] == [
+        "  level 1: floor(6/5^1) - floor(3/5^1) - 2*floor(2/5^1) + floor(1/5^1) = 0",
+        "  satisfied: False",
+        "  FAILURE: level 1 term is 0, expected exactly 1",
+        "  FAILURE: nu_p(R) = 0 < alpha - tau = 1",
+        "  FAILURE: nu_p(3(a-b)(3a-b)R) = 0 < alpha = 1",
+        "all satisfied: False",
+    ]
+
+
 def test_trace_rejects_bad_modulus_selector(capsys):
     assert main(["trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+5"]) == 2
 
@@ -575,6 +591,76 @@ def test_oracle_integrity_error_is_a_suite_failure(capsys, monkeypatch, name, su
     assert f"{result.name:<28} {result.checked:>8} checks  FAIL (1 failures)" in out
     assert f"    corrupted oracle value at {bad}" in out
     assert out.endswith("suites failed: 1/6\n")
+
+
+def _divisor_times(factor, at=None):
+    """``oracle.conjecture_sides`` with D multiplied by factor(a, b) at the
+    triple ``at``, or at every triple."""
+    def wrong(real):
+        def sides(a, b, n):
+            divisor, dividend = real(a, b, n)
+            return divisor * (factor(a, b) if at in (None, (a, b, n)) else 1), dividend
+        return sides
+    return wrong
+
+
+MISMATCHES = {
+    "sieve": ([(crosscheck, "primes_upto", lambda real: lambda limit: real(limit)[1:])],
+              {crosscheck.suite_sieve: "primes_upto(2000) disagrees with trial division"}),
+    "legendre": ([(crosscheck, "nu_factorial", lambda real: lambda m, p: real(m, p) + ((m, p) == (500, 2)))],
+                 {crosscheck.suite_legendre_incremental: "nu_2(500!) != incremental count 494"}),
+    "kummer": ([(crosscheck, "kummer_binomial_valuation",
+                 lambda real: lambda m, k, p: real(m, k, p) + ((m, k, p) == (200, 100, 11)))],
+               {crosscheck.suite_kummer: "Kummer disagrees at C(200,100), p=11"}),
+    "bigint-divisor": ([(oracle, "conjecture_sides", _divisor_times(lambda a, b: 7919, at=(3, 1, 2)))],
+                       {crosscheck.suite_claims_vs_oracle: "verdict mismatch at a=3 b=1 n=2",
+                        crosscheck.suite_minimal_multiplier: "minimal multiplier 7919 does not divide "
+                        "3(a-b)(3a-b) = 48 at a=3, b=1, n=2; the divisibility theorem would be false"}),
+    "full-ledger": ([(crosscheck, "verify_claim", lambda real: lambda claim, n: (
+                         types.SimpleNamespace(holds=False) if (claim, n) == (conjecture_claim(3, 1), 2)
+                         else real(claim, n)))],
+                    {crosscheck.suite_claims_vs_oracle: "full-ledger verdict mismatch at a=3 b=1 n=2"}),
+    # D M | M B is D | B: the oracle states the claim with multiplier 1, as the valuation routes do
+    "weakened": ([(oracle, "conjecture_sides", _divisor_times(lambda a, b: 3 * (a - b) * (3 * a - b))),
+                  (crosscheck, "conjecture_claim", lambda real: lambda a, b: dataclasses.replace(
+                      real(a, b), multiplier_constants=(1,)))],
+                 {crosscheck.suite_claims_vs_oracle: "claim unexpectedly fails at a=2 b=1 n=1",
+                  crosscheck.suite_minimal_multiplier: "minimal multiplier 75 does not divide "
+                  "3(a-b)(3a-b) = 15 at a=2, b=1, n=1; the divisibility theorem would be false"}),
+    "congruence": ([(oracle, "exact_s", lambda real: lambda n: real(n) + (n == 5))],
+                   {crosscheck.suite_congruences_vs_oracle: "S_n congruence mismatch at n=5"}),
+}
+
+
+@pytest.mark.parametrize("patches, first_failures", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, patches, first_failures):
+    """Each suite's disagreement branch, forced by one wrong value (the
+    routes agree on this code), is listed under its suite, and exits 1."""
+    for module, name, wrong in patches:
+        monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    for suite_fn, failure in first_failures.items():
+        assert suite_fn().failures[0] == failure
+    code, out, err = run_cli(capsys, "oracle-check")
+    assert (code, err) == (1, "")
+    assert all(f"    {failure}" in out.splitlines() for failure in first_failures.values())
+    assert out.endswith(f"suites failed: {len(first_failures)}/6\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--a", "2", "--b", "1", "--n", "0"], "argument --n: must be a positive integer, got 0"),
+        (["sweep", "--a-max", "2", "--b-max", "1", "--n-max", "1", "--seed", "-1"],
+         "argument --seed: seed must fit in an unsigned 64-bit integer"),
+        (["lemma-fuzz", "--samples", "1", "--seed", str(2**64)],
+         "argument --seed: seed must fit in an unsigned 64-bit integer"),
+    ],
+    ids=["verify-n-0", "sweep-seed-negative", "lemma-fuzz-seed-2-64"],
+)
+def test_argument_rejections_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"binomdiv {argv[0]}: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1002,6 +1002,40 @@ def test_counted_ledger_matches_on_moduli_and_multipliers_past_the_head():
         assert ratio_module._counted_ledger(claim, n) == verify_claim(claim, n).summary(), (str(claim), n)
 
 
+def test_counted_ledger_sieves_nothing_past_the_root(monkeypatch):
+    """The primes past isqrt(L n) are counted, never enumerated: for (7, 5),
+    L = 70, and every sieve the counted route or its pi table asks for stops
+    at isqrt(70 n)."""
+    limits = []
+    for module in ratio_module, valuation_module:
+        monkeypatch.setattr(module, "primes_upto", lambda limit: limits.append(limit) or primes_upto(limit))
+    n = 10**7 + 123
+    summary = counted_ledger(conjecture_claim(7, 5), n)
+    assert summary is not None and summary.holds
+    assert limits and max(limits) <= math.isqrt(70 * n)
+
+
+def test_counted_ledger_leaves_a_negative_dividend_past_the_last_breakpoint_undecided():
+    """(6n+5) | (14n)!(6n)!^2/(7n)!^3 has no divisor ratio, so past its last
+    breakpoint 6n below top = 6n + 5 a prime requires 0 and has the dividend's
+    nu at top, 14n//top + 2(6n//top) - 3(7n//top) = -1 once n >= 5: whether a
+    prime lies there is not counted, so the full ledger must decide."""
+    dividend = FactorialRatio.from_terms([(form(14), 1), (form(6), 2), (form(7), -3)])
+    claim = DivisibilityClaim((form(6, 5),), FactorialRatio(), (), dividend)
+    undecided = 0
+    for n in range(1, 1501):
+        top = 6 * n + 5
+        at_top = 14 * n // top + 2 * (6 * n // top) - 3 * (7 * n // top)
+        summary = ratio_module._counted_ledger(claim, n)
+        if at_top < 0:
+            assert summary is None, n
+            undecided += 1
+        else:
+            assert summary == verify_claim(claim, n).summary(), n
+    assert 0 < undecided < 1500
+    assert verify_claim(claim, 10).witness == 61  # in (60, 65], with nu_61 = 2 + 0 - 3
+
+
 def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only():
     # t_n's offset form never takes the counted route; its zero-offset form does
     for n in (1, 100, 10**5):

@@ -221,6 +221,31 @@ def test_proof_trace_requires_dividing_prime():
     assert [tr.p for tr in traces] == [3]
 
 
+def test_proof_trace_reports_every_failed_assertion(monkeypatch):
+    """The analysis holds for every (a, b, n, p), so each failure is forced by
+    one wrong value: zero level terms, a 9 | n modulus with nu_3 = 2, and a
+    modulus 25 that p = 5 shares with n = 5."""
+    level = ParamTriple(3, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3  # 2bn+3 = 5
+    with monkeypatch.context() as m:
+        m.setattr(theorem, "ratio_level_terms", lambda r, n, p: [0])
+        trace = theorem.trace(*level)
+    assert trace.branch is TraceBranch.LEVEL_ANALYSIS and not trace.satisfied
+    assert trace.failures == (
+        "level 1 term is 0, expected exactly 1",
+        "nu_p(R) = 0 < alpha - tau = 1",
+        "nu_p(3(a-b)(3a-b)R) = 0 < alpha = 1",
+    )
+    with monkeypatch.context() as m:
+        m.setattr(theorem, "nu_int", lambda k, p: nu_int(k, p) + (k == 21))  # 2bn+3 = 21 at n = 9
+        trace = theorem.trace(ParamTriple(3, 1, 9), 3, ModulusSide.TWO_BN_PLUS_3)
+    assert trace.branch is TraceBranch.NINE_DIVIDES_N
+    assert trace.failures[0] == "9 | n but nu_3(2bn+3) = 2 != 1"
+    monkeypatch.setattr(ModulusSide, "at", lambda side, t: 25)
+    trace = theorem.trace(ParamTriple(3, 1, 5), 5, ModulusSide.TWO_BN_PLUS_3)
+    assert trace.branch is TraceBranch.LEVEL_ANALYSIS
+    assert "gcd(5, n) != 1 although p >= 5 divides 2bn+3" in trace.failures
+
+
 def test_omitted_branch_trace_examples():
     trace = theorem.trace(ParamTriple(2, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 3
     assert trace.alpha == 1
@@ -465,7 +490,7 @@ def test_run_sweep_checks_the_box_corner_before_building_pairs(monkeypatch):
 
 def test_run_sweep_builds_no_pair_list(monkeypatch):
     """Payloads of a 10^6-pair box are index ranges: no per-pair memory."""
-    monkeypatch.setattr(theorem, "_sweep_chunk", lambda job: (0, []))
+    monkeypatch.setattr(theorem, "_sweep_chunk", lambda job: [])
     tracemalloc.start()
     try:
         run_sweep(10**6 + 1, 1, 1)

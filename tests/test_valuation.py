@@ -24,7 +24,6 @@ from binomdiv.valuation import (
     nu_int,
     prime_pi_table,
     primes_upto,
-    _segmented_sieve,
 )
 
 
@@ -66,15 +65,16 @@ def test_sieve_strictly_increasing_and_prime():
 
 
 @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64, 97, 1024])
-def test_segmented_sieve_segment_boundaries(segment):
+def test_segmented_sieve_segment_boundaries(monkeypatch, segment):
+    monkeypatch.setattr(valuation, "_SEGMENT", segment)
     reference = trial_division_primes(3000)
     # every limit for a 64-wide segment; the narrow segments cost O(limit)
     # Python steps per call, so they take the small limits and the top
     limits = range(3001) if segment == 64 else [*range(301), *range(2990, 3001)]
     for limit in limits:
-        got = _segmented_sieve(limit, segment=segment).tolist()
+        got = primes_upto(limit).tolist()
         assert got == [p for p in reference if p <= limit], limit
-    assert _segmented_sieve(2000, segment=segment).tolist() == trial_division_primes(2000)
+    assert primes_upto(2000).tolist() == trial_division_primes(2000)
 
 
 def test_sieve_prime_count_at_scale():
@@ -84,6 +84,8 @@ def test_sieve_prime_count_at_scale():
 def test_sieve_limit_guard():
     with pytest.raises(ResourceLimitError):
         primes_upto(2**31 + 1)
+    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+        primes_upto(-1)
 
 
 def test_primes_upto_cache_slices_consistently():
@@ -91,14 +93,6 @@ def test_primes_upto_cache_slices_consistently():
     small = primes_upto(100).tolist()
     assert small == [p for p in big if p <= 100]
     assert not primes_upto(9000).flags.writeable
-
-
-def test_segmented_sieve_from_a_start():
-    reference = trial_division_primes(3010)
-    for start in [*range(0, 60), 1021, 1024, 2047, 2999, 3000, 3001]:
-        for limit, segment in ((3000, 64), (2000, 7), (start + 3, 1)):
-            got = _segmented_sieve(limit, segment=segment, start=start).tolist()
-            assert got == [p for p in reference if start <= p <= limit], (start, limit)
 
 
 def test_prime_pi_table_at_every_quotient():
@@ -342,7 +336,7 @@ def test_split_cases_are_the_pinned_values(monkeypatch):
     assert all(1 << 20 <= m < 1 << 63 for m in values)
     # the pseudoprime passes Miller-Rabin to the bases 2..23; 29..37 expose it
     assert is_prime_mr(values[0], bases=(2, 3, 5, 7, 11, 13, 17, 19, 23))
-    assert not is_prime_mr(values[0]) and not valuation._is_prime(values[0])
+    assert not is_prime_mr(values[0]) and not is_prime(values[0])
     calls = []
     split = valuation._split
     monkeypatch.setattr(valuation, "_split", lambda m: calls.append(m) or split(m))
