@@ -11,7 +11,7 @@ Commands:
 Each ``_cmd_*`` handler validates its input, runs its library call and
 returns a ``_Report``.  ``verify`` reads its verdict, count and margin from
 ``counted_ledger`` where it applies, holding no ledger over every prime;
-the JSON entries (built after the clock), a human table of at most 60 rows
+the JSON entries (built inside the clock), a human table of at most 60 rows
 and a failing verdict's witness come from ``verify_claim``, checked against
 it (``IntegrityError``).  ``_render`` alone turns a report into json, csv
 or human text chunks, and ``main`` streams them with ``writelines`` to
@@ -32,9 +32,9 @@ read-only int64 columns ``primes``, ``required`` and ``available``
 (``entries`` is a lazy view of them as rows) in blocks of 2^14 rows, so
 no report is held whole in memory.  Reports are deterministic
 for a fixed config and seed, except for the wall-clock seconds:
-``_render`` reads one clock around the whole handler, and that
-reading is ``summary.seconds``, the CSV ``seconds`` column and the
-human "wall time" line.
+``_render`` reads one clock around the whole handler and, for JSON, the
+results it builds, and that reading is ``summary.seconds``, the CSV
+``seconds`` column and the human "wall time" line.
 
 CSV output (verify / sweep / integrality only; the other commands exit 2)
 has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
@@ -235,6 +235,7 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
             raise type(exc)(exc.errno, exc.strerror, args.out) from None
     started = time.perf_counter()
     report = args.handler(args)
+    results = report.results() if args.format == "json" else None
     seconds = time.perf_counter() - started
     if args.format == "json":
         doc = {
@@ -246,7 +247,7 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
                 "seed": getattr(args, "seed", DEFAULT_SEED),
                 "format": args.format,
             },
-            "results": report.results(),
+            "results": results,
             "summary": {
                 "checked": report.checked,
                 "violations": report.violations,

@@ -517,30 +517,21 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
 
 
 def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
-    """``_counted_ledger`` where it applies, pays and decides, else None: where
-    a ratio term has an offset, (L n)^3 > bound^4 (the pi table's work against
-    the sieve's) or the bound is past ``SIEVE_LIMIT``."""
-    moduli_values, divisor_args, _ = _instance(claim, n)
-    terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
-    bound = max(moduli_values + divisor_args, default=0)
-    size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
-    if any(f.offset for f, _ in terms) or size**3 > bound**4 or bound > SIEVE_LIMIT:
-        return None
-    return _counted_ledger(claim, n)
-
-
-def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
-    """``verify_claim(claim, n).summary()`` for ratio terms without offsets, or
-    None.  Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p
-    is constant between breakpoints a // k = (L n) // (k L / c): the primes of
-    each interval but the moduli's and multipliers' are counted by
-    ``prime_pi_table(L n)``, and those take full columns with the primes <= r.
+    """``verify_claim(claim, n).summary()`` where it applies, pays and decides,
+    else None: where a ratio term has an offset, (L n)^3 > bound^4 (the pi
+    table's work against the sieve's) or the bound is past ``SIEVE_LIMIT``.
+    Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p is
+    constant between breakpoints a // k = (L n) // (k L / c): the primes of each
+    interval but the moduli's and multipliers' are counted by
+    ``prime_pi_table(L n)``, and those take full columns with its primes <= r.
     Past the last breakpoint below top = min(bound, largest argument) the others
     require 0 and have the dividend's nu at top: None where it is negative."""
     moduli_values, divisor_args, dividend_args = _instance(claim, n)
     bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
     size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
+    if any(f.offset for f, _ in terms) or size**3 > bound**4 or bound > SIEVE_LIMIT:
+        return None
     root, top = math.isqrt(size), min(bound, max(args, default=0))
     cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
     cuts = cuts[cuts <= max(top, root)]  # root, then the breakpoints up to top
@@ -549,11 +540,10 @@ def _counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     special = np.concatenate((_trial_division(np.array(moduli_values, dtype=np.int64))[1],
                               claim._multiplier_nu[0]))
     special = np.unique(special[special <= bound])
-    primes, required, available, witness = _claim_valuations(
-        claim, n, np.unique(np.concatenate((primes_upto(root), special))))
-    small, large = prime_pi_table(size)
+    head, large = prime_pi_table(size)
+    primes, required, available, witness = _claim_valuations(claim, n, np.union1d(head, special))
     ends = cuts[1:]  # > root: size // end indexes large; Legendre's sum at any x > isqrt(a) is a // x
-    pi = np.concatenate(([small[-1]], large[size // ends]))
+    pi = np.concatenate(([head.size], large[size // ends]))
     counts = np.diff(pi - np.searchsorted(special, cuts, "right"))  # less the special primes
     need, have = (ratio_valuation_over_primes(side, n, ends)
                   for side in (claim.divisor_ratio, claim.dividend_ratio))

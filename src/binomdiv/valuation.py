@@ -92,14 +92,15 @@ def primes_upto(limit: int) -> np.ndarray:
 
 
 def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """pi at every limit // j: small[v] = pi(v) for v <= r = isqrt(limit) and
-    large[j] = pi(limit // j) for 1 <= j <= r, by Legendre-Meissel's recurrence
-    in Lucy_Hedgehog's form: from S(v) = v - 1, each prime p <= r takes
-    S(v) -= S(v // p) - pi(p - 1) for v >= p^2.  O(limit^(3/4)) time, O(r) memory."""
+    """(primes, large): the primes <= r = isqrt(limit), whose count is pi(r),
+    and large[j] = pi(limit // j) for 1 <= j <= r, by Legendre-Meissel's
+    recurrence in Lucy_Hedgehog's form over small[v] = pi(v) for v <= r: from
+    S(v) = v - 1, each prime p <= r takes S(v) -= S(v // p) - pi(p - 1) for
+    v >= p^2.  O(limit^(3/4)) time, O(r) memory, and one sieve, to r."""
     r = math.isqrt(limit)
     j = np.arange(r + 1, dtype=np.int64)
     small, large = np.maximum(j - 1, 0), np.maximum(limit // np.maximum(j, 1) - 1, 0)
-    for p in primes_upto(r).tolist():
+    for p in (primes := primes_upto(r)).tolist():
         sp, top = small[p - 1], min(r, limit // (p * p))
         k = min(top, r // p)  # large[j p] for j <= k, small[(limit // p) // j] above
         large[1 : k + 1] -= large[p : p * k + 1 : p] - sp
@@ -107,7 +108,7 @@ def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
             large[k + 1 : top + 1] -= small[(limit // p) // j[k + 1 : top + 1]] - sp
         if p * p <= r:  # after large, which reads the old small
             small[p * p :] -= small[j[p * p :] // p] - sp
-    return small, large
+    return primes, large
 
 
 #: The primes below 2^10, the one trial-division table of ``factorize`` and
@@ -122,7 +123,10 @@ def is_prime(m: int) -> bool:
     2^10 and coprimality to its primes, above by deterministic Miller-Rabin to
     the first 12 prime bases, exact below 3.3 * 10^24 (Sorenson and Webster,
     Math. Comp. 2017): with m - 1 = d 2^s, d odd, each base a has x = a^d = 1,
-    or x^(2^j) = -1 (mod m) for some j < s, each power the square of the last."""
+    or x^(2^j) = -1 (mod m) for some j < s, each power the square of the last.
+    m >= 2^63 is refused (``ValueError``): the 64-bit domain of ``factorize``."""
+    if m >= 1 << 63:
+        raise ValueError(f"cannot test {m} for primality; argument must fit in 64 bits")
     if m < 1 << 20:
         return m in _TRIAL_PRIMES if m < 1 << 10 else math.gcd(m, _TRIAL_PRODUCT) == 1
     s = ((m - 1) & (1 - m)).bit_length() - 1

@@ -696,6 +696,22 @@ def test_one_clock_reading_in_every_format(capsys, monkeypatch, argv):
     assert "wall time: 2.500s" in shown["human"].splitlines()
 
 
+def test_json_seconds_count_the_results(capsys, monkeypatch):
+    """A JSON report's results are built before the clock stops: ``verify``'s
+    certificate rows, 4 s on a fake clock, are in summary.seconds."""
+    now = [1000.0]
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+    result_dict = cli._result_dict
+
+    def slow_result_dict(*args):
+        now[0] += 4.0
+        return result_dict(*args)
+
+    monkeypatch.setattr(cli, "_result_dict", slow_result_dict)
+    code, out, _ = run_cli(capsys, "verify", "--a", "3", "--b", "1", "--n", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["summary"]["seconds"] == 4.0
+
+
 # ---------------------------------------------------------------------------
 # --out, every command
 

@@ -964,20 +964,46 @@ def test_per_level_terms_nonnegative_for_conjecture_shape():
 # ---------------------------------------------------------------------------
 # counted ledgers
 
+def paying_n(claim, n):
+    """The least m >= n at which ``counted_ledger`` applies to an offset-free
+    claim, (L m)^3 <= bound(m)^4, else 1 where it applies there, else None.
+    The bound is the largest of affine forms, so bound^4 / m^3 falls and then
+    rises: the paying m are [1, A] and [B, oo), either possibly empty, and
+    bisection below 2^40 finds B."""
+    terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
+    lcm = math.lcm(*(f.coeff for f, _ in terms if f.coeff))
+
+    def pays(m):
+        values = [f.evaluate(m) for f in claim.divisor_moduli] + claim.divisor_ratio.arguments(m)
+        return (lcm * m) ** 3 <= max(values, default=0) ** 4
+
+    if pays(n):
+        return n
+    hi = 1 << 40
+    if not pays(hi):
+        return 1 if pays(1) else None
+    while hi - n > 1:  # pays(hi) and not pays(n)
+        mid = (n + hi) // 2
+        n, hi = (n, mid) if pays(mid) else (mid, hi)
+    return hi
+
+
 def test_counted_ledger_matches_the_full_ledger_on_the_conjecture():
-    """a <= 8 at n = 1, 2, 3 and a seeded sample of n <= 2,000, with the
-    paper's multiplier and with multiplier 1, at any scale: (verdict, count,
-    least margin) against ``verify_claim``'s enumeration of every prime, so a
-    weakened claim's counted verdict fails exactly where the full one does."""
+    """a <= 8 at the least n where the counted route applies (1 to 87,802),
+    the next two and a seeded sample of the 2,000 from there, with the paper's
+    multiplier and with multiplier 1: (verdict, count, least margin) against
+    ``verify_claim``'s enumeration of every prime, so a weakened claim's
+    counted verdict fails exactly where the full one does."""
     rng = random.Random(23)
     failing = 0
     for a, b in sweep_pairs(8, 7):
         claim = conjecture_claim(a, b)
         weaker = dataclasses.replace(claim, multiplier_constants=(1,))
-        for n in (1, 2, 3, *rng.sample(range(4, 2001), 4)):
+        least = paying_n(claim, 1)
+        for n in (least, least + 1, least + 2, *rng.sample(range(least + 3, least + 2000), 4)):
             for c in (claim, weaker):
                 full = verify_claim(c, n).summary()
-                assert ratio_module._counted_ledger(c, n) == full, (str(c), n)
+                assert counted_ledger(c, n) == full, (str(c), n)
                 failing += not full.holds
     assert failing > 0
 
@@ -989,50 +1015,60 @@ def test_counted_ledger_at_scale():
 
 def test_counted_ledger_matches_on_moduli_and_multipliers_past_the_head():
     """Constant moduli, moduli above the largest argument, moduli sharing
-    primes and multipliers with large prime factors, on zero-offset cores."""
+    primes and multipliers with large prime factors, on zero-offset cores, each
+    at the least n, from a seeded draw up, at which the counted route applies
+    (``paying_n``).  A claim with a constant bound below (L n)^(3/4) at every n
+    (no moduli but constants, no divisor ratio) never takes the route."""
     rng = random.Random(24)
     moduli_pool = [form(0, 5), form(0, 27), form(3, 1), form(10, 1), form(10, 3), form(40, 7), form(1, 1)]
     cores = [s_binomial_ratio(), t_integrality_claim().core, conjecture_ratio(7, 5), CENTRAL]
+    never = 0
     for _ in range(120):
         moduli = tuple(rng.sample(moduli_pool, rng.randint(0, 3)))
         multipliers = tuple(rng.choices((1, 3, 21, 999983, 2 * 1000003), k=rng.randint(0, 2)))
         divisor = rng.choice([FactorialRatio(), CENTRAL, binomial_ratio(form(3), form(1))])
         claim = DivisibilityClaim(moduli, divisor, multipliers, divisor * rng.choice(cores))
-        n = rng.randint(1, 3000)
-        assert ratio_module._counted_ledger(claim, n) == verify_claim(claim, n).summary(), (str(claim), n)
+        drawn = rng.randint(1, 3000)
+        n = paying_n(claim, drawn)
+        if n is None:
+            assert not divisor.terms and all(m.coeff == 0 for m in moduli), str(claim)
+            assert counted_ledger(claim, drawn) is None and counted_ledger(claim, 1) is None
+            never += 1
+        else:
+            assert counted_ledger(claim, n) == verify_claim(claim, n).summary(), (str(claim), n)
+    assert never == 7
 
 
 def test_counted_ledger_sieves_nothing_past_the_root(monkeypatch):
-    """The primes past isqrt(L n) are counted, never enumerated: for (7, 5),
-    L = 70, and every sieve the counted route or its pi table asks for stops
-    at isqrt(70 n)."""
+    """The primes past isqrt(L n) are counted, never enumerated, and the head
+    primes are the pi table's own: for (7, 5), L = 70, and one counted ledger
+    makes one sieve call, at isqrt(70 n)."""
     limits = []
     for module in ratio_module, valuation_module:
         monkeypatch.setattr(module, "primes_upto", lambda limit: limits.append(limit) or primes_upto(limit))
     n = 10**7 + 123
     summary = counted_ledger(conjecture_claim(7, 5), n)
     assert summary is not None and summary.holds
-    assert limits and max(limits) <= math.isqrt(70 * n)
+    assert limits == [math.isqrt(70 * n)]
 
 
 def test_counted_ledger_leaves_a_negative_dividend_past_the_last_breakpoint_undecided():
     """(6n+5) | (14n)!(6n)!^2/(7n)!^3 has no divisor ratio, so past its last
     breakpoint 6n below top = 6n + 5 a prime requires 0 and has the dividend's
     nu at top, 14n//top + 2(6n//top) - 3(7n//top) = -1 once n >= 5: whether a
-    prime lies there is not counted, so the full ledger must decide."""
+    prime lies there is not counted, so at every n where the route applies,
+    from (42 n)^3 <= (6n + 5)^4 at n = 54 on, the full ledger must decide, and
+    it fails at some of them."""
     dividend = FactorialRatio.from_terms([(form(14), 1), (form(6), 2), (form(7), -3)])
     claim = DivisibilityClaim((form(6, 5),), FactorialRatio(), (), dividend)
-    undecided = 0
-    for n in range(1, 1501):
+    assert paying_n(claim, 1) == 54
+    failing = 0
+    for n in range(54, 1501):
         top = 6 * n + 5
-        at_top = 14 * n // top + 2 * (6 * n // top) - 3 * (7 * n // top)
-        summary = ratio_module._counted_ledger(claim, n)
-        if at_top < 0:
-            assert summary is None, n
-            undecided += 1
-        else:
-            assert summary == verify_claim(claim, n).summary(), n
-    assert 0 < undecided < 1500
+        assert 14 * n // top + 2 * (6 * n // top) - 3 * (7 * n // top) == -1
+        assert counted_ledger(claim, n) is None, n
+        failing += not verify_claim(claim, n).holds
+    assert 0 < failing < 1447
     assert verify_claim(claim, 10).witness == 61  # in (60, 65], with nu_61 = 2 + 0 - 3
 
 

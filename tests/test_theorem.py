@@ -221,6 +221,16 @@ def test_proof_trace_requires_dividing_prime():
     assert [tr.p for tr in traces] == [3]
 
 
+def test_proof_trace_refuses_a_prime_past_64_bits():
+    """psi_12 = 1287836182261 * 2575672364521 passes ``is_prime``'s 12 bases, so
+    a trace of it as a prime of 2bn+3 = psi_12 is refused by ``is_prime``'s
+    64-bit rule; a huge triple with a small prime still traces."""
+    p = 3317044064679887385961981
+    with pytest.raises(ValueError, match="must fit in 64 bits"):
+        theorem.trace(ParamTriple(2, 1, (p - 3) // 2), p, ModulusSide.TWO_BN_PLUS_3)
+    assert theorem.trace(ParamTriple(2**62, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3).satisfied
+
+
 def test_proof_trace_reports_every_failed_assertion(monkeypatch):
     """The analysis holds for every (a, b, n, p), so each failure is forced by
     one wrong value: zero level terms, a 9 | n modulus with nu_3 = 2, and a

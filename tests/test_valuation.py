@@ -96,14 +96,14 @@ def test_primes_upto_cache_slices_consistently():
 
 
 def test_prime_pi_table_at_every_quotient():
-    """small[v] = pi(v) for v <= isqrt(N) and large[j] = pi(N // j) for
+    """The primes <= isqrt(N), the sieve's own, and large[j] = pi(N // j) for
     1 <= j <= isqrt(N): every N // j, against the sieve's count."""
     rng = random.Random(21)
     for limit in [*range(0, 300), 10**6, 10**6 - 1, *rng.sample(range(300, 10**6), 12)]:
         primes, root = primes_upto(limit), math.isqrt(limit)
-        small, large = prime_pi_table(limit)
-        assert small.dtype == large.dtype == np.int64 and small.size == large.size == root + 1
-        assert small.tolist() == np.searchsorted(primes, np.arange(root + 1), "right").tolist()
+        head, large = prime_pi_table(limit)
+        assert head.dtype == large.dtype == np.int64 and large.size == root + 1
+        assert head.tolist() == primes_upto(root).tolist() == primes[: head.size].tolist()
         j = np.arange(1, root + 1)
         assert large[1:].tolist() == np.searchsorted(primes, limit // j, "right").tolist(), limit
 
@@ -371,6 +371,18 @@ def test_is_prime_against_trial_division_and_miller_rabin():
     values = [*range((1 << 20) - 200, (1 << 20) + 200), 1031 * 1033, 1031 * 1031, (1 << 61) - 1]
     values += [m for m, _ in SPLIT_CASES] + [rng.randrange(1 << 20, 1 << 62) | 1 for _ in range(200)]
     assert all(is_prime(m) == is_prime_mr(m) for m in values)
+
+
+def test_is_prime_refuses_past_64_bits():
+    """Miller-Rabin to 12 bases is exact only below 3.3 * 10^24, so ``is_prime``
+    keeps to ``factorize``'s domain, m < 2^63, and refuses psi_12, the least
+    strong pseudoprime to all 12 bases, rather than call it prime."""
+    psi12 = 3317044064679887385961981
+    assert psi12 == 1287836182261 * 2575672364521 and is_prime_mr(psi12)
+    assert is_prime((1 << 63) - 25) and not is_prime((1 << 63) - 1)
+    for m in (1 << 63, psi12):
+        with pytest.raises(ValueError, match=f"cannot test {m} for primality; argument must fit in 64 bits"):
+            is_prime(m)
 
 
 def test_trial_division_keeps_cofactors_below_2_20_vectorized(monkeypatch):
