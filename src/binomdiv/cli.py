@@ -9,13 +9,14 @@ Commands:
   oracle-check  cross-validation suites (valuation engine vs big integers)
 
 Each ``_cmd_*`` handler validates its input, runs its library call and
-returns a ``_Report``.  ``verify`` reads its verdict, count and margin from
-``counted_ledger`` where it applies, holding no ledger over every prime;
-the JSON entries (built inside the clock), a human table of at most 60 rows
-and a failing verdict's witness come from ``verify_claim``, checked against
-it (``IntegrityError``).  ``_render`` alone turns a report into json, csv
-or human text chunks, and ``main`` streams them with ``writelines`` to
-stdout or to ``--out``, opened only once the JSON skeleton is encoded.
+returns a ``_Report``.  ``verify`` reads its verdict and witness from
+``claim_holds`` and its count and margin from ``counted_ledger``, holding
+no ledger over every prime; ``verify_claim`` gives the JSON entries (built
+inside the clock) and a human table of at most 60 rows, checked against
+both (``IntegrityError``), and all four where the counted ledger does not
+apply.  ``_render`` alone turns a report into json, csv or human text
+chunks, and ``main`` streams them with ``writelines`` to stdout or to
+``--out``, opened only once the JSON skeleton is encoded.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -74,7 +75,7 @@ import numpy as np
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
-    Certificate, FactorialRatio, LedgerSummary, LinearForm, claims_hold, counted_ledger,
+    Certificate, FactorialRatio, LedgerSummary, LinearForm, claim_holds, claims_hold, counted_ledger,
     integrality_claim, verify_claim,
 )
 from .theorem import (
@@ -117,12 +118,17 @@ class _Report:
 # ---------------------------------------------------------------------------
 # rendering
 
+def _verdict(witness: int | None) -> str:
+    """A verdict as every report prints it, from its least witness prime or None."""
+    return "Holds" if witness is None else f"Fails(p={witness})"
+
+
 def _result_dict(triple: ParamTriple, witness: int | None, cert: Certificate) -> dict:
     return {
         "a": triple.a,
         "b": triple.b,
         "n": triple.n,
-        "verdict": cert.verdict,
+        "verdict": _verdict(witness),
         "witness_prime": witness,
         # _json_chunks writes the entries list from the certificate's columns
         "certificate": {"n": cert.n, "holds": cert.holds, "witness": cert.witness, "entries": cert},
@@ -176,9 +182,9 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
-def _certificate_lines(summary: LedgerSummary, cert: Certificate | None) -> list[str]:
-    """The ledger's lines; a table or a violation reads ``cert``, otherwise None will do."""
-    lines = [f"verdict: {cert.verdict if cert else 'Holds'}", f"primes with required > 0: {summary.count}"]
+def _certificate_lines(summary: LedgerSummary, witness: int | None, cert: Certificate | None) -> list[str]:
+    """The ledger's lines; a table reads ``cert``, otherwise None will do."""
+    lines = [f"verdict: {_verdict(witness)}", f"primes with required > 0: {summary.count}"]
     if summary.min_margin is not None:
         lines.append(f"min margin (available - required): {summary.min_margin}")
     if summary.count > _HUMAN_MAX_ENTRIES:
@@ -186,8 +192,8 @@ def _certificate_lines(summary: LedgerSummary, cert: Certificate | None) -> list
     elif summary.count:
         lines.append(f"{'p':>12} {'required':>9} {'available':>10}")
         lines.extend(f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert.entries)
-    if not summary.holds:
-        lines.append(f"VIOLATION at witness prime p={cert.witness}")
+    if witness is not None:
+        lines.append(f"VIOLATION at witness prime p={witness}")
     return lines
 
 
@@ -222,17 +228,14 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
     """Run the command and render its report in ``--format`` as text chunks.
 
     The only code that reads ``--format``.  Before the command runs, it
-    refuses csv for a command without a CSV form, then an ``--out`` path
-    whose directory is missing, with the error that writing it would give;
+    refuses csv for a command without a CSV form, then an ``--out`` that
+    ``open`` refuses (a directory, or in a missing one), with its error;
     after it, a JSON skeleton that cannot be encoded, before any write.
     """
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         raise ValueError(f"{args.command} does not support csv output; use json or human")
-    if args.out:
-        try:
-            Path(args.out).parent.stat()
-        except OSError as exc:
-            raise type(exc)(exc.errno, exc.strerror, args.out) from None
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        open(args.out, "w").close()  # fails, as writing the report would: nothing is created
     started = time.perf_counter()
     report = args.handler(args)
     results = report.results() if args.format == "json" else None
@@ -271,26 +274,27 @@ def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
     counted = counted_ledger(claim, args.n)
+    cert = verify_claim(claim, args.n) if counted is None else None
+    summary, witness = (cert.summary(), cert.witness) if cert else (counted, claim_holds(claim, args.n)[1])
 
     def ledger() -> Certificate:
-        cert = verify_claim(claim, args.n)
-        if counted not in (None, cert.summary()):
-            raise IntegrityError(f"counted ledger {counted} != {cert.summary()} at n={args.n}")
-        return cert
+        full = verify_claim(claim, args.n)
+        if (full.summary(), full.witness) != (summary, witness):
+            raise IntegrityError(f"counted ledger {summary} with witness {witness} != "
+                                 f"{full.summary()} with witness {full.witness} at n={args.n}")
+        return full
 
-    cert = None if counted and counted.holds else ledger()
-    summary = cert.summary() if cert else counted
-    verdict, witness = (cert.verdict, cert.witness) if cert else ("Holds", None)
+    verdict = _verdict(witness)
     return _Report(
         params={"a": args.a, "b": args.b, "n": args.n},
         checked=1,
-        violations=0 if summary.holds else 1,
+        violations=0 if witness is None else 1,
         summary_line=f"verify a={args.a} b={args.b} n={args.n}: {verdict}",
         results=lambda: [_result_dict(triple, witness, cert or ledger())],
         lines=lambda seconds: [
             f"claim: {claim}",
             f"instance: a={args.a} b={args.b} n={args.n}",
-            *_certificate_lines(summary, cert or (ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None)),
+            *_certificate_lines(summary, witness, cert or (ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None)),
             f"wall time: {seconds:.3f}s",
         ],
         rows=lambda: [(args.a, args.b, args.n, verdict, witness)],
@@ -313,7 +317,7 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
         ]
         for triple, witness, cert in found:
             out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
-            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), cert))
+            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), cert.witness, cert))
         return out
 
     return _Report(
@@ -339,7 +343,7 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
         ],
         lines=lines,
         rows=lambda: [
-            (triple.a, triple.b, triple.n, cert.verdict, witness)
+            (triple.a, triple.b, triple.n, _verdict(witness), witness)
             for triple, witness, cert in found
         ],
     )

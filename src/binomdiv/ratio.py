@@ -43,10 +43,10 @@ with one prime per row.  ``claim_holds`` is a one-row call.
 of r | numerator of r": an uncertified ratio enumerates primes only up
 to its largest denominator argument.
 
-Counted ledgers.  ``counted_ledger`` gives a claim's verdict, count of
-primes with required > 0 and least margin, as ``verify_claim`` would, by
-counting the primes between Legendre breakpoints with a pi table instead
-of enumerating them, when no ratio term has an offset.
+Counted ledgers.  ``counted_ledger`` gives a claim's count of primes with
+required > 0 and least margin, as ``verify_claim`` would, but no verdict, by
+counting the primes between Legendre breakpoints with a pi table instead of
+enumerating them, when no ratio term has an offset.
 
 Canonical text form (also documented in the CLI):
 
@@ -336,16 +336,15 @@ class Certificate:
 
     ``primes``, ``required`` and ``available`` are read-only int64 columns
     ascending by prime, omitting primes with required == 0, and
-    ``entries`` views them as rows; ``holds`` is decided over every
-    enumerated prime before the omission, and ``witness`` is the least
-    prime with available < required when the claim fails.
+    ``entries`` views them as rows; ``witness`` is the least prime with
+    available < required over every enumerated prime before the omission,
+    or None, and the claim ``holds`` where there is none.
     """
 
     n: int
     primes: np.ndarray
     required: np.ndarray
     available: np.ndarray
-    holds: bool
     witness: int | None
 
     def __post_init__(self) -> None:
@@ -361,18 +360,17 @@ class Certificate:
         return _Rows(self.primes, self.required, self.available)
 
     @property
-    def verdict(self) -> str:
-        return "Holds" if self.holds else f"Fails(p={self.witness})"
+    def holds(self) -> bool:
+        return self.witness is None
 
     def summary(self) -> "LedgerSummary":
         margin = int((self.available - self.required).min()) if self.primes.size else None
-        return LedgerSummary(self.holds, self.primes.size, margin)
+        return LedgerSummary(self.primes.size, margin)
 
 
 class LedgerSummary(NamedTuple):
-    """A verdict, the primes with required > 0 and least margin over them, if any."""
+    """The primes with required > 0 and the least margin over them, if any."""
 
-    holds: bool
     count: int
     min_margin: int | None
 
@@ -472,14 +470,13 @@ def claims_hold(
         for n in dict.fromkeys((lo, hi)):
             moduli_values, divisor_args, _ = _instance(claims[k], n)
             reach[k] = max([reach[k], *moduli_values, *divisor_args])
-    holds, witness = np.ones(which.size, dtype=bool), np.zeros(which.size, dtype=np.int64)
+    witness = np.zeros(which.size, dtype=np.int64)
     certified = np.zeros(len(claims), dtype=bool)
     certified[present] = [claims[k]._certified for k in present.tolist()]
     if (full := np.flatnonzero(~certified[which])).size:
         sieve = primes_upto(max(reach[k] for k in present.tolist() if not certified[k]))
     for i in full.tolist():
-        w = _claim_valuations(claims[which[i]], int(ns[i]), sieve)[3]
-        holds[i], witness[i] = w is None, w or 0
+        witness[i] = _claim_valuations(claims[which[i]], int(ns[i]), sieve)[3] or 0
     kept = np.flatnonzero(certified).tolist()
     rows = np.flatnonzero(certified[which])
     for lo in range(0, rows.size, _TABLE_ROWS):
@@ -488,8 +485,8 @@ def claims_hold(
         row, p, required, available = _modulus_table([claims[k] for k in kept], local, ns[part])
         failing = available < required
         row, least = np.unique(row[failing], return_index=True)  # primes ascend in a row
-        holds[part[row]], witness[part[row]] = False, p[failing][least]
-    return holds, witness
+        witness[part[row]] = p[failing][least]
+    return witness == 0, witness
 
 
 def claim_holds(claim: DivisibilityClaim, n: int) -> tuple[bool, int | None]:
@@ -513,48 +510,41 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     keep = required > 0
     required = required[keep]  # each full column is freed before the next is filtered
     available = available[keep]
-    return Certificate(n, primes[keep], required, available, witness is None, witness)
+    return Certificate(n, primes[keep], required, available, witness)
 
 
 def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
-    """``verify_claim(claim, n).summary()`` where it applies, pays and decides,
-    else None: where a ratio term has an offset, (L n)^3 > bound^4 (the pi
-    table's work against the sieve's) or the bound is past ``SIEVE_LIMIT``.
-    Each argument a = c n <= L n, so above r = isqrt(L n) nu_p(a!) = a // p is
-    constant between breakpoints a // k = (L n) // (k L / c): the primes of each
-    interval but the moduli's and multipliers' are counted by
-    ``prime_pi_table(L n)``, and those take full columns with its primes <= r.
-    Past the last breakpoint below top = min(bound, largest argument) the others
-    require 0 and have the dividend's nu at top: None where it is negative."""
+    """``verify_claim(claim, n).summary()``, the count and least margin but no
+    verdict, else None: where a ratio term has an offset, (L n)^3 > bound^4
+    (the pi table's work against the sieve's) or the bound is past
+    ``SIEVE_LIMIT``.  Each argument a = c n <= L n, so above r = isqrt(L n)
+    nu_p(a!) = a // p is constant between breakpoints a // k = (L n) // (k L / c):
+    the primes of each interval but the moduli's and multipliers' are counted
+    by ``prime_pi_table(L n)``, and those take full columns with its primes
+    <= r.  Past the last breakpoint below the bound only those are required."""
     moduli_values, divisor_args, dividend_args = _instance(claim, n)
     bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
     size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
     if any(f.offset for f, _ in terms) or size**3 > bound**4 or bound > SIEVE_LIMIT:
         return None
-    root, top = math.isqrt(size), min(bound, max(args, default=0))
+    root = math.isqrt(size)
     cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
-    cuts = cuts[cuts <= max(top, root)]  # root, then the breakpoints up to top
-    if top > root and ratio_valuation_over_primes(claim.dividend_ratio, n, np.array([top]))[0] < 0:
-        return None  # no integer dividend gets here
+    cuts = cuts[cuts <= max(bound, root)]  # root, then the breakpoints up to the bound
     special = np.concatenate((_trial_division(np.array(moduli_values, dtype=np.int64))[1],
                               claim._multiplier_nu[0]))
     special = np.unique(special[special <= bound])
     head, large = prime_pi_table(size)
-    primes, required, available, witness = _claim_valuations(claim, n, np.union1d(head, special))
+    _, required, available, _ = _claim_valuations(claim, n, np.union1d(head, special))
     ends = cuts[1:]  # > root: size // end indexes large; Legendre's sum at any x > isqrt(a) is a // x
     pi = np.concatenate(([head.size], large[size // ends]))
     counts = np.diff(pi - np.searchsorted(special, cuts, "right"))  # less the special primes
     need, have = (ratio_valuation_over_primes(side, n, ends)
                   for side in (claim.divisor_ratio, claim.dividend_ratio))
-    live = counts > 0
-    counted = live & (need > 0)
+    counted = (counts > 0) & (need > 0)
     margins = np.concatenate(((available - required)[required > 0], (have - need)[counted]))
-    return LedgerSummary(
-        witness is None and not (live & (have < need)).any(),
-        int((required > 0).sum() + counts[counted].sum()),
-        int(margins.min()) if margins.size else None,
-    )
+    count = int((required > 0).sum() + counts[counted].sum())
+    return LedgerSummary(count, int(margins.min()) if margins.size else None)
 
 
 @lru_cache(maxsize=4096)

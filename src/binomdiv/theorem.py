@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -330,11 +331,12 @@ def run_sweep(
     The box is the index range ``range(pairs * n_max)``, pairs in
     ``sweep_pairs`` order and n fastest.  Exhaustive by default; with
     ``sample``, that many sorted indices drawn without replacement
-    using the given seed.  Either is cut into ``jobs * 4`` contiguous
-    slices, and no pair list is built.  Workers decide their slice in
-    blocks of ``_SWEEP_BLOCK`` indices, one ``claims_hold`` call each, so
-    memory is O(jobs * block), or O(sample).  Violations are merged and
-    sorted by (a, b, n): the report is the same for any jobs and block.
+    using the given seed.  Either is cut into 4 contiguous slices per
+    worker, min(jobs, CPUs the process may run on), and no pair list is
+    built.  Workers decide their slice in blocks of ``_SWEEP_BLOCK``
+    indices, one ``claims_hold`` call each, so memory is O(workers * block),
+    or O(sample).  Violations are merged and sorted by (a, b, n): the report
+    is the same for any jobs and block.
     """
     if min(a_max, b_max, n_max) < 1:
         raise ValueError("a_max, b_max and n_max must all be >= 1")
@@ -347,14 +349,16 @@ def run_sweep(
     box = range(triples)
     if sample is not None:
         box = sorted(random.Random(seed).sample(box, min(sample, len(box))))
-    step = max(1, math.ceil(len(box) / (jobs * 4)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus)
+    step = max(1, math.ceil(len(box) / (workers * 4)))
     payloads = [(b_max, n_max, box[lo : lo + step]) for lo in range(0, len(box), step)]
 
-    if jobs == 1 or len(payloads) <= 1:
+    if workers == 1 or len(payloads) <= 1:
         outcomes = [_sweep_chunk(p) for p in payloads]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only the pool loads multiprocessing
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             outcomes = list(pool.map(_sweep_chunk, payloads))
 
     raw = sorted(v for vs in outcomes for v in vs)

@@ -25,7 +25,7 @@ def certificate_from_rows(n, rows):
     primes, required, available = np.array(list(rows), dtype=np.int64).reshape(-1, 3).T
     failing = primes[available < required]
     witness = int(failing[0]) if failing.size else None
-    return Certificate(n, primes, required, available, witness is None, witness)
+    return Certificate(n, primes, required, available, witness)
 
 
 def modulus_rows(claim, n):

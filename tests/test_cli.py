@@ -11,7 +11,7 @@ from binomdiv import cli, crosscheck, oracle, theorem
 from binomdiv.cli import main
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import Certificate
-from binomdiv.ratio import verify_claim
+from binomdiv.ratio import claim_holds, counted_ledger, verify_claim
 from binomdiv.theorem import ParamTriple, SweepReport, conjecture_claim, run_sweep
 from references import certificate_from_rows
 
@@ -174,6 +174,7 @@ def test_verify_json_at_block_boundaries(capsys, monkeypatch, tmp_path, size, to
     cert = _edge_certificate(size)
     monkeypatch.setattr(cli, "verify_claim", lambda claim, n: cert)
     monkeypatch.setattr(cli, "counted_ledger", lambda claim, n: cert.summary())  # the JSON cross-check
+    monkeypatch.setattr(cli, "claim_holds", lambda claim, n: (cert.holds, cert.witness))
     out_file = tmp_path / "r.json"
     argv = ["verify", "--a", "3", "--b", "1", "--n", str(size + 1), "--format", "json"]
     code, text, _ = run_cli(capsys, *argv, *(["--out", str(out_file)] if to_file else []))
@@ -215,38 +216,67 @@ def test_verify_builds_the_full_ledger_only_where_the_report_needs_it(capsys, mo
     assert code == 0 and len(calls) == full
     if fmt == "human":
         cert = verify_claim(conjecture_claim(7, 5), n)
-        assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert)) + "\n" in out
+        assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert.witness, cert)) + "\n" in out
 
 
-def test_verify_failing_verdict_comes_from_the_full_ledger(capsys, monkeypatch):
-    """With multiplier 1, (2, 1) fails at n = 31: the counted ledger says so,
-    and the witness, table and exit code come from ``verify_claim``."""
-    def weaker(a, b):
-        return dataclasses.replace(conjecture_claim(a, b), multiplier_constants=(1,))
+def _weaker(a, b):
+    return dataclasses.replace(conjecture_claim(a, b), multiplier_constants=(1,))
 
-    monkeypatch.setattr(cli, "conjecture_claim", weaker)
-    cert = verify_claim(weaker(2, 1), 31)
-    assert cli.counted_ledger(weaker(2, 1), 31) == cert.summary() and cert.verdict == "Fails(p=5)"
+
+def test_verify_failing_verdict_prints_the_full_ledger_table(capsys, monkeypatch):
+    """With multiplier 1, (2, 1) fails at n = 31: ``claim_holds`` gives the
+    verdict, witness and exit code, the counted ledger the count, and the
+    human table and JSON entries come from ``verify_claim``."""
+    monkeypatch.setattr(cli, "conjecture_claim", _weaker)
+    cert = verify_claim(_weaker(2, 1), 31)
+    assert cli.counted_ledger(_weaker(2, 1), 31) == cert.summary() and cert.witness == 5
+    lines = cli._certificate_lines(cert.summary(), cert.witness, cert)
     argv = ("verify", "--a", "2", "--b", "1", "--n", "31", "--format")
     code, human, _ = run_cli(capsys, *argv, "human")
     assert code == 1
-    assert "\n".join(cli._certificate_lines(cert.summary(), cert)).endswith("VIOLATION at witness prime p=5")
-    assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert)) + "\n" in human
+    assert "\n".join(lines).endswith("VIOLATION at witness prime p=5")
+    assert "\n" + "\n".join(lines) + "\n" in human
     code, csv_text, _ = run_cli(capsys, *argv, "csv")
     assert code == 1 and csv_text.splitlines()[1].startswith("2,1,31,Fails(p=5),5,")
     code, text, _ = run_cli(capsys, *argv, "json")
     assert code == 1 and text == _stdlib_json(text, [cert])
 
 
+def test_verify_failing_verdict_past_the_table_builds_no_full_ledger(capsys, monkeypatch):
+    """With multiplier 1, (2, 1) fails at n = 311 with 79 primes required, too
+    many for a human table: human and csv reports take the verdict from
+    ``claim_holds`` and never call ``verify_claim``; JSON calls it once."""
+    claim = _weaker(2, 1)
+    assert claim_holds(claim, 311) == (False, 5) and counted_ledger(claim, 311).count == 79
+    monkeypatch.setattr(cli, "conjecture_claim", _weaker)
+    calls = []
+    monkeypatch.setattr(cli, "verify_claim", lambda claim, n: calls.append(n) or verify_claim(claim, n))
+    argv = ("verify", "--a", "2", "--b", "1", "--n", "311", "--format")
+    code, human, _ = run_cli(capsys, *argv, "human")
+    assert code == 1 and calls == []
+    assert "verdict: Fails(p=5)" in human.splitlines()
+    assert "(entry table elided; rerun with --format json --out FILE)\nVIOLATION at witness prime p=5\n" in human
+    code, csv_text, _ = run_cli(capsys, *argv, "csv")
+    assert code == 1 and calls == [] and csv_text.splitlines()[1].startswith("2,1,311,Fails(p=5),5,")
+    code, text, _ = run_cli(capsys, *argv, "json")
+    assert code == 1 and calls == [311]
+    assert text == _stdlib_json(text, [verify_claim(claim, 311)])
+
+
 @pytest.mark.parametrize("field", ["holds", "count", "min_margin"])
 def test_verify_json_cross_checks_the_counted_ledger(capsys, monkeypatch, field):
+    """A JSON report checks the full ledger against the verdict of
+    ``claim_holds`` (a wrong one for "holds") and the counted ledger."""
     counted = cli.counted_ledger
 
     def wrong(claim, n):
         summary = counted(claim, n)
-        return summary._replace(**{field: not summary.holds if field == "holds" else getattr(summary, field) + 1})
+        return summary._replace(**{field: getattr(summary, field) + 1})
 
-    monkeypatch.setattr(cli, "counted_ledger", wrong)
+    if field == "holds":
+        monkeypatch.setattr(cli, "claim_holds", lambda claim, n: (False, 2))
+    else:
+        monkeypatch.setattr(cli, "counted_ledger", wrong)
     code, out, err = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", "1000", "--format", "json")
     assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger LedgerSummary(")
 
@@ -470,6 +500,23 @@ def test_out_to_missing_directory_is_refused_before_the_work(capsys, monkeypatch
     )
     assert code == 2
     assert existing.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_out_naming_a_directory_is_refused_before_the_work(capsys, monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep ran although --out names a directory")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    with pytest.raises(OSError) as opened:
+        open(tmp_path, "w")
+    for out_dir in (str(tmp_path), f"{tmp_path}/"):
+        code, out, err = run_cli(
+            capsys, "sweep", "--a-max", "25", "--b-max", "24", "--n-max", "100", "--out", out_dir
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {opened.value}\n".replace(str(tmp_path), out_dir)
+    assert err.startswith("error: [Errno 21] Is a directory: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

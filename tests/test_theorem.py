@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -451,7 +452,9 @@ def test_run_sweep_sampled_deterministic():
 
 
 def test_run_sweep_pool_is_capped_at_the_payload_count(monkeypatch):
-    """The pool never asks for more workers than it has payloads.
+    """The pool never asks for more workers than it has payloads, nor than
+    the process has CPUs (three here), and the box is cut into four slices
+    per worker, not per job: 30 triples in slices of 3, 5 samples in 1.
 
     An in-process stand-in for the pool records ``max_workers`` and maps
     serially, so no worker process is started.
@@ -474,12 +477,16 @@ def test_run_sweep_pool_is_capped_at_the_payload_count(monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     for kwargs in ({}, {"sample": 5, "seed": 3}):
         serial = run_sweep(3, 2, 10, jobs=1, **kwargs)
         pooled = run_sweep(3, 2, 10, jobs=500, **kwargs)
         assert pooled == serial
-    assert len(seen) == 2
-    assert all(1 < workers <= payloads for workers, payloads in seen)
+    assert seen == [(3, 10), (3, 5)]
+    monkeypatch.delattr(os, "sched_getaffinity")  # where it is missing, os.cpu_count() counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run_sweep(3, 2, 10, jobs=500) == run_sweep(3, 2, 10, jobs=1)
+    assert seen[2:] == [(2, 8)]
 
 
 def test_run_sweep_validates_arguments():
