@@ -8,15 +8,19 @@ Commands:
   integrality   per-n integrality of a generalized factorial ratio
   oracle-check  cross-validation suites (valuation engine vs big integers)
 
-Each ``_cmd_*`` handler validates its input, runs its library call and
-returns a ``_Report``.  ``verify`` reads its verdict and witness from
-``claim_holds`` and its count and margin from ``counted_ledger``, holding
-no ledger over every prime; ``verify_claim`` gives the JSON entries (built
-inside the clock) and a human table of at most 60 rows, checked against
-both (``IntegrityError``), and all four where the counted ledger does not
-apply.  ``_render`` alone turns a report into json, csv or human text
-chunks, and ``main`` streams them with ``writelines`` to stdout or to
-``--out``, opened only once the JSON skeleton is encoded.
+The parser validates and converts every input, and the parsed namespace,
+less ``command``, ``handler`` and ``out``, is a JSON report's ``config``.
+Each ``_cmd_*`` handler runs its library call and returns a ``_Report``.
+``verify`` reads its verdict and witness from ``claim_holds`` and its count
+and margin from ``counted_ledger``, holding no ledger over every prime;
+the full ledger of ``verify_claim``, built at most once, gives the count
+and margin where the counted ledger does not apply, the JSON entries
+(built inside the clock) and a human table of at most 60 rows, and is
+checked against both (``IntegrityError``).  ``sweep`` checks each
+violation's ledger against its witness the same way.  ``_render`` alone
+turns a report into json, csv or human text chunks, and ``main`` streams
+them with ``writelines`` to stdout or to ``--out``, opened only once the
+JSON skeleton is encoded.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -29,10 +33,9 @@ JSON report schema (schema_version 1):
 
 Each result carries certificate entries as {"p": p, "required": r,
 "available": a}; ``_json_chunks`` writes them from a ``Certificate``'s
-read-only int64 columns ``primes``, ``required`` and ``available``
-(``entries`` is a lazy view of them as rows) in blocks of 2^14 rows, so
-no report is held whole in memory.  Reports are deterministic
-for a fixed config and seed, except for the wall-clock seconds:
+read-only int64 columns ``primes``, ``required`` and ``available`` in
+blocks of 2^14 rows, so no report is held whole in memory.  Reports are
+deterministic for a fixed config and seed, except for the wall-clock seconds:
 ``_render`` reads one clock around the whole handler and, for JSON, the
 results it builds, and that reading is ``summary.seconds``, the CSV
 ``seconds`` column and the human "wall time" line.
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -75,8 +79,8 @@ import numpy as np
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
-    Certificate, FactorialRatio, LedgerSummary, LinearForm, claim_holds, claims_hold, counted_ledger,
-    integrality_claim, verify_claim,
+    Certificate, DivisibilityClaim, FactorialRatio, LedgerSummary, LinearForm, claim_holds, claims_hold,
+    counted_ledger, integrality_claim, verify_claim,
 )
 from .theorem import (
     ModulusSide,
@@ -106,7 +110,6 @@ class _Report:
     ``(a, b, n, verdict, witness)``; None means no CSV form.
     """
 
-    params: dict
     checked: int
     violations: int
     summary_line: str
@@ -182,6 +185,17 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
+def _checked_ledger(claim: DivisibilityClaim, n: int, witness: int | None,
+                    counted: LedgerSummary | None = None) -> Certificate:
+    """``verify_claim(claim, n)``, checked against the ``claims_hold`` witness and
+    the counted ledger, if any (``IntegrityError``)."""
+    full = verify_claim(claim, n)
+    if full.witness != witness or counted not in (None, full.summary()):
+        raise IntegrityError(f"counted ledger {counted} with witness {witness} != "
+                             f"{full.summary()} with witness {full.witness} at n={n} of {claim}")
+    return full
+
+
 def _certificate_lines(summary: LedgerSummary, witness: int | None, cert: Certificate | None) -> list[str]:
     """The ledger's lines; a table reads ``cert``, otherwise None will do."""
     lines = [f"verdict: {_verdict(witness)}", f"primes with required > 0: {summary.count}"]
@@ -244,12 +258,7 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "config": {
-                **report.params,
-                "jobs": getattr(args, "jobs", 1),
-                "seed": getattr(args, "seed", DEFAULT_SEED),
-                "format": args.format,
-            },
+            "config": {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")},
             "results": results,
             "summary": {
                 "checked": report.checked,
@@ -274,27 +283,19 @@ def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
     counted = counted_ledger(claim, args.n)
-    cert = verify_claim(claim, args.n) if counted is None else None
-    summary, witness = (cert.summary(), cert.witness) if cert else (counted, claim_holds(claim, args.n)[1])
-
-    def ledger() -> Certificate:
-        full = verify_claim(claim, args.n)
-        if (full.summary(), full.witness) != (summary, witness):
-            raise IntegrityError(f"counted ledger {summary} with witness {witness} != "
-                                 f"{full.summary()} with witness {full.witness} at n={args.n}")
-        return full
-
+    witness = claim_holds(claim, args.n)[1]
+    ledger = functools.cache(lambda: _checked_ledger(claim, args.n, witness, counted))
+    summary = counted or ledger().summary()
     verdict = _verdict(witness)
     return _Report(
-        params={"a": args.a, "b": args.b, "n": args.n},
         checked=1,
         violations=0 if witness is None else 1,
         summary_line=f"verify a={args.a} b={args.b} n={args.n}: {verdict}",
-        results=lambda: [_result_dict(triple, witness, cert or ledger())],
+        results=lambda: [_result_dict(triple, witness, ledger())],
         lines=lambda seconds: [
             f"claim: {claim}",
             f"instance: a={args.a} b={args.b} n={args.n}",
-            *_certificate_lines(summary, witness, cert or (ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None)),
+            *_certificate_lines(summary, witness, ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None),
             f"wall time: {seconds:.3f}s",
         ],
         rows=lambda: [(args.a, args.b, args.n, verdict, witness)],
@@ -305,7 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
     report = run_sweep(
         args.a_max, args.b_max, args.n_max, jobs=args.jobs, sample=args.sample, seed=args.seed
     )
-    found = [(t, w, verify_claim(conjecture_claim(t.a, t.b), t.n)) for t, w in report.violations]
+    found = [(t, w, _checked_ledger(conjecture_claim(t.a, t.b), t.n, w)) for t, w in report.violations]
 
     def lines(seconds: float) -> list[str]:
         mode = "sampled" if args.sample is not None else "exhaustive"
@@ -317,16 +318,10 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
         ]
         for triple, witness, cert in found:
             out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
-            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), cert.witness, cert))
+            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), witness, cert))
         return out
 
     return _Report(
-        params={
-            "a_max": args.a_max,
-            "b_max": args.b_max,
-            "n_max": args.n_max,
-            "sample": args.sample,
-        },
         checked=report.checked,
         violations=len(found),
         summary_line=f"sweep checked={report.checked} violations={len(found)}",
@@ -355,7 +350,6 @@ def _cmd_trace(args: argparse.Namespace) -> _Report:
     traces = traces_for_modulus(triple, side)
     all_satisfied = all(tr.satisfied for tr in traces)
     return _Report(
-        params={"a": args.a, "b": args.b, "n": args.n, "modulus": args.modulus},
         checked=len(traces),
         violations=sum(not tr.satisfied for tr in traces),
         summary_line=f"trace {side.value}: {'satisfied' if all_satisfied else 'VIOLATION'}",
@@ -371,7 +365,6 @@ def _cmd_trace(args: argparse.Namespace) -> _Report:
 def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
     report = lemma_fuzz(args.samples, args.max_den, seed=args.seed)
     return _Report(
-        params={"samples": args.samples, "max_den": args.max_den},
         checked=report.samples,
         violations=len(report.violations),
         summary_line=f"lemma-fuzz violations={len(report.violations)}",
@@ -391,30 +384,15 @@ def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
     )
 
 
-def _parse_coefficients(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects a comma-separated integer list: {exc}") from None
-    if not values:
-        raise ValueError(f"{flag} must list at least one coefficient")
-    if any(v < 1 for v in values):
-        raise ValueError(f"{flag} coefficients must be >= 1")
-    return values
-
-
 def _cmd_integrality(args: argparse.Namespace) -> _Report:
-    numerators = _parse_coefficients(args.num, "--num")
-    denominators = _parse_coefficients(args.den, "--den")
-    if sum(numerators) < sum(denominators):
+    if sum(args.num) < sum(args.den):
         print(
-            f"warning: coefficient sums differ ({sum(numerators)} vs {sum(denominators)}); "
+            f"warning: coefficient sums differ ({sum(args.num)} vs {sum(args.den)}); "
             "such ratios are non-integral for all large n",
             file=sys.stderr,
         )
     ratio = FactorialRatio.from_terms(
-        [(LinearForm(c, 0), 1) for c in numerators]
-        + [(LinearForm(c, 0), -1) for c in denominators]
+        [(LinearForm(c, 0), 1) for c in args.num] + [(LinearForm(c, 0), -1) for c in args.den]
     )
     ns = range(1, args.n_max + 1)
     holds, witness = claims_hold((integrality_claim(ratio),), np.zeros(len(ns), np.intp), ns)
@@ -429,7 +407,6 @@ def _cmd_integrality(args: argparse.Namespace) -> _Report:
         return out
 
     return _Report(
-        params={"num": numerators, "den": denominators, "n_max": args.n_max},
         checked=len(outcomes),
         violations=bad,
         summary_line=f"integrality non-integral={bad}/{len(outcomes)}",
@@ -458,7 +435,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
         return out
 
     return _Report(
-        params={},
         checked=sum(s.checked for s in suites),
         violations=failed,
         summary_line=f"oracle-check failed-suites={failed}",
@@ -487,6 +463,18 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _coefficients(text: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list: {exc}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one coefficient")
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("coefficients must be >= 1")
+    return values
+
+
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None, help="write the report to this path")
     sub.add_argument(
@@ -505,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
             "products of binomial coefficients."
         ),
     )
+    parser.set_defaults(jobs=1, seed=DEFAULT_SEED)  # in every config; a subcommand's own default wins
     commands = parser.add_subparsers(dest="command", required=True)
 
     verify = commands.add_parser("verify", help="verify one (a, b, n) instance")
@@ -547,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     integ = commands.add_parser(
         "integrality", help="per-n integrality of (a1 n)!...(ak n)! / (b1 n)!...(bj n)!"
     )
-    integ.add_argument("--num", type=str, required=True, help="comma-separated numerator coefficients")
-    integ.add_argument("--den", type=str, required=True, help="comma-separated denominator coefficients")
+    integ.add_argument("--num", type=_coefficients, required=True, help="comma-separated numerator coefficients")
+    integ.add_argument("--den", type=_coefficients, required=True, help="comma-separated denominator coefficients")
     integ.add_argument("--n-max", type=_positive, required=True)
     _add_output_flags(integ)
     integ.set_defaults(handler=_cmd_integrality)

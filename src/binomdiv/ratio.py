@@ -60,7 +60,7 @@ with terms sorted by (coeff, offset) descending and exponents nonzero.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -310,33 +310,14 @@ class DivisibilityClaim:
         return f"{left} {self.divisor_ratio} | {right} {self.dividend_ratio}"
 
 
-class _Rows(Sequence):
-    """(p, required, available) rows of Python ints, built from the columns
-    only when read (``len`` is O(1)); equal to the tuple of those rows."""
-
-    def __init__(self, *columns: np.ndarray) -> None:
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return self._columns[0].size
-
-    def __getitem__(self, index: int) -> tuple[int, int, int]:
-        return tuple(int(c[index]) for c in self._columns)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return zip(*(c.tolist() for c in self._columns))
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == other
-
-
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """Per-prime ledger for one claim instance.
 
     ``primes``, ``required`` and ``available`` are read-only int64 columns
     ascending by prime, omitting primes with required == 0, and
-    ``entries`` views them as rows; ``witness`` is the least prime with
+    ``entries`` is a tuple of their (p, required, available) rows of Python
+    ints, built each time it is read; ``witness`` is the least prime with
     available < required over every enumerated prime before the omission,
     or None, and the claim ``holds`` where there is none.
     """
@@ -356,8 +337,8 @@ class Certificate:
             raise ValueError("certificate columns must be 1-D and of one length")
 
     @property
-    def entries(self) -> Sequence[tuple[int, int, int]]:
-        return _Rows(self.primes, self.required, self.available)
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.primes.tolist(), self.required.tolist(), self.available.tolist()))
 
     @property
     def holds(self) -> bool:

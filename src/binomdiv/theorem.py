@@ -270,9 +270,6 @@ def _with_modulus(
 
 @dataclass(frozen=True)
 class SweepReport:
-    a_max: int
-    b_max: int
-    n_max: int
     checked: int
     violations: tuple[tuple[ParamTriple, int], ...]
 
@@ -363,10 +360,4 @@ def run_sweep(
 
     raw = sorted(v for vs in outcomes for v in vs)
     violations = tuple((ParamTriple(a, b, n), w) for a, b, n, w in raw)
-    return SweepReport(
-        a_max=a_max,
-        b_max=b_max,
-        n_max=n_max,
-        checked=len(box),  # the payloads partition the box
-        violations=violations,
-    )
+    return SweepReport(checked=len(box), violations=violations)  # the payloads partition the box

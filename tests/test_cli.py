@@ -114,15 +114,35 @@ def test_verify_json_equals_the_stdlib_encoder(capsys, monkeypatch, a, b, n, row
     assert text == _stdlib_json(text, [cert])
 
 
+# Failing certificates with witnesses 2 (at n = 5) and 3 (at n = 6), for faked sweep violations.
+_FAILING = {5: certificate_from_rows(5, [(2, 3, 1), (3, 1, 1)]), 6: certificate_from_rows(6, [(2, 1, 1), (3, 2, 1)])}
+
+
+def _fake_violations(monkeypatch, found):
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: SweepReport(checked=36, violations=found))
+    monkeypatch.setattr(cli, "verify_claim", lambda claim, n: _FAILING[n])
+
+
 def test_sweep_violation_json_equals_the_stdlib_encoder(capsys, monkeypatch):
     found = ((ParamTriple(3, 1, 5), 2), (ParamTriple(4, 3, 6), 3))
-    fake = SweepReport(4, 3, 6, checked=36, violations=found)
-    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: fake)
+    _fake_violations(monkeypatch, found)
     code, text, _ = run_cli(
         capsys, "sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6", "--format", "json"
     )
     assert code == 1
-    assert text == _stdlib_json(text, [verify_claim(conjecture_claim(t.a, t.b), t.n) for t, _ in found])
+    assert text == _stdlib_json(text, [_FAILING[5], _FAILING[6]])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_sweep_checks_each_violation_against_its_ledger(capsys, monkeypatch, fmt):
+    """A sweep violation whose full ledger has another witness (3, or none, as
+    (4, 3) holds at n = 6) is an integrity violation in every format: exit 1,
+    empty stdout."""
+    _fake_violations(monkeypatch, ((ParamTriple(4, 3, 6), 2),))
+    for ledger in (lambda claim, n: _FAILING[6], verify_claim):
+        monkeypatch.setattr(cli, "verify_claim", ledger)
+        code, out, err = run_cli(capsys, "sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6", "--format", fmt)
+        assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger None with witness 2 != ")
 
 
 def test_json_text_writes_entries_at_any_depth():
@@ -279,6 +299,17 @@ def test_verify_json_cross_checks_the_counted_ledger(capsys, monkeypatch, field)
         monkeypatch.setattr(cli, "counted_ledger", wrong)
     code, out, err = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", "1000", "--format", "json")
     assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger LedgerSummary(")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_verify_checks_the_witness_where_the_ledger_is_not_counted(capsys, monkeypatch, fmt):
+    """(7, 5) at n = 33 has no counted ledger: its full ledger gives the count
+    in every format, and a ``claim_holds`` witness it does not show is an
+    integrity violation."""
+    assert counted_ledger(conjecture_claim(7, 5), 33) is None
+    monkeypatch.setattr(cli, "claim_holds", lambda claim, n: (False, 2))
+    code, out, err = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", "33", "--format", fmt)
+    assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger None with witness 2 != ")
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +608,16 @@ def test_integrality_sum_mismatch_warns_but_runs(capsys):
 
 
 def test_integrality_rejects_bad_coefficients(capsys):
-    assert main(["integrality", "--num", "2,x", "--den", "1", "--n-max", "2"]) == 2
-    assert main(["integrality", "--num", "0", "--den", "1", "--n-max", "2"]) == 2
-    assert main(["integrality", "--num", ",", "--den", "1", "--n-max", "2"]) == 2
+    """The parser refuses a malformed list, naming its flag, before any work."""
+    for flag in ("--num", "--den"):
+        for bad, message in (("2,x", "expects a comma-separated integer list: invalid literal for int() "
+                                     "with base 10: 'x'"),
+                             ("0", "coefficients must be >= 1"), (",", "must list at least one coefficient")):
+            argv = ["integrality", "--num", "1", "--den", "1", "--n-max", "2"]
+            argv[argv.index(flag) + 1] = bad
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"binomdiv integrality: error: argument {flag}: {message}\n")
 
 
 def test_integrality_json(capsys, tmp_path):
@@ -728,9 +766,8 @@ def test_one_clock_reading_in_every_format(capsys, monkeypatch, argv):
         return readings[-1]
 
     monkeypatch.setattr(cli.time, "perf_counter", fake_clock)
-    # a reported violation gives the sweep's CSV a row
-    found = ((ParamTriple(3, 1, 5), 2),)
-    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: SweepReport(4, 3, 6, 36, found))
+    if argv[0] == "sweep":  # a reported violation gives the sweep's CSV a row
+        _fake_violations(monkeypatch, ((ParamTriple(3, 1, 5), 2),))
     shown = {}
     for fmt in ("json", "csv", "human"):
         readings.clear()
@@ -757,6 +794,36 @@ def test_json_seconds_count_the_results(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_result_dict", slow_result_dict)
     code, out, _ = run_cli(capsys, "verify", "--a", "3", "--b", "1", "--n", "5", "--format", "json")
     assert code == 0 and json.loads(out)["summary"]["seconds"] == 4.0
+
+
+# ---------------------------------------------------------------------------
+# config
+
+_DEFAULTS = {"format": "json", "jobs": 1, "seed": 42}
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["verify", "--a", "3", "--b", "1", "--n", "5"], {"a": 3, "b": 1, "n": 5, **_DEFAULTS}),
+        (["sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6"],
+         {"a_max": 4, "b_max": 3, "n_max": 6, "sample": None, **_DEFAULTS}),
+        (["sweep", "--a-max", "4", "--b-max", "3", "--n-max", "6", "--jobs", "2", "--seed", "9", "--sample", "5"],
+         {"a_max": 4, "b_max": 3, "n_max": 6, "sample": 5, "format": "json", "jobs": 2, "seed": 9}),
+        (["trace", "--a", "3", "--b", "1", "--n", "9", "--modulus", "2bn+3"],
+         {"a": 3, "b": 1, "n": 9, "modulus": "2bn+3", **_DEFAULTS}),
+        (["lemma-fuzz", "--samples", "2000"], {"samples": 2000, "max_den": 10**6, **_DEFAULTS}),
+        (["integrality", "--num", "30,1", "--den", "15,10,6", "--n-max", "3"],
+         {"num": [30, 1], "den": [15, 10, 6], "n_max": 3, **_DEFAULTS}),
+        (["oracle-check", "--seed", "5"], {"format": "json", "jobs": 1, "seed": 5}),
+    ],
+    ids=["verify", "sweep", "sweep-options", "trace", "lemma-fuzz", "integrality", "oracle-check"],
+)
+def test_json_config_is_the_parsed_command_line(capsys, tmp_path, argv, config):
+    """Every parsed input, defaults included, is in the config; --out is not."""
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"] == config
 
 
 # ---------------------------------------------------------------------------
