@@ -14,10 +14,8 @@ from .oracle import minimal_multiplier
 from .valuation import (
     LemmaFuzzReport,
     factorize,
-    kummer_binomial_valuation,
     lemma1_margin,
     lemma_fuzz,
-    nu_factorial,
     nu_factorial_over_primes,
     nu_int,
     prime_pi_table,

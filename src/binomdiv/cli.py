@@ -16,11 +16,13 @@ and margin from ``counted_ledger``, holding no ledger over every prime;
 the full ledger of ``verify_claim``, built at most once, gives the count
 and margin where the counted ledger does not apply, the JSON entries
 (built inside the clock) and a human table of at most 60 rows, and is
-checked against both (``IntegrityError``).  ``sweep`` checks each
-violation's ledger against its witness the same way.  ``_render`` alone
-turns a report into json, csv or human text chunks, and ``main`` streams
-them with ``writelines`` to stdout or to ``--out``, opened only once the
-JSON skeleton is encoded.
+checked against both (``IntegrityError``), unless the core is uncertified
+and no counted ledger applies: ``claim_holds`` would rerun the ledger's own
+code on a second sieve, so the ledger gives the verdict itself.  ``sweep``
+checks each violation's ledger against its witness the same way.
+``_render`` alone turns a report into json, csv or human text chunks, and
+``main`` streams them with ``writelines`` to stdout or to ``--out``, opened
+only once the JSON skeleton is encoded.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -80,7 +82,7 @@ from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
     Certificate, DivisibilityClaim, FactorialRatio, LedgerSummary, LinearForm, claim_holds, claims_hold,
-    counted_ledger, integrality_claim, verify_claim,
+    counted_ledger, integral_for_all_n, integrality_claim, verify_claim,
 )
 from .theorem import (
     ModulusSide,
@@ -283,8 +285,12 @@ def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
     counted = counted_ledger(claim, args.n)
-    witness = claim_holds(claim, args.n)[1]
-    ledger = functools.cache(lambda: _checked_ledger(claim, args.n, witness, counted))
+    if integral_for_all_n(claim.core) or counted:
+        witness = claim_holds(claim, args.n)[1]
+        ledger = functools.cache(lambda: _checked_ledger(claim, args.n, witness, counted))
+    else:  # claim_holds would run verify_claim's code again: one sieve, one ledger
+        ledger = functools.cache(lambda: verify_claim(claim, args.n))
+        witness = ledger().witness
     summary = counted or ledger().summary()
     verdict = _verdict(witness)
     return _Report(

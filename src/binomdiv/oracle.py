@@ -42,17 +42,6 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-def exact_conjecture_ratio(a: int, b: int, n: int) -> int:
-    """R(a,b,n) = C(2an,an)C(an,bn)/C(2bn,bn), literally.
-
-    Raises ``IntegrityError`` if the division is inexact -- that would
-    falsify the integrality theorem, so it is a finding, not an input
-    error.
-    """
-    numerator = big_binomial(2 * a * n, a * n) * big_binomial(a * n, b * n)
-    return _exact_quotient(numerator, big_binomial(2 * b * n, b * n), f"R({a},{b},{n})")
-
-
 def exact_s(n: int) -> int:
     """S_n = C(6n,3n)C(3n,n) / (2(2n+1)C(2n,n)), literally."""
     numerator = big_binomial(6 * n, 3 * n) * big_binomial(3 * n, n)
@@ -92,10 +81,3 @@ def minimal_multiplier(a: int, b: int, n: int) -> int:
             f"at a={a}, b={b}, n={n}; the divisibility theorem would be false"
         )
     return m_min
-
-
-def divides(d: int, m: int) -> bool:
-    """Whether d | m, for nonzero d."""
-    if d == 0:
-        raise ValueError("0 divides nothing")
-    return m % d == 0

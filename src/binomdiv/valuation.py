@@ -11,8 +11,8 @@ Valuations of factorials use Legendre's formula
 computed by iterated division ``q <- q // p``, so no power ``p^i`` is
 ever materialized and no intermediate exceeds ``m``.  Both verdict paths
 of ``ratio`` take the one vectorized form, ``nu_factorial_over_primes``.
-The independent cross-check is Kummer's theorem: ``nu_p(C(m, k))``
-equals the number of carries when adding ``k`` and ``m - k`` in base ``p``.
+The tests pin it to a scalar Legendre sum, and that sum to incremental
+factor counting and to Kummer's carry count of binomials.
 
 The floor inequality (Lemma 1) is proved in closed form by
 ``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
@@ -224,20 +224,6 @@ def nu_int(m: int, p: int) -> int:
     return k
 
 
-def nu_factorial(m: int, p: int) -> int:
-    """nu_p(m!) by Legendre's formula, as an iterated-division sum."""
-    if p < 2:  # the division loop would never end
-        raise ValueError(f"p must be a prime, got {p}")
-    if m < 0:
-        raise ValueError(f"factorial argument must be >= 0, got {m}")
-    total = 0
-    q = m // p
-    while q:
-        total += q
-        q //= p
-    return total
-
-
 def nu_factorial_over_primes(m: int | np.ndarray, primes: np.ndarray) -> np.ndarray:
     """nu_p(m!) elementwise over int64 m and primes p broadcast together: one
     argument against an array of primes, or arguments against one prime per row.
@@ -256,26 +242,6 @@ def nu_factorial_over_primes(m: int | np.ndarray, primes: np.ndarray) -> np.ndar
         keep = q >= p
         cell, q, p = cell[keep], q[keep], p[keep]
     return out
-
-
-def kummer_binomial_valuation(m: int, k: int, p: int) -> int:
-    """nu_p(C(m, k)) as the carry count of adding k and m-k in base p.
-
-    Independent of the Legendre path; used only to cross-check it.
-    """
-    if p < 2:  # the carry loop would never end
-        raise ValueError(f"p must be a prime, got {p}")
-    if k < 0 or k > m:
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    r, s = k, m - k
-    carries = 0
-    carry = 0
-    while r or s or carry:
-        carry = 1 if (r % p) + (s % p) + carry >= p else 0
-        carries += carry
-        r //= p
-        s //= p
-    return carries
 
 
 # ---------------------------------------------------------------------------

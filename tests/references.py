@@ -1,14 +1,55 @@
 """Reference routes that the tests pin the package to and that no code of
-the package calls: certificates built from rows, the one-row table of the
-reduced verdicts, a ratio's valuation at one prime, and S_n's and t_n's
-valuations prime by prime, with t_n in its offset form, which no claim of
-the package uses."""
+the package calls: Legendre's formula for one factorial and Kummer's carry
+count for one binomial, the conjecture's ratio R(a, b, n) in big integers,
+certificates built from rows, the one-row table of the reduced verdicts, a
+ratio's valuation at one prime, and S_n's and t_n's valuations prime by
+prime, with t_n in its offset form, which no claim of the package uses."""
 
 import numpy as np
 
+from binomdiv.oracle import _exact_quotient, big_binomial
 from binomdiv.ratio import Certificate, LinearForm, _argument, _check_n, _instance, _modulus_table, binomial_ratio
 from binomdiv.theorem import s_integrality_claim
-from binomdiv.valuation import nu_factorial, nu_int
+from binomdiv.valuation import nu_int
+
+
+def nu_factorial(m, p):
+    """nu_p(m!) by Legendre's formula, as an iterated-division sum."""
+    if p < 2:  # the division loop would never end
+        raise ValueError(f"p must be a prime, got {p}")
+    if m < 0:
+        raise ValueError(f"factorial argument must be >= 0, got {m}")
+    total = 0
+    q = m // p
+    while q:
+        total += q
+        q //= p
+    return total
+
+
+def kummer_binomial_valuation(m, k, p):
+    """nu_p(C(m, k)) as the carry count of adding k and m-k in base p,
+    independent of Legendre's formula."""
+    if p < 2:  # the carry loop would never end
+        raise ValueError(f"p must be a prime, got {p}")
+    if k < 0 or k > m:
+        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
+    r, s = k, m - k
+    carries = 0
+    carry = 0
+    while r or s or carry:
+        carry = 1 if (r % p) + (s % p) + carry >= p else 0
+        carries += carry
+        r //= p
+        s //= p
+    return carries
+
+
+def exact_conjecture_ratio(a, b, n):
+    """R(a,b,n) = C(2an,an)C(an,bn)/C(2bn,bn), literally; ``IntegrityError``
+    if the division is inexact, which would falsify the integrality theorem."""
+    numerator = big_binomial(2 * a * n, a * n) * big_binomial(a * n, b * n)
+    return _exact_quotient(numerator, big_binomial(2 * b * n, b * n), f"R({a},{b},{n})")
 
 
 def ratio_valuation(r, n, p):

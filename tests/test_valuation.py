@@ -16,15 +16,14 @@ from binomdiv.valuation import (
     FUZZ_MAX_DEN,
     factorize,
     is_prime,
-    kummer_binomial_valuation,
     lemma1_margin,
     lemma_fuzz,
-    nu_factorial,
     nu_factorial_over_primes,
     nu_int,
     prime_pi_table,
     primes_upto,
 )
+from references import kummer_binomial_valuation, nu_factorial
 
 
 def trial_division_primes(limit: int) -> list[int]:
