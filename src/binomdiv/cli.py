@@ -230,9 +230,8 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
     lines = [
         f"p={trace.p}: {trace.modulus_side.value} = {trace.modulus_value}, "
         f"alpha={trace.alpha}, branch={trace.branch.value}",
+        f"  beta={trace.beta} gamma={trace.gamma} tau={trace.tau}",
     ]
-    if trace.tau is not None:
-        lines.append(f"  beta={trace.beta} gamma={trace.gamma} tau={trace.tau}")
     for i, term in trace.levels:
         lines.append(f"  level {i}: {_level_breakdown(ratio, t.n, trace.p, i)} = {term}")
     lines.append(f"  satisfied: {trace.satisfied}")

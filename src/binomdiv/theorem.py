@@ -14,14 +14,14 @@ is itself an integer: each per-level Legendre addend of nu_p(R) is the
 margin of the floor inequality (Lemma 1), >= 0 in closed form by
 ``valuation.lemma1_margin``.
 
-``trace(t, p, ModulusSide.TWO_BN_PLUS_3)`` replays the per-prime case
-analysis that proves the 2bn+3 half: with p^alpha || 2bn+3,
-beta = nu_p(a-b), gamma = nu_p(3a-b) and tau = max(beta, gamma), either
-the multiplier already covers alpha, or (p >= 5) each Legendre level in
-(tau, alpha] contributes exactly 1, or p = 3 splits on 9 | n.  No
-comparable case analysis is worked out for the 2bn+1 modulus, so its
-trace records level data informationally and asserts only the
-end-to-end inequality.
+``trace(t, p, side)`` replays the per-prime case analysis of one half.
+Let p^alpha || the modulus, beta = nu_p(a-b), gamma = nu_p(3a-b) and
+u, v = {an/p^i}, {bn/p^i}.  At a level i <= alpha, v is (p^i-1)/(2p^i)
+on 2bn+1 and (p^i-3)/(2p^i) on 2bn+3, so the level term of nu_p(R) is
+[u >= 1/2] + [u < v]: 0 exactly when p^i | a-b on 2bn+1 (tau = beta),
+or p^i divides a-b or 3a-b on 2bn+3 with p >= 5 (tau = max(beta, gamma)).
+Either alpha <= tau and the multiplier covers p^alpha, or each level in
+(tau, alpha] contributes exactly 1; on 2bn+3, p = 3 splits on 9 | n.
 
 Two classic congruences of the same flavor are stated as claims too,
 
@@ -121,7 +121,6 @@ class TraceBranch(enum.Enum):
     MULTIPLIER_COVERS = "multiplier-covers"
     LEVEL_ANALYSIS = "level-analysis"
     NINE_DIVIDES_N = "nine-divides-n"
-    OMITTED_BRANCH_NUMERIC = "omitted-branch-numeric"
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,8 @@ class ProofTrace:
     """Executable replay of the per-prime case analysis for one (a,b,n,p).
 
     ``levels`` lists (i, per-level Legendre addend of nu_p(R)) for the
-    levels the analysis constrains (asserted == 1), or informational
-    levels 1..alpha for the 2bn+1 modulus where no pattern is asserted.
-    beta/gamma/tau are None on the 2bn+1 side, which computes alpha only.
+    levels the analysis constrains, each asserted == 1.  tau is beta on
+    the 2bn+1 side and max(beta, gamma) on the 2bn+3 side.
     """
 
     triple: ParamTriple
@@ -139,9 +137,9 @@ class ProofTrace:
     modulus_side: ModulusSide
     modulus_value: int
     alpha: int
-    beta: int | None
-    gamma: int | None
-    tau: int | None
+    beta: int
+    gamma: int
+    tau: int
     branch: TraceBranch
     levels: tuple[tuple[int, int], ...]
     satisfied: bool
@@ -150,8 +148,7 @@ class ProofTrace:
 
 def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
     """The case analysis for a prime p of the side's modulus; every assertion
-    is expected to pass.  On the 2bn+1 side only the final inequality is
-    asserted, and the per-level data is recorded without any pattern.
+    is expected to pass.
     """
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
@@ -169,31 +166,27 @@ def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
 
     failures: list[str] = []
     first = alpha + 1  # the first level the trace lists; none unless a branch says so
-    if side is ModulusSide.TWO_BN_PLUS_1:
-        branch = TraceBranch.OMITTED_BRANCH_NUMERIC
-        first = 1
-        beta = gamma = tau = None
+    three = side is ModulusSide.TWO_BN_PLUS_3 and p == 3  # the paper's p = 3 split
+    tau = beta if side is ModulusSide.TWO_BN_PLUS_1 else max(beta, gamma)
+    if alpha <= tau:
+        branch = TraceBranch.MULTIPLIER_COVERS
+    elif three and n % 9 == 0:
+        branch = TraceBranch.NINE_DIVIDES_N
+        if alpha != 1:
+            failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
     else:
-        tau = max(beta, gamma)
-        if alpha <= tau:
-            branch = TraceBranch.MULTIPLIER_COVERS
-        elif p < 5 and n % 9 == 0:  # p == 3 (2bn+3 is odd)
-            branch = TraceBranch.NINE_DIVIDES_N
-            if alpha != 1:
-                failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
+        branch = TraceBranch.LEVEL_ANALYSIS
+        if three:  # 9 does not divide n: level tau+1 is not constrained
+            first, need = tau + 2, "nu_3(R) = {} < alpha - tau - 1 = {}"
         else:
-            branch = TraceBranch.LEVEL_ANALYSIS
-            if p >= 5:
-                first, need = tau + 1, "nu_p(R) = {} < alpha - tau = {}"
-            else:  # p == 3 and 9 does not divide n: level tau+1 is not constrained
-                first, need = tau + 2, "nu_3(R) = {} < alpha - tau - 1 = {}"
-            for i in range(first, alpha + 1):
-                if terms[i] != 1:
-                    failures.append(f"level {i} term is {terms[i]}, expected exactly 1")
-            if p >= 5 and math.gcd(p, n) != 1:
-                failures.append(f"gcd({p}, n) != 1 although p >= 5 divides 2bn+3")
-            if nu_ratio < alpha - first + 1:
-                failures.append(need.format(nu_ratio, alpha - first + 1))
+            first, need = tau + 1, "nu_p(R) = {} < alpha - tau = {}"
+        for i in range(first, alpha + 1):
+            if terms[i] != 1:
+                failures.append(f"level {i} term is {terms[i]}, expected exactly 1")
+        if p >= 5 and math.gcd(p, n) != 1:
+            failures.append(f"gcd({p}, n) != 1 although p >= 5 divides {side.value}")
+        if nu_ratio < alpha - first + 1:
+            failures.append(need.format(nu_ratio, alpha - first + 1))
 
     if multiplier_nu + nu_ratio < alpha:
         failures.append(

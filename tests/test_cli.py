@@ -385,12 +385,14 @@ def test_trace_nine_divides_n(capsys):
     assert "p=7" in out
 
 
-def test_trace_omitted_branch(capsys):
+def test_trace_2bn_plus_1_level_analysis(capsys):
     code, out, _ = run_cli(
         capsys, "trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+1"
     )
     assert code == 0
-    assert "omitted-branch-numeric" in out
+    assert "branch=level-analysis" in out
+    assert "  beta=0 gamma=0 tau=0" in out.splitlines()
+    assert "all satisfied: True" in out
 
 
 def test_trace_has_no_64_bit_limit(capsys):

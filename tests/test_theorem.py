@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from binomdiv.theorem import (
     t_integrality_claim,
     traces_for_modulus,
 )
-from binomdiv.valuation import factorize, nu_int
+from binomdiv.valuation import factorize, lemma1_margin, nu_int
 from references import (
     certificate_from_rows, exact_conjecture_ratio, modulus_rows, ratio_valuation, s_valuation, t_valuation,
 )
@@ -236,18 +237,24 @@ def test_proof_trace_refuses_a_prime_past_64_bits():
 
 def test_proof_trace_reports_every_failed_assertion(monkeypatch):
     """The analysis holds for every (a, b, n, p), so each failure is forced by
-    one wrong value: zero level terms, a 9 | n modulus with nu_3 = 2, and a
-    modulus 25 that p = 5 shares with n = 5."""
-    level = ParamTriple(3, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3  # 2bn+3 = 5
-    with monkeypatch.context() as m:
-        m.setattr(theorem, "ratio_level_terms", lambda r, n, p: [0])
-        trace = theorem.trace(*level)
-    assert trace.branch is TraceBranch.LEVEL_ANALYSIS and not trace.satisfied
-    assert trace.failures == (
+    one wrong value: zero level terms on either modulus, a 9 | n modulus with
+    nu_3 = 2, and a modulus 25 that p = 5 shares with n = 5."""
+    level_failures = (
         "level 1 term is 0, expected exactly 1",
         "nu_p(R) = 0 < alpha - tau = 1",
         "nu_p(3(a-b)(3a-b)R) = 0 < alpha = 1",
     )
+    with monkeypatch.context() as m:
+        m.setattr(theorem, "ratio_level_terms", lambda r, n, p: [0])
+        for args, failures in (
+            ((ParamTriple(3, 1, 1), 5, ModulusSide.TWO_BN_PLUS_3), level_failures),  # 2bn+3 = 5
+            ((ParamTriple(2, 1, 3), 7, ModulusSide.TWO_BN_PLUS_1), level_failures),  # 2bn+1 = 7
+            # 2bn+1 = 3: the multiplier's 3 still covers alpha = 1
+            ((ParamTriple(2, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1), level_failures[:2]),
+        ):
+            trace = theorem.trace(*args)
+            assert trace.branch is TraceBranch.LEVEL_ANALYSIS and not trace.satisfied
+            assert trace.failures == failures, args
     with monkeypatch.context() as m:
         m.setattr(theorem, "nu_int", lambda k, p: nu_int(k, p) + (k == 21))  # 2bn+3 = 21 at n = 9
         trace = theorem.trace(ParamTriple(3, 1, 9), 3, ModulusSide.TWO_BN_PLUS_3)
@@ -259,15 +266,26 @@ def test_proof_trace_reports_every_failed_assertion(monkeypatch):
     assert "gcd(5, n) != 1 although p >= 5 divides 2bn+3" in trace.failures
 
 
-def test_omitted_branch_trace_examples():
+def test_proof_trace_2bn_plus_1_examples():
+    """On 2bn+1, tau = beta: the levels in (beta, alpha] are analysed."""
     trace = theorem.trace(ParamTriple(2, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 3
-    assert trace.alpha == 1
-    assert trace.branch is TraceBranch.OMITTED_BRANCH_NUMERIC
-    assert trace.beta is None and trace.tau is None
-    assert trace.satisfied  # nu_3(15 * 6) = 2 >= 1
+    assert (trace.alpha, trace.beta, trace.gamma, trace.tau) == (1, 0, 0, 0)
+    assert trace.branch is TraceBranch.LEVEL_ANALYSIS
+    assert trace.levels == ((1, 1),)
+    assert trace.satisfied and not trace.failures
 
-    trace = theorem.trace(ParamTriple(3, 2, 1), 5, ModulusSide.TWO_BN_PLUS_1)  # 2bn+1 = 5
-    assert trace.alpha == 1 and trace.satisfied  # nu_5(21 * 10) = 1
+    trace = theorem.trace(ParamTriple(4, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1)  # a-b = 3
+    assert trace.beta == trace.tau == trace.alpha == 1
+    assert trace.branch is TraceBranch.MULTIPLIER_COVERS
+    assert trace.levels == () and trace.satisfied
+
+    # 2bn+1 = 9 and 3 | a-b: level 1's term is 0, level 2 is the one analysed
+    assert theorem.ratio_level_terms(conjecture_ratio(4, 1), 4, 3)[0] == 0
+    trace = theorem.trace(ParamTriple(4, 1, 4), 3, ModulusSide.TWO_BN_PLUS_1)
+    assert (trace.alpha, trace.beta, trace.tau) == (2, 1, 1)
+    assert trace.branch is TraceBranch.LEVEL_ANALYSIS
+    assert trace.levels == ((2, 1),)
+    assert trace.satisfied
 
     with pytest.raises(ValueError):
         theorem.trace(ParamTriple(3, 2, 1), 3, ModulusSide.TWO_BN_PLUS_1)
@@ -520,16 +538,23 @@ def test_run_sweep_builds_no_pair_list(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# level-term laws on a compact box (the full box runs in acceptance)
+# the 2bn+1 level rule from Lemma 1 (the level laws of both moduli run in acceptance)
 
-def test_trace_laws_small_box():
-    for a, b in sweep_pairs(8, 7):
-        for n in range(1, 21):
+def test_2bn_plus_1_levels_follow_lemma1_margin():
+    """Lemma 1's closed form on exact rationals, a route that shares no code
+    with ``ratio_level_terms``: for p^alpha || 2bn+1 and i <= alpha, the level-i
+    term of nu_p(R) is 1 exactly when p^i does not divide a-b, and a 2bn+1
+    trace lists exactly the levels where it is 1, with that value."""
+    levels = 0
+    for a, b in sweep_pairs(12, 11):
+        for n in range(1, 201):
             t = ParamTriple(a, b, n)
-            if n % 9 == 0:
-                assert nu_int(2 * b * n + 3, 3) == 1
-            for p, alpha in factorize(2 * b * n + 3):
-                trace = theorem.trace(t, p, ModulusSide.TWO_BN_PLUS_3)
-                assert trace.satisfied, (t, p, trace.failures)
-                if trace.branch is TraceBranch.LEVEL_ANALYSIS:
-                    assert all(term == 1 for _, term in trace.levels)
+            for p, alpha in factorize(2 * b * n + 1):
+                beta = nu_int(a - b, p)
+                rule = {i: int(i > beta) for i in range(1, alpha + 1)}
+                for i, term in rule.items():
+                    assert lemma1_margin(Fraction(a * n, p**i), Fraction(b * n, p**i)) == term, (t, p, i)
+                trace = theorem.trace(t, p, ModulusSide.TWO_BN_PLUS_1)
+                assert trace.levels == tuple((i, term) for i, term in rule.items() if term), (t, p)
+                levels += alpha
+    assert levels == 25150
