@@ -12,7 +12,6 @@ an independent arbitrary-precision oracle for desk-scale cross checks.
 from .errors import IntegrityError, ResourceLimitError
 from .oracle import minimal_multiplier
 from .valuation import (
-    LemmaFuzzReport,
     factorize,
     lemma1_margin,
     lemma_fuzz,

@@ -11,15 +11,15 @@ Commands:
 The parser validates and converts every input, and the parsed namespace,
 less ``command``, ``handler`` and ``out``, is a JSON report's ``config``.
 Each ``_cmd_*`` handler runs its library call and returns a ``_Report``.
-``verify`` reads its verdict and witness from ``claim_holds`` and its count
-and margin from ``counted_ledger``, holding no ledger over every prime;
-the full ledger of ``verify_claim``, built at most once, gives the count
-and margin where the counted ledger does not apply, the JSON entries
-(built inside the clock) and a human table of at most 60 rows, and is
-checked against both (``IntegrityError``), unless the core is uncertified
-and no counted ledger applies: ``claim_holds`` would rerun the ledger's own
-code on a second sieve, so the ledger gives the verdict itself.  ``sweep``
-checks each violation's ledger against its witness the same way.
+``verify`` with a certified core reads its verdict and witness from
+``claim_holds`` and its count and margin from ``counted_ledger``, holding no
+ledger over every prime; the full ledger of ``verify_claim``, built at most
+once, gives the count and margin where the counted ledger does not apply,
+the JSON entries (built inside the clock) and a human table of at most 60
+rows, and is checked against both (``IntegrityError``).  With an uncertified
+core ``claim_holds`` would rerun the ledger's code on a second sieve, so the
+one ledger gives the verdict, checked against the counted ledger if any.
+``sweep`` checks each violation's ledger against its witness the same way.
 ``_render`` alone turns a report into json, csv or human text chunks, and
 ``main`` streams them with ``writelines`` to stdout or to ``--out``, opened
 only once the JSON skeleton is encoded.
@@ -187,14 +187,13 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
 
-def _checked_ledger(claim: DivisibilityClaim, n: int, witness: int | None,
+def _checked_ledger(full: Certificate, claim: DivisibilityClaim, witness: int | None,
                     counted: LedgerSummary | None = None) -> Certificate:
-    """``verify_claim(claim, n)``, checked against the ``claims_hold`` witness and
-    the counted ledger, if any (``IntegrityError``)."""
-    full = verify_claim(claim, n)
+    """``full``, the claim's ``verify_claim`` ledger, checked against the witness
+    and the counted ledger, if any (``IntegrityError``)."""
     if full.witness != witness or counted not in (None, full.summary()):
         raise IntegrityError(f"counted ledger {counted} with witness {witness} != "
-                             f"{full.summary()} with witness {full.witness} at n={n} of {claim}")
+                             f"{full.summary()} with witness {full.witness} at n={full.n} of {claim}")
     return full
 
 
@@ -284,12 +283,13 @@ def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
     counted = counted_ledger(claim, args.n)
-    if integral_for_all_n(claim.core) or counted:
+    if integral_for_all_n(claim.core):
         witness = claim_holds(claim, args.n)[1]
-        ledger = functools.cache(lambda: _checked_ledger(claim, args.n, witness, counted))
-    else:  # claim_holds would run verify_claim's code again: one sieve, one ledger
-        ledger = functools.cache(lambda: verify_claim(claim, args.n))
-        witness = ledger().witness
+        ledger = functools.cache(lambda: _checked_ledger(verify_claim(claim, args.n), claim, witness, counted))
+    else:  # claim_holds would run verify_claim's code again: one sieve, one ledger decides
+        full = verify_claim(claim, args.n)
+        witness = _checked_ledger(full, claim, full.witness, counted).witness
+        ledger = lambda: full
     summary = counted or ledger().summary()
     verdict = _verdict(witness)
     return _Report(
@@ -311,7 +311,8 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
     report = run_sweep(
         args.a_max, args.b_max, args.n_max, jobs=args.jobs, sample=args.sample, seed=args.seed
     )
-    found = [(t, w, _checked_ledger(conjecture_claim(t.a, t.b), t.n, w)) for t, w in report.violations]
+    found = [(t, w, _checked_ledger(verify_claim(claim := conjecture_claim(t.a, t.b), t.n), claim, w))
+             for t, w in report.violations]
 
     def lines(seconds: float) -> list[str]:
         mode = "sampled" if args.sample is not None else "exhaustive"
@@ -368,23 +369,23 @@ def _cmd_trace(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
-    report = lemma_fuzz(args.samples, args.max_den, seed=args.seed)
+    violations = lemma_fuzz(args.samples, args.max_den, seed=args.seed)
     return _Report(
-        checked=report.samples,
-        violations=len(report.violations),
-        summary_line=f"lemma-fuzz violations={len(report.violations)}",
+        checked=args.samples,
+        violations=len(violations),
+        summary_line=f"lemma-fuzz violations={len(violations)}",
         results=lambda: [
             {
                 "x": f"{x.numerator}/{x.denominator}",
                 "y": f"{y.numerator}/{y.denominator}",
             }
-            for x, y in report.violations
+            for x, y in violations
         ],
         # No timing line: identical seeds must give byte-identical output.
         lines=lambda seconds: [
-            f"lemma-fuzz: samples={report.samples} max_den={report.max_den} seed={report.seed}",
-            f"violations: {len(report.violations)}",
-            *(f"VIOLATION at x={x}, y={y}" for x, y in report.violations),
+            f"lemma-fuzz: samples={args.samples} max_den={args.max_den} seed={args.seed}",
+            f"violations: {len(violations)}",
+            *(f"VIOLATION at x={x}, y={y}" for x, y in violations),
         ],
     )
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,8 @@ SIEVE_LIMIT = 2**31
 #: every int64 intermediate (numerator*denominator products) exact.
 FUZZ_MAX_DEN = 10**9
 
-#: Samples per slice of ``lemma_fuzz``'s floors (its draws are not sliced).
-_FUZZ_SLICE = 1 << 18
+#: Samples per block of ``lemma_fuzz``: its int64 arrays (128 KiB each) stay in L2.
+_FUZZ_BLOCK = 1 << 14
 
 #: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
 _SEGMENT = 1 << 20
@@ -260,25 +259,18 @@ def lemma1_margin(x: Fraction, y: Fraction) -> int:
     return (2 * u >= 1) - (2 * v >= 1) + (u < v)
 
 
-class LemmaFuzzReport(NamedTuple):
-    samples: int
-    max_den: int
-    seed: int
-    violations: tuple[tuple[Fraction, Fraction], ...]
+def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The pairs (x, y) among ``samples`` seeded pseudo-random rationals, with
+    |numerator| <= max_den and 1 <= denominator <= max_den, that violate the
+    floor inequality; the expected result is ().
 
-
-def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
-    """Run the floor inequality over seeded pseudo-random rational pairs.
-
-    Draws ``samples`` pairs (x, y) with |numerator| <= max_den and
-    1 <= denominator <= max_den, evaluates the five floors with exact
-    int64 arithmetic (vectorized, over fixed slices of the draws), and
-    reports every violating pair; the expected count is zero.  On a fixed prefix of each run, the
-    difference of the two sides must equal the closed form
-    ``lemma1_margin``, so the floor arrays cannot drift from the proof.
-
-    Deterministic: the same (samples, max_den, seed) yields the same
-    sample stream and report.
+    One pass over blocks of ``_FUZZ_BLOCK`` samples, so memory is bounded
+    whatever ``samples`` is: each block draws its xn, xd, yn and yd in turn
+    from the one generator, evaluates the five floors as one exact int64
+    margin, and keeps its own violating pairs.  The margins of the run's first
+    256 samples must equal the closed form ``lemma1_margin``, so the floor
+    arrays cannot drift from the proof.  Deterministic: the same (samples,
+    max_den, seed) yields the same sample stream and result.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -288,31 +280,20 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> LemmaFuzzReport:
         raise ResourceLimitError(
             f"max_den {max_den} exceeds the int64-exactness guard {FUZZ_MAX_DEN}"
         )
-    rng = np.random.default_rng(seed)
-    xn = rng.integers(-max_den, max_den + 1, size=samples, dtype=np.int64)
-    xd = rng.integers(1, max_den + 1, size=samples, dtype=np.int64)
-    yn = rng.integers(-max_den, max_den + 1, size=samples, dtype=np.int64)
-    yd = rng.integers(1, max_den + 1, size=samples, dtype=np.int64)
-    bad: list[int] = []
-    margins: list[int] = []  # lhs - rhs of the first 256 samples
-    for lo in range(0, samples, _FUZZ_SLICE):
-        a, b, c, d = (v[lo : lo + _FUZZ_SLICE] for v in (xn, xd, yn, yd))
-        lhs = (2 * a) // b + c // d
-        rhs = a // b + (a * d - c * b) // (b * d) + (2 * c) // d
-        bad.extend((np.flatnonzero(lhs < rhs) + lo).tolist())
-        margins.extend((lhs - rhs)[: max(256 - lo, 0)].tolist())
-
-    for i, margin in enumerate(margins):
-        x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
-        ref = lemma1_margin(x, y)
-        if margin != ref:
-            raise RuntimeError(
-                "vectorized lemma engine disagrees with the closed form at "
-                f"sample {i}: margin {margin} vs {ref} at ({x}, {y})"
-            )
-
-    violations = tuple(
-        (Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i])))
-        for i in bad
-    )
-    return LemmaFuzzReport(samples, max_den, seed, violations)
+    rng, violations = np.random.default_rng(seed), []
+    for lo in range(0, samples, _FUZZ_BLOCK):
+        size = min(_FUZZ_BLOCK, samples - lo)
+        xn, xd, yn, yd = (rng.integers(low, max_den + 1, size=size, dtype=np.int64)
+                          for low in (-max_den, 1, -max_den, 1))
+        margin = (2 * xn) // xd + yn // yd - xn // xd - (xn * yd - yn * xd) // (xd * yd) - (2 * yn) // yd
+        pinned = min(max(256 - lo, 0), size)
+        for i in np.union1d(np.arange(pinned), np.flatnonzero(margin < 0)).tolist():
+            x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
+            if i < pinned and margin[i] != (ref := lemma1_margin(x, y)):
+                raise RuntimeError(
+                    "vectorized lemma engine disagrees with the closed form at "
+                    f"sample {lo + i}: margin {margin[i]} vs {ref} at ({x}, {y})"
+                )
+            if margin[i] < 0:
+                violations.append((x, y))
+    return tuple(violations)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface and report formats."""
 
 import dataclasses
+import functools
 import json
 import re
 import types
@@ -313,6 +314,18 @@ def test_verify_checks_the_witness_where_the_ledger_is_not_counted(capsys, monke
     assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger None with witness 2 != ")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_verify_checks_an_uncertified_ledger_against_the_counted_one(capsys, monkeypatch, fmt):
+    """(2097152, 1048576) at n = 1 has an uncertified core (2b > 2^20) and a
+    counted ledger: the one full ledger that decides is checked against it in
+    every format, so a wrong count is an integrity violation."""
+    counted = cli.counted_ledger
+    monkeypatch.setattr(cli, "counted_ledger", lambda claim, n: counted(claim, n)._replace(count=1))
+    code, out, err = run_cli(capsys, "verify", "--a", "2097152", "--b", "1048576", "--n", "1", "--format", fmt)
+    assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger LedgerSummary(count=1,")
+
+
+@functools.cache
 def _reference_certificate(claim, n):
     """The claim's ledger at n, prime by prime from ``references.ratio_valuation``
     and ``nu_int`` of the moduli values and multipliers, up to its bound."""
@@ -328,32 +341,34 @@ def _reference_certificate(claim, n):
 
 
 @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
-@pytest.mark.parametrize("make_claim, n, summary, witness", [
-    (conjecture_claim, 1000, (211, 0), None),  # past the human table
-    (_weaker, 106, (35, -1), 71),  # multiplier 1: a table of 35 rows
-], ids=["holds", "fails"])
-def test_verify_sieves_once_where_the_core_is_uncertified(capsys, monkeypatch, fmt, make_claim, n, summary, witness):
-    """(2000000, 1) has an uncertified core (a > 2^20) and no counted ledger:
-    one full ledger, over one sieve to 2bn+3, gives the verdict, witness and
-    report, as the reference ledger has them."""
-    claim = make_claim(2000000, 1)
-    assert not integral_for_all_n(claim.core) and counted_ledger(claim, n) is None
+@pytest.mark.parametrize("make_claim, a, b, n, summary, witness, counted", [
+    (conjecture_claim, 2000000, 1, 1000, (211, 0), None, False),  # past the human table
+    (_weaker, 2000000, 1, 106, (35, -1), 71, False),  # multiplier 1: a table of 35 rows
+    (conjecture_claim, 2097152, 1048576, 1, (106027, 0), None, True),  # 2b > 2^20, counted
+], ids=["holds", "fails", "mixed"])
+def test_verify_sieves_once_where_the_core_is_uncertified(capsys, monkeypatch, fmt, make_claim, a, b, n,
+                                                          summary, witness, counted):
+    """An uncertified core (a coefficient above 2^20): one full ledger, over
+    one sieve to 2bn+3, gives the verdict, witness and report, as the
+    reference ledger has them, whether or not a counted ledger applies."""
+    claim = make_claim(a, b)
+    assert not integral_for_all_n(claim.core) and (counted_ledger(claim, n) is not None) == counted
     reference = _reference_certificate(claim, n)
     assert (reference.summary(), reference.witness) == (summary, witness)
     monkeypatch.setattr(cli, "conjecture_claim", make_claim)
     limits = []
     monkeypatch.setattr(ratio, "primes_upto", lambda limit, real=ratio.primes_upto: limits.append(limit) or real(limit))
-    code, out, _ = run_cli(capsys, "verify", "--a", "2000000", "--b", "1", "--n", str(n), "--format", fmt)
-    assert (code, limits) == (int(witness is not None), [2 * n + 3])
+    code, out, _ = run_cli(capsys, "verify", "--a", str(a), "--b", str(b), "--n", str(n), "--format", fmt)
+    assert (code, limits) == (int(witness is not None), [2 * b * n + 3])
     verdict = cli._verdict(witness)
     if fmt == "human":
         *lines, wall = out.splitlines()
         assert re.fullmatch(r"wall time: \d+\.\d{3}s", wall) and lines == [
-            f"claim: {claim}", f"instance: a=2000000 b=1 n={n}",
+            f"claim: {claim}", f"instance: a={a} b={b} n={n}",
             *cli._certificate_lines(reference.summary(), witness, reference),
         ]
     elif fmt == "csv":
-        assert re.fullmatch(rf"a,b,n,verdict,witness_prime,seconds\n2000000,1,{n},"
+        assert re.fullmatch(rf"a,b,n,verdict,witness_prime,seconds\n{a},{b},{n},"
                             rf"{re.escape(verdict)},{witness or ''},\d+\.\d{{6}}\n", out)
     else:
         assert out == _stdlib_json(out, [reference])

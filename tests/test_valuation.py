@@ -460,14 +460,13 @@ def test_lemma1_margin_on_twelfths():
 def test_lemma_fuzz_small_run_and_determinism():
     first = lemma_fuzz(5000, 1000, seed=7)
     second = lemma_fuzz(5000, 1000, seed=7)
-    assert first == second
-    assert first.violations == ()
-    assert lemma_fuzz(1, 10, seed=0).violations == ()
+    assert first == second == ()
+    assert lemma_fuzz(1, 10, seed=0) == ()
 
 
 def test_lemma_fuzz_different_seeds_allowed():
-    assert lemma_fuzz(1000, 50, seed=1).violations == ()
-    assert lemma_fuzz(1000, 50, seed=2).violations == ()
+    assert lemma_fuzz(1000, 50, seed=1) == ()
+    assert lemma_fuzz(1000, 50, seed=2) == ()
 
 
 def test_lemma_fuzz_argument_guards():
@@ -482,14 +481,24 @@ def test_lemma_fuzz_argument_guards():
 def test_lemma_fuzz_at_the_int64_exactness_edge():
     """At max_den = FUZZ_MAX_DEN the cross term xn*yd - yn*xd reaches about
     2*FUZZ_MAX_DEN^2 < 2^63: no violation, and the closed-form check passes."""
-    assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3).violations == ()
+    assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3) == ()
 
 
-def test_lemma_fuzz_slices_do_not_change_the_report(monkeypatch):
-    """Slices shorter than the 256-sample cross-check prefix: same report."""
-    reports = [lemma_fuzz(1000, 10**6, seed) for seed in (1, 2, 3)]
-    monkeypatch.setattr(valuation, "_FUZZ_SLICE", 100)
-    assert [lemma_fuzz(1000, 10**6, seed) for seed in (1, 2, 3)] == reports
+def test_lemma_fuzz_checks_the_first_256_pairs_of_the_block_stream(monkeypatch):
+    """The pairs handed to ``lemma1_margin`` are the run's first 256 in the
+    documented order: each block draws xn, xd, yn and yd in turn from
+    default_rng(seed), here with blocks shorter than 256 and with one block."""
+    real, checked = valuation.lemma1_margin, []
+    monkeypatch.setattr(valuation, "lemma1_margin", lambda x, y: checked.append((x, y)) or real(x, y))
+    for block in (100, valuation._FUZZ_BLOCK):
+        monkeypatch.setattr(valuation, "_FUZZ_BLOCK", block)
+        checked.clear()
+        assert lemma_fuzz(300, 1000, seed=5) == ()
+        rng, expected = np.random.default_rng(5), []
+        for lo in range(0, 300, block):
+            xn, xd, yn, yd = (rng.integers(low, 1001, size=min(block, 300 - lo)) for low in (-1000, 1, -1000, 1))
+            expected += [(Fraction(int(a), int(b)), Fraction(int(c), int(d))) for a, b, c, d in zip(xn, xd, yn, yd)]
+        assert checked == expected[:256], block
 
 
 def test_lemma_fuzz_cross_check_fires(monkeypatch):
