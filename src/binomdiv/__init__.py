@@ -31,7 +31,6 @@ from .ratio import (
     counted_ledger,
     integral_for_all_n,
     integrality_claim,
-    is_integral_at,
     ratio_level_terms,
     ratio_valuation_over_primes,
     verify_claim,

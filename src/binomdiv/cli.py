@@ -11,12 +11,13 @@ Commands:
 The parser validates and converts every input, and the parsed namespace,
 less ``command``, ``handler`` and ``out``, is a JSON report's ``config``.
 Each ``_cmd_*`` handler runs its library call and returns a ``_Report``.
-``verify`` with a certified core reads its verdict and witness from
-``claim_holds`` and its count and margin from ``counted_ledger``, holding no
-ledger over every prime; the full ledger of ``verify_claim``, built at most
-once, gives the count and margin where the counted ledger does not apply,
-the JSON entries (built inside the clock) and a human table of at most 60
-rows, and is checked against both (``IntegrityError``).  With an uncertified
+``verify`` with a certified core reads its verdict and witness, all csv
+prints, from ``claim_holds``, and its human count and margin from
+``counted_ledger``, holding no ledger over every prime; the full ledger of
+``verify_claim`` gives them where the counted ledger does not apply, the JSON
+entries (built inside the clock) and a human table of at most 60 rows, and
+is checked against both (``IntegrityError``).  Each is a cached thunk, run
+only for a report that prints it or checks against it.  With an uncertified
 core ``claim_holds`` would rerun the ledger's code on a second sieve, so the
 one ledger gives the verdict, checked against the counted ledger if any.
 ``sweep`` checks each violation's ledger against its witness the same way.
@@ -39,11 +40,12 @@ read-only int64 columns ``primes``, ``required`` and ``available`` in
 blocks of 2^14 rows, so no report is held whole in memory.  Reports are
 deterministic for a fixed config and seed, except for the wall-clock seconds:
 ``_render`` reads one clock around the whole handler and, for JSON, the
-results it builds, and that reading is ``summary.seconds``, the CSV
-``seconds`` column and the human "wall time" line.
+results it builds (human text: the lines before its "wall time" line), and
+that reading is ``summary.seconds``, the CSV ``seconds`` column and the
+human "wall time" line.
 
-CSV output (verify / sweep / integrality only; the other commands exit 2)
-has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
+CSV output (verify / sweep / integrality only; the parser refuses it
+elsewhere) has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
 inapplicable fields are empty.
 
 Canonical ratio grammar (the text form used in claim rendering):
@@ -97,7 +99,6 @@ from .valuation import lemma_fuzz
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 42
-_CSV_COMMANDS = ("verify", "sweep", "integrality")
 _JSON_BLOCK_ROWS = 2**14  # certificate entries per chunk of a JSON report
 _HUMAN_MAX_ENTRIES = 60  # longer certificate tables are elided from human reports
 
@@ -108,15 +109,15 @@ class _Report:
 
     The report bodies are thunks, so only the format asked for is built
     (``verify --format human`` never builds the certificate dicts).
-    ``lines`` takes the wall-clock seconds; ``rows`` yields
-    ``(a, b, n, verdict, witness)``; None means no CSV form.
+    ``lines`` takes a thunk reading the wall-clock seconds; ``rows`` yields
+    ``(a, b, n, verdict, witness)`` for the commands the parser gives csv.
     """
 
     checked: int
     violations: int
     summary_line: str
     results: Callable[[], list]
-    lines: Callable[[float], list[str]]
+    lines: Callable[[Callable[[], float]], list[str]]
     rows: Callable[[], Iterable[tuple]] | None = None
 
 
@@ -197,8 +198,8 @@ def _checked_ledger(full: Certificate, claim: DivisibilityClaim, witness: int | 
     return full
 
 
-def _certificate_lines(summary: LedgerSummary, witness: int | None, cert: Certificate | None) -> list[str]:
-    """The ledger's lines; a table reads ``cert``, otherwise None will do."""
+def _certificate_lines(summary: LedgerSummary, witness: int | None, cert: Callable[[], Certificate]) -> list[str]:
+    """The ledger's lines; only a table of at most 60 rows calls ``cert``."""
     lines = [f"verdict: {_verdict(witness)}", f"primes with required > 0: {summary.count}"]
     if summary.min_margin is not None:
         lines.append(f"min margin (available - required): {summary.min_margin}")
@@ -206,7 +207,7 @@ def _certificate_lines(summary: LedgerSummary, witness: int | None, cert: Certif
         lines.append("(entry table elided; rerun with --format json --out FILE)")
     elif summary.count:
         lines.append(f"{'p':>12} {'required':>9} {'available':>10}")
-        lines.extend(f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert.entries)
+        lines.extend(f"{p:>12} {req:>9} {av:>10}" for p, req, av in cert().entries)
     if witness is not None:
         lines.append(f"VIOLATION at witness prime p={witness}")
     return lines
@@ -242,28 +243,25 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
     """Run the command and render its report in ``--format`` as text chunks.
 
     The only code that reads ``--format``.  Before the command runs, it
-    refuses csv for a command without a CSV form, then an ``--out`` that
-    ``open`` refuses (a directory, or in a missing one), with its error;
-    after it, a JSON skeleton that cannot be encoded, before any write.
+    refuses an ``--out`` that ``open`` refuses (a directory, or in a missing
+    one), with its error; after it, a JSON skeleton that cannot be encoded,
+    before any write.
     """
-    if args.format == "csv" and args.command not in _CSV_COMMANDS:
-        raise ValueError(f"{args.command} does not support csv output; use json or human")
     if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
         open(args.out, "w").close()  # fails, as writing the report would: nothing is created
     started = time.perf_counter()
     report = args.handler(args)
-    results = report.results() if args.format == "json" else None
-    seconds = time.perf_counter() - started
+    elapsed = lambda: time.perf_counter() - started
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "config": {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")},
-            "results": results,
+            "results": report.results(),  # built before the clock is read below
             "summary": {
                 "checked": report.checked,
                 "violations": report.violations,
-                "seconds": seconds,
+                "seconds": elapsed(),
             },
         }
         return report, itertools.chain(_json_chunks(doc), ["\n"])
@@ -271,9 +269,10 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
         writer.writerow(["a", "b", "n", "verdict", "witness_prime", "seconds"])
+        seconds = elapsed()
         writer.writerows((*row, f"{seconds:.6f}") for row in report.rows())
         return report, [buffer.getvalue()]
-    return report, ["\n".join(report.lines(seconds)) + "\n"]
+    return report, ["\n".join(report.lines(elapsed)) + "\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +281,26 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
 def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
-    counted = counted_ledger(claim, args.n)
+    counted = functools.cache(lambda: counted_ledger(claim, args.n))
     if integral_for_all_n(claim.core):
         witness = claim_holds(claim, args.n)[1]
-        ledger = functools.cache(lambda: _checked_ledger(verify_claim(claim, args.n), claim, witness, counted))
+        # verify_claim first: past SIEVE_LIMIT its refusal comes before the count's work
+        ledger = functools.cache(lambda: _checked_ledger(verify_claim(claim, args.n), claim, witness, counted()))
     else:  # claim_holds would run verify_claim's code again: one sieve, one ledger decides
         full = verify_claim(claim, args.n)
-        witness = _checked_ledger(full, claim, full.witness, counted).witness
+        witness = _checked_ledger(full, claim, full.witness, counted()).witness
         ledger = lambda: full
-    summary = counted or ledger().summary()
     verdict = _verdict(witness)
     return _Report(
         checked=1,
         violations=0 if witness is None else 1,
         summary_line=f"verify a={args.a} b={args.b} n={args.n}: {verdict}",
         results=lambda: [_result_dict(triple, witness, ledger())],
-        lines=lambda seconds: [
+        lines=lambda elapsed: [
             f"claim: {claim}",
             f"instance: a={args.a} b={args.b} n={args.n}",
-            *_certificate_lines(summary, witness, ledger() if summary.count <= _HUMAN_MAX_ENTRIES else None),
-            f"wall time: {seconds:.3f}s",
+            *_certificate_lines(counted() or ledger().summary(), witness, ledger),
+            f"wall time: {elapsed():.3f}s",
         ],
         rows=lambda: [(args.a, args.b, args.n, verdict, witness)],
     )
@@ -314,17 +313,17 @@ def _cmd_sweep(args: argparse.Namespace) -> _Report:
     found = [(t, w, _checked_ledger(verify_claim(claim := conjecture_claim(t.a, t.b), t.n), claim, w))
              for t, w in report.violations]
 
-    def lines(seconds: float) -> list[str]:
+    def lines(elapsed: Callable[[], float]) -> list[str]:
         mode = "sampled" if args.sample is not None else "exhaustive"
         out = [
             f"sweep: a <= {args.a_max}, b <= {args.b_max}, n <= {args.n_max} ({mode})",
             f"checked: {report.checked} triples",
             f"violations: {len(found)}",
-            f"wall time: {seconds:.3f}s",
+            f"wall time: {elapsed():.3f}s",
         ]
         for triple, witness, cert in found:
             out.append(f"VIOLATION a={triple.a} b={triple.b} n={triple.n} witness p={witness}")
-            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), witness, cert))
+            out.extend(f"  {ln}" for ln in _certificate_lines(cert.summary(), witness, lambda: cert))
         return out
 
     return _Report(
@@ -360,7 +359,7 @@ def _cmd_trace(args: argparse.Namespace) -> _Report:
         violations=sum(not tr.satisfied for tr in traces),
         summary_line=f"trace {side.value}: {'satisfied' if all_satisfied else 'VIOLATION'}",
         results=lambda: [_trace_dict(tr) for tr in traces],
-        lines=lambda seconds: [
+        lines=lambda elapsed: [
             f"trace: a={args.a} b={args.b} n={args.n}, modulus {side.value} = {side.at(triple)}",
             *(line for tr in traces for line in _trace_lines(tr)),
             f"all satisfied: {all_satisfied}",
@@ -382,7 +381,7 @@ def _cmd_lemma_fuzz(args: argparse.Namespace) -> _Report:
             for x, y in violations
         ],
         # No timing line: identical seeds must give byte-identical output.
-        lines=lambda seconds: [
+        lines=lambda elapsed: [
             f"lemma-fuzz: samples={args.samples} max_den={args.max_den} seed={args.seed}",
             f"violations: {len(violations)}",
             *(f"VIOLATION at x={x}, y={y}" for x, y in violations),
@@ -405,7 +404,7 @@ def _cmd_integrality(args: argparse.Namespace) -> _Report:
     outcomes = list(zip(ns, holds.tolist(), [w or None for w in witness.tolist()]))
     bad = sum(not integral for _, integral, _ in outcomes)
 
-    def lines(seconds: float) -> list[str]:
+    def lines(elapsed: Callable[[], float]) -> list[str]:
         out = [f"ratio: {ratio}"]
         for n, integral, w in outcomes:
             out.append(f"n={n}: {'integral' if integral else f'non-integral (witness p={w})'}")
@@ -431,7 +430,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
     suites = run_all()
     failed = sum(not s.passed for s in suites)
 
-    def lines(seconds: float) -> list[str]:
+    def lines(elapsed: Callable[[], float]) -> list[str]:
         out = []
         for s in suites:
             status = "ok" if s.passed else f"FAIL ({len(s.failures)} failures)"
@@ -481,14 +480,10 @@ def _coefficients(text: str) -> list[int]:
     return values
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+def _add_output_flags(sub: argparse.ArgumentParser, *formats: str) -> None:
+    """--out, and --format choosing among ``formats``: the ones the command renders."""
     sub.add_argument("--out", type=str, default=None, help="write the report to this path")
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv", "human"),
-        default="human",
-        help="report format (default: human)",
-    )
+    sub.add_argument("--format", choices=formats, default="human", help="report format (default: human)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=_positive, required=True)
     verify.add_argument("--b", type=_positive, required=True)
     verify.add_argument("--n", type=_positive, required=True)
-    _add_output_flags(verify)
+    _add_output_flags(verify, "json", "csv", "human")
     verify.set_defaults(handler=_cmd_verify)
 
     sweep = commands.add_parser("sweep", help="verify a whole (a, b, n) box")
@@ -521,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check only this many seeded-random triples from the box",
     )
-    _add_output_flags(sweep)
+    _add_output_flags(sweep, "json", "csv", "human")
     sweep.set_defaults(handler=_cmd_sweep)
 
     trace = commands.add_parser("trace", help="replay the per-prime case analysis")
@@ -529,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--b", type=_positive, required=True)
     trace.add_argument("--n", type=_positive, required=True)
     trace.add_argument("--modulus", choices=("2bn+1", "2bn+3"), required=True)
-    _add_output_flags(trace)
+    _add_output_flags(trace, "json", "human")
     trace.set_defaults(handler=_cmd_trace)
 
     fuzz = commands.add_parser("lemma-fuzz", help="fuzz the floor inequality")
     fuzz.add_argument("--samples", type=_positive, required=True)
     fuzz.add_argument("--max-den", type=_positive, default=10**6)
     fuzz.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED)
-    _add_output_flags(fuzz)
+    _add_output_flags(fuzz, "json", "human")
     fuzz.set_defaults(handler=_cmd_lemma_fuzz)
 
     integ = commands.add_parser(
@@ -545,12 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     integ.add_argument("--num", type=_coefficients, required=True, help="comma-separated numerator coefficients")
     integ.add_argument("--den", type=_coefficients, required=True, help="comma-separated denominator coefficients")
     integ.add_argument("--n-max", type=_positive, required=True)
-    _add_output_flags(integ)
+    _add_output_flags(integ, "json", "csv", "human")
     integ.set_defaults(handler=_cmd_integrality)
 
     check = commands.add_parser("oracle-check", help="run the cross-validation suites")
     check.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED, help="kept in the config only")
-    _add_output_flags(check)
+    _add_output_flags(check, "json", "human")
     check.set_defaults(handler=_cmd_oracle_check)
 
     return parser

@@ -1,8 +1,9 @@
 """Independent brute-force ground truth over arbitrary-precision integers.
 
 Deliberately naive and deliberately separate: nothing here touches the
-valuation machinery it is used to validate.  Guarded to desk scale
-(arguments up to 10^4) where exact big-integer arithmetic stays cheap.
+valuation machinery it is used to validate.  Binomials are the standard
+library's ``math.comb``, guarded to desk scale (arguments up to 10^4)
+where exact big-integer arithmetic stays cheap.
 """
 
 from __future__ import annotations
@@ -16,20 +17,12 @@ ORACLE_LIMIT = 10_000
 
 
 def big_binomial(m: int, k: int) -> int:
-    """Exact C(m, k) by the multiplicative recurrence.
-
-    Each step divides exactly (the running product is itself a binomial
-    coefficient), so intermediates never exceed the result.
-    """
+    """Exact C(m, k) by ``math.comb``, for 0 <= k <= m <= ``ORACLE_LIMIT``."""
     if k < 0 or k > m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     if m > ORACLE_LIMIT:
         raise ResourceLimitError(f"binomial argument {m} exceeds oracle guard {ORACLE_LIMIT}")
-    k = min(k, m - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (m - k + i) // i
-    return out
+    return math.comb(m, k)
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:

@@ -26,7 +26,8 @@ the breakpoints k/c_i with e_i < 0, so one numpy pass per such c_i
 checks it there with exact int64 arithmetic: a proof.
 
 Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor,
-computed and certified once per claim.  When the core is certified, no
+computed once per claim and certified once per ratio by the cached
+``integral_for_all_n``.  When the core is certified, no
 prime outside the moduli values can fail, and ``claims_hold(claims,
 which, ns)`` decides a batch of such (claim, n) rows with one table of
 (row, p, required, available): the moduli values are factored together
@@ -38,15 +39,16 @@ Other rows take the full prime enumeration, which ``verify_claim``
 always uses.  Both paths take their Legendre sums from the one kernel
 ``valuation.nu_factorial_over_primes``: the ledger over an array of
 primes per factorial argument, the table over its (row, term) cells
-with one prime per row.  ``claim_holds`` is a one-row call.
-``is_integral_at(r, n)`` is ``claim_holds`` on the claim "denominator
-of r | numerator of r": an uncertified ratio enumerates primes only up
-to its largest denominator argument.
+with one prime per row.  ``claim_holds`` is a one-row call; on
+``integrality_claim(r)``, "denominator of r | numerator of r", it decides
+whether r(n) is integral, and an uncertified ratio enumerates primes only
+up to its largest denominator argument.
 
 Counted ledgers.  ``counted_ledger`` gives a claim's count of primes with
 required > 0 and least margin, as ``verify_claim`` would, but no verdict, by
 counting the primes between Legendre breakpoints with a pi table instead of
-enumerating them, when no ratio term has an offset.
+enumerating them, when no ratio term has an offset and the table's work is
+below the sieve it replaces, also past the sieve's guard ``SIEVE_LIMIT``.
 
 Canonical text form (also documented in the CLI):
 
@@ -143,11 +145,8 @@ class FactorialRatio:
     def __mul__(self, other: "FactorialRatio") -> "FactorialRatio":
         return FactorialRatio.from_terms(self.terms + other.terms)
 
-    def reciprocal(self) -> "FactorialRatio":
-        return FactorialRatio(tuple((f, -e) for f, e in self.terms))
-
     def __truediv__(self, other: "FactorialRatio") -> "FactorialRatio":
-        return self * other.reciprocal()
+        return FactorialRatio.from_terms(self.terms + tuple((f, -e) for f, e in other.terms))
 
     def arguments(self, n: int) -> list[int]:
         """Evaluated factorial arguments, each checked nonnegative."""
@@ -292,13 +291,9 @@ class DivisibilityClaim:
 
     @cached_property
     def core(self) -> FactorialRatio:
-        """dividend_ratio / divisor_ratio; like its certification and the
-        multiplier exponents of the full ledger, computed once per claim."""
+        """dividend_ratio / divisor_ratio; like the multiplier exponents of
+        the full ledger, computed once per claim."""
         return self.dividend_ratio / self.divisor_ratio
-
-    @cached_property
-    def _certified(self) -> bool:
-        return integral_for_all_n(self.core)
 
     @cached_property
     def _multiplier_nu(self) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +448,7 @@ def claims_hold(
             reach[k] = max([reach[k], *moduli_values, *divisor_args])
     witness = np.zeros(which.size, dtype=np.int64)
     certified = np.zeros(len(claims), dtype=bool)
-    certified[present] = [claims[k]._certified for k in present.tolist()]
+    certified[present] = [integral_for_all_n(claims[k].core) for k in present.tolist()]
     if (full := np.flatnonzero(~certified[which])).size:
         sieve = primes_upto(max(reach[k] for k in present.tolist() if not certified[k]))
     for i in full.tolist():
@@ -496,18 +491,19 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
 
 def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     """``verify_claim(claim, n).summary()``, the count and least margin but no
-    verdict, else None: where a ratio term has an offset, (L n)^3 > bound^4
-    (the pi table's work against the sieve's) or the bound is past
-    ``SIEVE_LIMIT``.  Each argument a = c n <= L n, so above r = isqrt(L n)
-    nu_p(a!) = a // p is constant between breakpoints a // k = (L n) // (k L / c):
-    the primes of each interval but the moduli's and multipliers' are counted
-    by ``prime_pi_table(L n)``, and those take full columns with its primes
-    <= r.  Past the last breakpoint below the bound only those are required."""
+    verdict, else None: where a ratio term has an offset or (L n)^3 >
+    min(bound, ``SIEVE_LIMIT``)^4, the pi table's work against the cheaper of
+    the sieve it replaces and the sieve's guard.  Each argument a = c n <= L n,
+    so above r = isqrt(L n) nu_p(a!) = a // p is constant between breakpoints
+    a // k = (L n) // (k L / c): the primes of each interval but the moduli's
+    and multipliers' are counted by ``prime_pi_table(L n)``, and those take
+    full columns with its primes <= r.  Past the last breakpoint below the
+    bound only those are required."""
     moduli_values, divisor_args, dividend_args = _instance(claim, n)
     bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
     size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
-    if any(f.offset for f, _ in terms) or size**3 > bound**4 or bound > SIEVE_LIMIT:
+    if any(f.offset for f, _ in terms) or size**3 > min(bound, SIEVE_LIMIT) ** 4:
         return None
     root = math.isqrt(size)
     cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
@@ -537,9 +533,3 @@ def integrality_claim(r: FactorialRatio) -> DivisibilityClaim:
         multiplier_constants=(),
         dividend_ratio=FactorialRatio(tuple((f, e) for f, e in r.terms if e > 0)),
     )
-
-
-def is_integral_at(r: FactorialRatio, n: int) -> tuple[bool, int | None]:
-    """(integral, least prime with negative valuation or None) of the ratio
-    at n: ``claim_holds`` on ``integrality_claim(r)``."""
-    return claim_holds(integrality_claim(r), n)

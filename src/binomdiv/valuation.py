@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import IntegrityError, ResourceLimitError
 
 #: Hard ceiling for sieve limits (memory guard).
 SIEVE_LIMIT = 2**31
@@ -268,9 +268,10 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fracti
     whatever ``samples`` is: each block draws its xn, xd, yn and yd in turn
     from the one generator, evaluates the five floors as one exact int64
     margin, and keeps its own violating pairs.  The margins of the run's first
-    256 samples must equal the closed form ``lemma1_margin``, so the floor
-    arrays cannot drift from the proof.  Deterministic: the same (samples,
-    max_den, seed) yields the same sample stream and result.
+    256 samples must equal the closed form ``lemma1_margin``
+    (``IntegrityError``), so the floor arrays cannot drift from the proof.
+    Deterministic: the same (samples, max_den, seed) yields the same sample
+    stream and result.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -290,7 +291,7 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fracti
         for i in np.union1d(np.arange(pinned), np.flatnonzero(margin < 0)).tolist():
             x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
             if i < pinned and margin[i] != (ref := lemma1_margin(x, y)):
-                raise RuntimeError(
+                raise IntegrityError(
                     "vectorized lemma engine disagrees with the closed form at "
                     f"sample {lo + i}: margin {margin[i]} vs {ref} at ({x}, {y})"
                 )

@@ -8,7 +8,9 @@ prime, with t_n in its offset form, which no claim of the package uses."""
 import numpy as np
 
 from binomdiv.oracle import _exact_quotient, big_binomial
-from binomdiv.ratio import Certificate, LinearForm, _argument, _check_n, _instance, _modulus_table, binomial_ratio
+from binomdiv.ratio import (
+    Certificate, LinearForm, _argument, _check_n, _instance, _modulus_table, binomial_ratio, integral_for_all_n,
+)
 from binomdiv.theorem import s_integrality_claim
 from binomdiv.valuation import nu_int
 
@@ -75,7 +77,7 @@ def modulus_rows(claim, n):
     nu_p(``claim.core``), the one-row table of ``claims_hold``.  They decide
     the claim at n when its core is certified; other claims raise ``ValueError``.
     """
-    if not claim._certified:
+    if not integral_for_all_n(claim.core):
         raise ValueError(f"core ratio of {claim} has no Landau certificate")
     _instance(claim, n)
     _, p, required, available = _modulus_table((claim,), np.zeros(1, np.intp), [n])

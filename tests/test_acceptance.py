@@ -21,7 +21,6 @@ from binomdiv.ratio import (
     claim_holds,
     claims_hold,
     integrality_claim,
-    is_integral_at,
     verify_claim,
 )
 from binomdiv.theorem import (
@@ -125,7 +124,7 @@ def test_03_core_ratio_integrality():
     assert checked == len(list(_sweep_box()))
     for a, b in ((2, 1), (SWEEP_A_MAX, 1), (SWEEP_A_MAX, SWEEP_B_MAX)):  # the box corners
         for n in (1, SWEEP_N_MAX):
-            assert is_integral_at(conjecture_ratio(a, b), n) == (True, None), (a, b, n)
+            assert claim_holds(integrality_claim(conjecture_ratio(a, b)), n) == (True, None), (a, b, n)
     oracle_checked = 0
     for a, b in sweep_pairs(8, 7):
         for n in range(1, 41):

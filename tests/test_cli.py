@@ -8,7 +8,7 @@ import types
 
 import pytest
 
-from binomdiv import cli, crosscheck, oracle, ratio, theorem
+from binomdiv import cli, crosscheck, oracle, ratio, theorem, valuation
 from binomdiv.cli import main
 from binomdiv.errors import IntegrityError
 from binomdiv.ratio import Certificate
@@ -227,18 +227,20 @@ def test_verify_csv_row(capsys):
 
 @pytest.mark.parametrize(
     "n, fmt, full",
-    [(10**5, "human", 0), (10**5, "csv", 0), (10**5, "json", 1), (40, "human", 1), (40, "csv", 0), (33, "csv", 1)],
+    [(10**5, "human", 0), (10**5, "csv", 0), (10**5, "json", 1), (40, "human", 1), (40, "csv", 0), (33, "csv", 0)],
 )
 def test_verify_builds_the_full_ledger_only_where_the_report_needs_it(capsys, monkeypatch, n, fmt, full):
     """(7, 5) takes the counted route from n = 34 on; at n = 40 the human
-    table's 58 rows come from the full ledger, at n = 10^5 the JSON entries."""
-    calls = []
+    table's 58 rows come from the full ledger, at n = 10^5 the JSON entries.
+    csv prints the verdict of ``claim_holds`` alone, and counts nothing."""
+    calls, counts = [], []
     monkeypatch.setattr(cli, "verify_claim", lambda claim, n: calls.append(n) or verify_claim(claim, n))
+    monkeypatch.setattr(cli, "counted_ledger", lambda claim, n: counts.append(n) or counted_ledger(claim, n))
     code, out, _ = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", str(n), "--format", fmt)
-    assert code == 0 and len(calls) == full
+    assert code == 0 and len(calls) == full and len(counts) == (fmt != "csv")
     if fmt == "human":
         cert = verify_claim(conjecture_claim(7, 5), n)
-        assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert.witness, cert)) + "\n" in out
+        assert "\n" + "\n".join(cli._certificate_lines(cert.summary(), cert.witness, lambda: cert)) + "\n" in out
 
 
 def _weaker(a, b):
@@ -252,7 +254,7 @@ def test_verify_failing_verdict_prints_the_full_ledger_table(capsys, monkeypatch
     monkeypatch.setattr(cli, "conjecture_claim", _weaker)
     cert = verify_claim(_weaker(2, 1), 31)
     assert cli.counted_ledger(_weaker(2, 1), 31) == cert.summary() and cert.witness == 5
-    lines = cli._certificate_lines(cert.summary(), cert.witness, cert)
+    lines = cli._certificate_lines(cert.summary(), cert.witness, lambda: cert)
     argv = ("verify", "--a", "2", "--b", "1", "--n", "31", "--format")
     code, human, _ = run_cli(capsys, *argv, "human")
     assert code == 1
@@ -305,13 +307,17 @@ def test_verify_json_cross_checks_the_counted_ledger(capsys, monkeypatch, field)
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
 def test_verify_checks_the_witness_where_the_ledger_is_not_counted(capsys, monkeypatch, fmt):
-    """(7, 5) at n = 33 has no counted ledger: its full ledger gives the count
-    in every format, and a ``claim_holds`` witness it does not show is an
-    integrity violation."""
+    """(7, 5) at n = 33 has no counted ledger: its full ledger gives the human
+    count and the JSON entries, and a ``claim_holds`` witness it does not show
+    is an integrity violation.  csv prints the verdict of ``claim_holds`` alone."""
     assert counted_ledger(conjecture_claim(7, 5), 33) is None
     monkeypatch.setattr(cli, "claim_holds", lambda claim, n: (False, 2))
     code, out, err = run_cli(capsys, "verify", "--a", "7", "--b", "5", "--n", "33", "--format", fmt)
-    assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger None with witness 2 != ")
+    if fmt == "csv":
+        assert (code, err) == (1, "") and re.fullmatch(r"a,b,n,verdict,witness_prime,seconds\n"
+                                                       r"7,5,33,Fails\(p=2\),2,\d+\.\d{6}\n", out)
+    else:
+        assert (code, out) == (1, "") and err.startswith("integrity violation: counted ledger None with witness 2 != ")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
@@ -365,7 +371,7 @@ def test_verify_sieves_once_where_the_core_is_uncertified(capsys, monkeypatch, f
         *lines, wall = out.splitlines()
         assert re.fullmatch(r"wall time: \d+\.\d{3}s", wall) and lines == [
             f"claim: {claim}", f"instance: a={a} b={b} n={n}",
-            *cli._certificate_lines(reference.summary(), witness, reference),
+            *cli._certificate_lines(reference.summary(), witness, lambda: reference),
         ]
     elif fmt == "csv":
         assert re.fullmatch(rf"a,b,n,verdict,witness_prime,seconds\n{a},{b},{n},"
@@ -448,7 +454,8 @@ def test_trace_rejects_bad_modulus_selector(capsys):
 
 
 def test_trace_rejects_csv(capsys, tmp_path):
-    """trace, lemma-fuzz and oracle-check refuse csv before any validation or work."""
+    """trace, lemma-fuzz and oracle-check have no csv form: the parser refuses
+    it with a usage error, before any validation or work."""
     out_file = tmp_path / "report.csv"
     for argv in (
         ["trace", "--a", "2", "--b", "1", "--n", "1", "--modulus", "2bn+1"],
@@ -458,7 +465,8 @@ def test_trace_rejects_csv(capsys, tmp_path):
         for extra in ([], ["--out", str(out_file)]):
             code, out, err = run_cli(capsys, *argv, "--format", "csv", *extra)
             assert code == 2
-            assert err == f"error: {argv[0]} does not support csv output; use json or human\n"
+            assert err.startswith(f"usage: binomdiv {argv[0]} ")
+            assert f"binomdiv {argv[0]}: error: argument --format: invalid choice: 'csv'" in err
             assert out == ""
             assert not out_file.exists()
 
@@ -585,10 +593,10 @@ def test_out_to_missing_directory_is_refused_before_the_work(capsys, monkeypatch
     assert out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     assert not missing.exists()
-    # the csv refusal still wins
+    # the parser's csv refusal still wins
     code, _, err = run_cli(capsys, "oracle-check", "--format", "csv", "--out", str(missing))
     assert code == 2
-    assert err == "error: oracle-check does not support csv output; use json or human\n"
+    assert "binomdiv oracle-check: error: argument --format: invalid choice: 'csv'" in err
     # a command that fails leaves an existing --out file as it was
     existing = tmp_path / "r.json"
     existing.write_text("keep\n", encoding="utf-8")
@@ -632,6 +640,14 @@ def test_lemma_fuzz_single_sample(capsys):
     code, out, _ = run_cli(capsys, "lemma-fuzz", "--samples", "1")
     assert code == 0
     assert "violations: 0" in out
+
+
+def test_lemma_fuzz_pin_mismatch_is_an_integrity_violation(capsys, monkeypatch):
+    """A closed form that disagrees with the int64 floors is a finding: exit 1."""
+    real = valuation.lemma1_margin
+    monkeypatch.setattr(valuation, "lemma1_margin", lambda x, y: real(x, y) + 1)
+    code, out, err = run_cli(capsys, "lemma-fuzz", "--samples", "10")
+    assert (code, out) == (1, "") and err.startswith("integrity violation: vectorized lemma engine disagrees")
 
 
 # ---------------------------------------------------------------------------

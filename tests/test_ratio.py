@@ -27,7 +27,7 @@ from binomdiv.ratio import (
     claims_hold,
     counted_ledger,
     integral_for_all_n,
-    is_integral_at,
+    integrality_claim,
     ratio_level_terms,
     ratio_valuation_over_primes,
     verify_claim,
@@ -124,7 +124,7 @@ def test_direct_construction_validates_canonical_form():
 
 
 def test_multiplication_and_division():
-    r = CENTRAL * CENTRAL.reciprocal()
+    r = CENTRAL * (FactorialRatio() / CENTRAL)
     assert r == FactorialRatio.from_terms([])
     assert (CENTRAL / CENTRAL).terms == ()
     product = binomial_ratio(form(4), form(2)) * binomial_ratio(form(2), form(1))
@@ -339,18 +339,18 @@ def test_vectorized_valuation_work_is_bounded_by_the_array_size():
 # integrality
 
 def test_is_integral_examples():
-    assert is_integral_at(conjecture_style_ratio(3, 1), 2) == (True, None)
+    assert claim_holds(integrality_claim(conjecture_style_ratio(3, 1)), 2) == (True, None)
     chebyshev = FactorialRatio.from_terms(
         [(form(30), 1), (form(1), 1), (form(15), -1), (form(10), -1), (form(6), -1)]
     )
-    assert is_integral_at(chebyshev, 1)[0]
+    assert claim_holds(integrality_claim(chebyshev), 1)[0]
     inverse_central = FactorialRatio.from_terms([(form(1), 2), (form(2), -1)])
-    assert is_integral_at(inverse_central, 1) == (False, 2)
+    assert claim_holds(integrality_claim(inverse_central), 1) == (False, 2)
 
 
 def test_is_integral_agrees_with_exact_arithmetic():
     def check(r, n):
-        result = is_integral_at(r, n)
+        result = claim_holds(integrality_claim(r), n)
         value = exact_ratio_value(r, n)
         assert result[0] == (value.denominator == 1)
         negative = [
@@ -411,7 +411,7 @@ def test_landau_certificate_refuses_what_it_cannot_prove():
     m = LANDAU_MAX_BREAKPOINTS + 1
     wide = binomial_ratio(form(2 * m), form(m))
     assert not integral_for_all_n(wide)
-    assert is_integral_at(wide, 1) == (True, None)
+    assert claim_holds(integrality_claim(wide), 1) == (True, None)
     # the cap is on the largest negative-exponent coefficient, max(a, 2b) for the core
     assert integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS, 1))
     assert not integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS + 1, 1))
@@ -479,12 +479,12 @@ def test_landau_certificate_matches_every_breakpoint_reference():
 def test_is_integral_sieves_only_to_the_largest_denominator_argument():
     # the numerator argument 2^40 is far past SIEVE_LIMIT; only primes <= 1 matter
     unbalanced = FactorialRatio.from_terms([(form(2**40), 1), (form(1), -1)])
-    assert is_integral_at(unbalanced, 1) == (True, None)
+    assert claim_holds(integrality_claim(unbalanced), 1) == (True, None)
 
 
 def test_is_integral_empty_and_tiny_ratios():
-    assert is_integral_at(FactorialRatio.from_terms([]), 3)[0]
-    assert is_integral_at(FactorialRatio.from_terms([(form(0, 1), 5)]), 1)[0]
+    assert claim_holds(integrality_claim(FactorialRatio.from_terms([])), 3)[0]
+    assert claim_holds(integrality_claim(FactorialRatio.from_terms([(form(0, 1), 5)])), 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ def test_reduced_verdict_matches_full_ledger_on_a_surplus_core():
     failing = 0
     for modulus in (form(1, 1), form(2, 1), form(3)):
         claim = DivisibilityClaim((modulus,), FactorialRatio(), (), falling)
-        assert claim._certified
+        assert integral_for_all_n(claim.core)
         for n in range(1, 61):
             cert = verify_claim(claim, n)
             assert claim_holds(claim, n) == (cert.holds, cert.witness)
@@ -730,7 +730,7 @@ def random_certified_claims(rng, count):
         moduli = tuple(rng.sample(moduli_pool, rng.randint(0, 4)))
         multipliers = tuple(rng.choices((1, 2, 3, 4, 6, 9, 12, 25, 27, 49), k=rng.randint(0, 3)))
         claim = DivisibilityClaim(moduli, FactorialRatio(), multipliers, core)
-        assert claim._certified
+        assert integral_for_all_n(claim.core)
         claims.append(claim)
     return claims
 
@@ -782,7 +782,7 @@ def test_claims_hold_mixes_certified_and_uncertified_claims():
     """S_n claims take the table, offset-form t_n claims the full ledger, in one batch."""
     claims = [s_integrality_claim(), s_congruence_claim(), OFFSET_T_INTEGRALITY, OFFSET_T_CONGRUENCE]
     claims += [dataclasses.replace(c, multiplier_constants=(1,)) for c in claims[1::2]]
-    assert [c._certified for c in claims] == [True, True, False, False, True, False]
+    assert [integral_for_all_n(c.core) for c in claims] == [True, True, False, False, True, False]
     rng = random.Random(6)
     which = [rng.randrange(len(claims)) for _ in range(600)]
     ns = [rng.randint(1, 60) for _ in which]
@@ -815,7 +815,7 @@ def test_certified_t_claims_match_the_offset_form():
     pairs += [
         tuple(dataclasses.replace(c, multiplier_constants=(m,)) for c in pairs[1]) for m in (1, 3, 7)
     ]
-    assert [(new._certified, old._certified) for new, old in pairs] == [(True, False)] * 5
+    assert [(integral_for_all_n(new.core), integral_for_all_n(old.core)) for new, old in pairs] == [(True, False)] * 5
     ns, which = np.arange(1, 3001), np.repeat(np.arange(len(pairs)), 3000)
     verdicts = claims_hold([new for new, _ in pairs], which, np.tile(ns, len(pairs)))
     holds, witness = (column.reshape(len(pairs), ns.size) for column in verdicts)
@@ -845,27 +845,24 @@ def test_claim_core_and_multipliers_are_computed_once(monkeypatch):
     assert claim.core is claim.core
     assert s_binomial_ratio() == s_integrality_claim().core
     assert t_binomial_ratio() == OFFSET_T_INTEGRALITY.core
-    calls = {"integral_for_all_n": 0, "_trial_division": 0}
-    for name in calls:
-        original = getattr(ratio_module, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(ratio_module, name, counted)
+    divisions = []
+    monkeypatch.setattr(ratio_module, "_trial_division",
+                        lambda values, real=ratio_module._trial_division: divisions.append(1) or real(values))
+    integral_for_all_n.cache_clear()
     fresh = conjecture_claim(3, 1)
     for n in range(1, 21):
         assert claim_holds(fresh, n) == (True, None)
-    # one certification, then one trial division of the moduli values per
-    # call; the engine divides the multiplier product without factoring it
-    assert calls == {"integral_for_all_n": 1, "_trial_division": 20}
+    # one certification per ratio, then cache hits, also for another claim on
+    # the same core; one trial division of the moduli values per call: the
+    # engine divides the multiplier product without factoring it
+    assert claim_holds(dataclasses.replace(fresh, multiplier_constants=(1,)), 3) == (False, 3)
+    assert integral_for_all_n.cache_info()[:2] == (20, 1) and len(divisions) == 21
     holds, _ = claims_hold([fresh], np.zeros(50, np.intp), range(1, 51))
-    assert holds.all() and calls == {"integral_for_all_n": 1, "_trial_division": 21}
+    assert holds.all() and integral_for_all_n.cache_info()[:2] == (21, 1) and len(divisions) == 22
     for n in range(1, 6):
         assert verify_claim(fresh, n).holds
     # the full ledger factors the multipliers once, then the moduli per n
-    assert calls == {"integral_for_all_n": 1, "_trial_division": 21 + 1 + 5}
+    assert integral_for_all_n.cache_info()[:2] == (21, 1) and len(divisions) == 22 + 1 + 5
 
 
 def test_both_verdict_paths_refuse_a_bad_instance_alike():
@@ -1068,7 +1065,7 @@ def test_counted_ledger_and_claim_holds_match_the_full_ledger_past_a_negative_di
     assert verify_claim(claim, 10).witness == 61  # in (60, 65], with nu_61 = 2 + 0 - 3
 
 
-def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only():
+def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only(monkeypatch):
     # t_n's offset form never takes the counted route; its zero-offset form does
     for n in (1, 100, 10**5):
         assert counted_ledger(OFFSET_T_INTEGRALITY, n) is None
@@ -1079,7 +1076,15 @@ def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only():
     claim = conjecture_claim(7, 5)
     assert (70 * 33) ** 3 > 333**4 and (70 * 34) ** 3 <= 343**4
     assert counted_ledger(claim, 33) is None and counted_ledger(claim, 34) is not None
-    # a bound past the sieve's guard is left to verify_claim's refusal
-    assert counted_ledger(claim, 3 * 10**8) is None
+    # past the sieve's guard the pi table's work is bounded by the guard's sieve,
+    # (70 n)^3 <= (2^31)^4 up to n ~ 3.96 * 10^10; verify_claim refuses the sieve
+    assert (70 * 10**11) ** 3 > ratio_module.SIEVE_LIMIT**4 and counted_ledger(claim, 10**11) is None
     with pytest.raises(ResourceLimitError, match="exceeds the"):
         verify_claim(claim, 3 * 10**8)
+    # both sides of that gate with the guard at 10^4: n = 2000 (bound 20,003) is
+    # counted as verify_claim, which reads valuation's own guard, enumerates it,
+    # since (70 n)^3 <= (10^4)^4; at n = 20,000 the table's work is past the guard
+    monkeypatch.setattr(ratio_module, "SIEVE_LIMIT", 10**4)
+    assert (70 * 2000) ** 3 <= 10**16 < (70 * 20000) ** 3
+    assert counted_ledger(claim, 2000) == verify_claim(claim, 2000).summary()
+    assert counted_ledger(claim, 20000) is None

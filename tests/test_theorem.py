@@ -14,7 +14,7 @@ from binomdiv.errors import IntegrityError
 from binomdiv.ratio import (
     LinearForm,
     claim_holds,
-    is_integral_at,
+    integrality_claim,
     verify_claim,
 )
 from binomdiv.theorem import (
@@ -112,8 +112,8 @@ def test_verify_triple_agrees_with_big_integers_small_box():
 
 
 def test_conjecture_ratio_integrality_examples():
-    assert is_integral_at(conjecture_ratio(2, 1), 1) == (True, None)
-    assert is_integral_at(conjecture_ratio(3, 1), 1) == (True, None)
+    assert claim_holds(integrality_claim(conjecture_ratio(2, 1)), 1) == (True, None)
+    assert claim_holds(integrality_claim(conjecture_ratio(3, 1)), 1) == (True, None)
     assert exact_conjecture_ratio(3, 1, 1) == 30
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomdiv import valuation
-from binomdiv.errors import ResourceLimitError
+from binomdiv.errors import IntegrityError, ResourceLimitError
 from binomdiv.valuation import (
     FUZZ_MAX_DEN,
     factorize,
@@ -108,8 +108,8 @@ def test_prime_pi_table_at_every_quotient():
 
 
 def test_prime_pi_table_at_powers_of_ten():
-    known = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511]
-    assert [int(prime_pi_table(10**k)[1][1]) for k in range(1, 11)] == known
+    known = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511, 4118054813]
+    assert [int(prime_pi_table(10**k)[1][1]) for k in range(1, 12)] == known
 
 
 # ---------------------------------------------------------------------------
@@ -505,5 +505,5 @@ def test_lemma_fuzz_cross_check_fires(monkeypatch):
     """The scalar closed form is wired in: an off-by-one reference is caught."""
     real = valuation.lemma1_margin
     monkeypatch.setattr(valuation, "lemma1_margin", lambda x, y: real(x, y) + 1)
-    with pytest.raises(RuntimeError, match=r"at sample 0:"):
+    with pytest.raises(IntegrityError, match=r"at sample 0:"):
         lemma_fuzz(10, 10)
