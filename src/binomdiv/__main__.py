@@ -1,6 +1,6 @@
 import sys
 
-from .cli import main
+from .args import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,9 +8,10 @@ Commands:
   integrality   per-n integrality of a generalized factorial ratio
   oracle-check  cross-validation suites (valuation engine vs big integers)
 
-The parser validates and converts every input, and the parsed namespace,
-less ``command``, ``handler`` and ``out``, is a JSON report's ``config``.
-Each ``_cmd_*`` handler runs its library call and returns a ``_Report``.
+The parser lives in ``args``, which loads no engine: it validates and
+converts every input, and the namespace less ``command`` and ``out`` is a
+JSON report's ``config``.  ``_COMMANDS`` maps ``command`` to its ``_cmd_*``
+handler, which runs its library call and returns a ``_Report``.
 ``verify`` with a certified core reads its verdict and witness, all csv
 prints, from ``claim_holds``, and its human count and margin from
 ``counted_ledger``, holding no ledger over every prime; the full ledger of
@@ -22,8 +23,8 @@ core ``claim_holds`` would rerun the ledger's code on a second sieve, so the
 one ledger gives the verdict, checked against the counted ledger if any.
 ``sweep`` checks each violation's ledger against its witness the same way.
 ``_render`` alone turns a report into json, csv or human text chunks, and
-``main`` streams them with ``writelines`` to stdout or to ``--out``, opened
-only once the JSON skeleton is encoded.
+``_run`` streams them with ``writelines`` to stdout or to ``--out``, opened
+only once the JSON skeleton is encoded.  ``main(argv)`` parses, then runs.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -76,10 +77,10 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
+from .args import parse
 from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
@@ -87,18 +88,11 @@ from .ratio import (
     counted_ledger, integral_for_all_n, integrality_claim, verify_claim,
 )
 from .theorem import (
-    ModulusSide,
-    ParamTriple,
-    ProofTrace,
-    conjecture_claim,
-    conjecture_ratio,
-    run_sweep,
-    traces_for_modulus,
+    ModulusSide, ParamTriple, ProofTrace, conjecture_claim, conjecture_ratio, run_sweep, traces_for_modulus,
 )
 from .valuation import lemma_fuzz
 
 SCHEMA_VERSION = 1
-DEFAULT_SEED = 42
 _JSON_BLOCK_ROWS = 2**14  # certificate entries per chunk of a JSON report
 _HUMAN_MAX_ENTRIES = 60  # longer certificate tables are elided from human reports
 
@@ -242,21 +236,17 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
 def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
     """Run the command and render its report in ``--format`` as text chunks.
 
-    The only code that reads ``--format``.  Before the command runs, it
-    refuses an ``--out`` that ``open`` refuses (a directory, or in a missing
-    one), with its error; after it, a JSON skeleton that cannot be encoded,
-    before any write.
+    The only code that reads ``--format``.  A JSON skeleton that cannot be
+    encoded raises here, before any write.
     """
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        open(args.out, "w").close()  # fails, as writing the report would: nothing is created
     started = time.perf_counter()
-    report = args.handler(args)
+    report = _COMMANDS[args.command](args)
     elapsed = lambda: time.perf_counter() - started
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
-            "config": {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")},
+            "config": {k: v for k, v in vars(args).items() if k not in ("command", "out")},
             "results": report.results(),  # built before the clock is read below
             "summary": {
                 "checked": report.checked,
@@ -451,112 +441,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> _Report:
     )
 
 
-# ---------------------------------------------------------------------------
-# parser
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+_COMMANDS = {
+    "verify": _cmd_verify, "sweep": _cmd_sweep, "trace": _cmd_trace, "lemma-fuzz": _cmd_lemma_fuzz,
+    "integrality": _cmd_integrality, "oracle-check": _cmd_oracle_check,
+}
 
 
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _coefficients(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list: {exc}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("must list at least one coefficient")
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("coefficients must be >= 1")
-    return values
-
-
-def _add_output_flags(sub: argparse.ArgumentParser, *formats: str) -> None:
-    """--out, and --format choosing among ``formats``: the ones the command renders."""
-    sub.add_argument("--out", type=str, default=None, help="write the report to this path")
-    sub.add_argument("--format", choices=formats, default="human", help="report format (default: human)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="binomdiv",
-        description=(
-            "Exact, valuation-based verification of divisibility properties of "
-            "products of binomial coefficients."
-        ),
-    )
-    parser.set_defaults(jobs=1, seed=DEFAULT_SEED)  # in every config; a subcommand's own default wins
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    verify = commands.add_parser("verify", help="verify one (a, b, n) instance")
-    verify.add_argument("--a", type=_positive, required=True)
-    verify.add_argument("--b", type=_positive, required=True)
-    verify.add_argument("--n", type=_positive, required=True)
-    _add_output_flags(verify, "json", "csv", "human")
-    verify.set_defaults(handler=_cmd_verify)
-
-    sweep = commands.add_parser("sweep", help="verify a whole (a, b, n) box")
-    sweep.add_argument("--a-max", type=_positive, required=True)
-    sweep.add_argument("--b-max", type=_positive, required=True)
-    sweep.add_argument("--n-max", type=_positive, required=True)
-    sweep.add_argument("--jobs", type=_positive, default=1, help="worker processes")
-    sweep.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED)
-    sweep.add_argument(
-        "--sample",
-        type=_positive,
-        default=None,
-        help="check only this many seeded-random triples from the box",
-    )
-    _add_output_flags(sweep, "json", "csv", "human")
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    trace = commands.add_parser("trace", help="replay the per-prime case analysis")
-    trace.add_argument("--a", type=_positive, required=True)
-    trace.add_argument("--b", type=_positive, required=True)
-    trace.add_argument("--n", type=_positive, required=True)
-    trace.add_argument("--modulus", choices=("2bn+1", "2bn+3"), required=True)
-    _add_output_flags(trace, "json", "human")
-    trace.set_defaults(handler=_cmd_trace)
-
-    fuzz = commands.add_parser("lemma-fuzz", help="fuzz the floor inequality")
-    fuzz.add_argument("--samples", type=_positive, required=True)
-    fuzz.add_argument("--max-den", type=_positive, default=10**6)
-    fuzz.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED)
-    _add_output_flags(fuzz, "json", "human")
-    fuzz.set_defaults(handler=_cmd_lemma_fuzz)
-
-    integ = commands.add_parser(
-        "integrality", help="per-n integrality of (a1 n)!...(ak n)! / (b1 n)!...(bj n)!"
-    )
-    integ.add_argument("--num", type=_coefficients, required=True, help="comma-separated numerator coefficients")
-    integ.add_argument("--den", type=_coefficients, required=True, help="comma-separated denominator coefficients")
-    integ.add_argument("--n-max", type=_positive, required=True)
-    _add_output_flags(integ, "json", "csv", "human")
-    integ.set_defaults(handler=_cmd_integrality)
-
-    check = commands.add_parser("oracle-check", help="run the cross-validation suites")
-    check.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED, help="kept in the config only")
-    _add_output_flags(check, "json", "human")
-    check.set_defaults(handler=_cmd_oracle_check)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command line and write its report; the exit code."""
     try:
         report, chunks = _render(args)
         if args.out:
@@ -574,5 +466,6 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if report.violations else 0
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def main(argv: list[str] | None = None) -> int:
+    args = parse(argv)
+    return args if isinstance(args, int) else _run(args)

@@ -69,6 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .valuation import (
     SIEVE_LIMIT, _trial_division, nu_factorial_over_primes, prime_pi_table, primes_upto,
 )
@@ -493,7 +494,8 @@ def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     """``verify_claim(claim, n).summary()``, the count and least margin but no
     verdict, else None: where a ratio term has an offset or (L n)^3 >
     min(bound, ``SIEVE_LIMIT``)^4, the pi table's work against the cheaper of
-    the sieve it replaces and the sieve's guard.  Each argument a = c n <= L n,
+    the sieve it replaces and the sieve's guard; ``ResourceLimitError`` where
+    that test refuses a bound past the guard, as no ledger can run.  Each argument a = c n <= L n,
     so above r = isqrt(L n) nu_p(a!) = a // p is constant between breakpoints
     a // k = (L n) // (k L / c): the primes of each interval but the moduli's
     and multipliers' are counted by ``prime_pi_table(L n)``, and those take
@@ -503,8 +505,11 @@ def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     bound, args = max(moduli_values + divisor_args, default=0), divisor_args + dividend_args
     terms = claim.divisor_ratio.terms + claim.dividend_ratio.terms
     size = math.lcm(*(f.coeff for f, _ in terms if f.coeff)) * n
-    if any(f.offset for f, _ in terms) or size**3 > min(bound, SIEVE_LIMIT) ** 4:
-        return None
+    if (offset := any(f.offset for f, _ in terms)) or size**3 > min(bound, SIEVE_LIMIT) ** 4:
+        if offset or bound <= SIEVE_LIMIT:  # no count applies, or the full ledger can sieve to the bound
+            return None
+        raise ResourceLimitError(f"counted ledger size L n = {size} exceeds the work bound (L n)^3 <= "
+                                 f"{SIEVE_LIMIT}^4, and sieve limit {bound} exceeds the {SIEVE_LIMIT} memory guard")
     root = math.isqrt(size)
     cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
     cuts = cuts[cuts <= max(bound, root)]  # root, then the breakpoints up to the bound

@@ -4,10 +4,13 @@ import dataclasses
 import functools
 import json
 import re
+import subprocess
+import sys
 import types
 
 import pytest
 
+import binomdiv
 from binomdiv import cli, crosscheck, oracle, ratio, theorem, valuation
 from binomdiv.cli import main
 from binomdiv.errors import IntegrityError
@@ -60,6 +63,20 @@ def test_verify_scale_guard(capsys):
     code, _, err = run_cli(capsys, "verify", "--a", "1000000000", "--b", "1", "--n", "2306000000")
     assert code == 2
     assert "would not fit in 64 bits" in err
+
+
+def test_verify_past_the_work_bound_names_it(capsys):
+    """Human ``verify`` past the counted ledger's work bound and the sieve's guard
+    names both; json, whose entries need the sieve, meets the guard; csv never counts."""
+    argv = ("verify", "--a", "7", "--b", "5", "--n", "100000000123")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: counted ledger size L n = 7000000008610 exceeds the work bound (L n)^3 <= "
+                   "2147483648^4, and sieve limit 1000000001233 exceeds the 2147483648 memory guard\n")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (2, "", "error: sieve limit 1000000001233 exceeds the 2147483648 memory guard\n")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and re.fullmatch(r"7,5,100000000123,Holds,,\d+\.\d{6}", out.splitlines()[1])
 
 
 def test_verify_json_report(capsys, tmp_path):
@@ -926,3 +943,57 @@ def test_out_file_equals_stdout_report(capsys, tmp_path, argv, formats, summary)
         assert out_code == code
         assert out == f"{summary} (report written to {path})\n"
         assert _WALL_CLOCK.sub("X", path.read_text()) == _WALL_CLOCK.sub("X", report)
+
+
+# ---------------------------------------------------------------------------
+# start-up: the command line is parsed before the engine loads
+
+def _python(*argv):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--help"], 0, None),
+        (["verify", "--help"], 0, None),
+        (["integrality", "--num", "2,x", "--den", "1", "--n-max", "2"], 2,
+         "binomdiv integrality: error: argument --num: expects a comma-separated integer list"),
+        (["sweep", "--a-max", "25", "--b-max", "24", "--n-max", "100", "--out", "{missing}"], 2,
+         "error: [Errno 2] No such file or directory: '{missing}'"),
+    ],
+    ids=["help", "verify-help", "usage-error", "bad-out"],
+)
+def test_command_line_refusals_import_no_numpy(tmp_path, argv, code, message):
+    missing = str(tmp_path / "missing-dir" / "r.json")
+    proc = _python("-X", "importtime", "-m", "binomdiv", *(arg.format(missing=missing) for arg in argv))
+    assert proc.returncode == code
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "binomdiv.args" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+    assert not {m for m in imported if m.startswith("binomdiv.")} - {"binomdiv.args"}  # no layer module
+    if message:
+        assert message.format(missing=missing) in proc.stderr.splitlines()[-1]
+
+
+def test_import_binomdiv_loads_no_numpy():
+    proc = _python("-c", "import sys, binomdiv\n"
+                         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'binomdiv'))))")
+    assert (proc.returncode, proc.stdout) == (0, "['binomdiv']\n"), proc.stderr
+
+
+def test_import_cli_loads_every_layer():
+    """``perfbench/traced.py`` reads each layer from ``sys.modules`` after ``import binomdiv.cli``."""
+    layers = ("valuation", "ratio", "theorem", "cli", "oracle", "crosscheck")
+    proc = _python("-c", f"import sys, binomdiv.cli; print(all('binomdiv.' + m in sys.modules for m in {layers}))")
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+
+
+def test_lazy_exports_are_the_objects_of_their_modules():
+    for name in binomdiv.__all__:
+        value = getattr(binomdiv, name)
+        assert value.__module__.startswith("binomdiv.") and getattr(sys.modules[value.__module__], name) is value
+    assert len(binomdiv.__all__) == 34 and set(binomdiv.__all__) <= set(dir(binomdiv))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        binomdiv.no_such_name
+    assert binomdiv.valuation is valuation and isinstance(valuation, types.ModuleType)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1077,8 +1078,13 @@ def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only(monkeypat
     assert (70 * 33) ** 3 > 333**4 and (70 * 34) ** 3 <= 343**4
     assert counted_ledger(claim, 33) is None and counted_ledger(claim, 34) is not None
     # past the sieve's guard the pi table's work is bounded by the guard's sieve,
-    # (70 n)^3 <= (2^31)^4 up to n ~ 3.96 * 10^10; verify_claim refuses the sieve
-    assert (70 * 10**11) ** 3 > ratio_module.SIEVE_LIMIT**4 and counted_ledger(claim, 10**11) is None
+    # (70 n)^3 <= (2^31)^4 up to n ~ 3.96 * 10^10; past both, neither ledger can run,
+    # and the refusal names the work bound and the guard; verify_claim refuses the sieve
+    assert (70 * 10**11) ** 3 > ratio_module.SIEVE_LIMIT**4
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            "counted ledger size L n = 7000000000000 exceeds the work bound (L n)^3 <= 2147483648^4, "
+            "and sieve limit 1000000000003 exceeds the 2147483648 memory guard")):
+        counted_ledger(claim, 10**11)
     with pytest.raises(ResourceLimitError, match="exceeds the"):
         verify_claim(claim, 3 * 10**8)
     # both sides of that gate with the guard at 10^4: n = 2000 (bound 20,003) is
@@ -1087,4 +1093,7 @@ def test_counted_ledger_applies_to_zero_offsets_at_a_paying_scale_only(monkeypat
     monkeypatch.setattr(ratio_module, "SIEVE_LIMIT", 10**4)
     assert (70 * 2000) ** 3 <= 10**16 < (70 * 20000) ** 3
     assert counted_ledger(claim, 2000) == verify_claim(claim, 2000).summary()
-    assert counted_ledger(claim, 20000) is None
+    with pytest.raises(ResourceLimitError, match="L n = 1400000 exceeds the work bound"):
+        counted_ledger(claim, 20000)
+    # an offset refuses the count whatever the bound: the sieve's guard decides
+    assert counted_ledger(OFFSET_T_INTEGRALITY, 10**5) is None
