@@ -14,14 +14,21 @@ is itself an integer: each per-level Legendre addend of nu_p(R) is the
 margin of the floor inequality (Lemma 1), >= 0 in closed form by
 ``valuation.lemma1_margin``.
 
-``trace(t, p, side)`` replays the per-prime case analysis of one half.
-Let p^alpha || the modulus, beta = nu_p(a-b), gamma = nu_p(3a-b) and
-u, v = {an/p^i}, {bn/p^i}.  At a level i <= alpha, v is (p^i-1)/(2p^i)
-on 2bn+1 and (p^i-3)/(2p^i) on 2bn+3, so the level term of nu_p(R) is
-[u >= 1/2] + [u < v]: 0 exactly when p^i | a-b on 2bn+1 (tau = beta),
-or p^i divides a-b or 3a-b on 2bn+3 with p >= 5 (tau = max(beta, gamma)).
-Either alpha <= tau and the multiplier covers p^alpha, or each level in
-(tau, alpha] contributes exactly 1; on 2bn+3, p = 3 splits on 9 | n.
+``trace(t, p, side)`` replays the per-prime case analysis of one half,
+2bn+delta with delta = 1 or 3.  Let p^alpha || 2bn+delta, P = p^i with
+i <= alpha, u = {an/P} and tau_delta = max over odd d <= delta of
+nu_p(delta*a - d*b), which the multiplier 3(a-b)(3a-b) = (3a-b)(3a-3b)
+covers.  Either alpha <= tau_delta, or each level in (tau_delta, alpha]
+adds exactly 1 to nu_p(R).  For P > delta, {bn/P} = (P-delta)/(2P) < 1/2,
+so the level term [u >= 1/2] + [u < {bn/P}] is 0 or 1, and 0 exactly when
+2an == -d (mod P) for an odd d <= delta; with 2bn == -delta, P divides
+n(delta*a - d*b).  If p > delta, p does not divide n (else p | delta), so
+zero levels are <= tau_delta.  If p = delta = 3, tau >= nu_3(3a-3b) >= 1
+covers alpha = 1, which 9 | n forces; alpha >= 2 needs nu_3(bn) = 1, so
+levels past tau have P >= 9 and nu_3(n) <= 1: d = 3 gives P | n(a-b), so
+i <= nu_3(3a-3b); d = 1 gives P | n(3a-b), and 3 | n leaves 3a-b prime to
+3, so i <= max(1, nu_3(3a-b)).  Other p <= delta are not proved here: for
+four consecutive odd moduli the window lcm is not enough at p = 3.
 
 Two classic congruences of the same flavor are stated as claims too,
 
@@ -112,15 +119,19 @@ class ModulusSide(enum.Enum):
     TWO_BN_PLUS_1 = "2bn+1"
     TWO_BN_PLUS_3 = "2bn+3"
 
+    @property
+    def delta(self) -> int:
+        """The odd offset delta of the modulus 2bn+delta."""
+        return int(self.value[-1])
+
     def at(self, t: ParamTriple) -> int:
         """The value of this modulus at the triple."""
-        return 2 * t.b * t.n + (3 if self is ModulusSide.TWO_BN_PLUS_3 else 1)
+        return 2 * t.b * t.n + self.delta
 
 
 class TraceBranch(enum.Enum):
     MULTIPLIER_COVERS = "multiplier-covers"
     LEVEL_ANALYSIS = "level-analysis"
-    NINE_DIVIDES_N = "nine-divides-n"
 
 
 @dataclass(frozen=True)
@@ -128,8 +139,8 @@ class ProofTrace:
     """Executable replay of the per-prime case analysis for one (a,b,n,p).
 
     ``levels`` lists (i, per-level Legendre addend of nu_p(R)) for the
-    levels the analysis constrains, each asserted == 1.  tau is beta on
-    the 2bn+1 side and max(beta, gamma) on the 2bn+3 side.
+    levels in (tau, alpha], each asserted == 1, where tau = tau_delta of
+    the side's modulus 2bn+delta (see the module docstring).
     """
 
     triple: ParamTriple
@@ -147,8 +158,9 @@ class ProofTrace:
 
 
 def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
-    """The case analysis for a prime p of the side's modulus; every assertion
-    is expected to pass.
+    """The case analysis for a prime p of the side's modulus 2bn+delta: the
+    multiplier covers p^alpha, or each level in (tau_delta, alpha] is 1.
+    Every assertion is expected to pass.
     """
     a, b, n = t.a, t.b, t.n
     modulus = side.at(t)
@@ -159,34 +171,21 @@ def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
         raise ValueError(f"p must be a prime, got {p}")
     beta = nu_int(a - b, p)
     gamma = nu_int(3 * a - b, p)
+    tau = max(nu_int(side.delta * a - d * b, p) for d in range(1, side.delta + 1, 2))
     # terms[i] is the level-i addend of nu_p(R); levels past the table add 0
     terms = [0, *ratio_level_terms(conjecture_ratio(a, b), n, p)] + [0] * alpha
     nu_ratio = sum(terms)
     multiplier_nu = nu_int(3, p) + beta + gamma
 
     failures: list[str] = []
-    first = alpha + 1  # the first level the trace lists; none unless a branch says so
-    three = side is ModulusSide.TWO_BN_PLUS_3 and p == 3  # the paper's p = 3 split
-    tau = beta if side is ModulusSide.TWO_BN_PLUS_1 else max(beta, gamma)
-    if alpha <= tau:
-        branch = TraceBranch.MULTIPLIER_COVERS
-    elif three and n % 9 == 0:
-        branch = TraceBranch.NINE_DIVIDES_N
-        if alpha != 1:
-            failures.append(f"9 | n but nu_3(2bn+3) = {alpha} != 1")
-    else:
-        branch = TraceBranch.LEVEL_ANALYSIS
-        if three:  # 9 does not divide n: level tau+1 is not constrained
-            first, need = tau + 2, "nu_3(R) = {} < alpha - tau - 1 = {}"
-        else:
-            first, need = tau + 1, "nu_p(R) = {} < alpha - tau = {}"
-        for i in range(first, alpha + 1):
-            if terms[i] != 1:
-                failures.append(f"level {i} term is {terms[i]}, expected exactly 1")
-        if p >= 5 and math.gcd(p, n) != 1:
-            failures.append(f"gcd({p}, n) != 1 although p >= 5 divides {side.value}")
-        if nu_ratio < alpha - first + 1:
-            failures.append(need.format(nu_ratio, alpha - first + 1))
+    levels = tuple((i, terms[i]) for i in range(tau + 1, alpha + 1))
+    branch = TraceBranch.LEVEL_ANALYSIS if levels else TraceBranch.MULTIPLIER_COVERS
+    if levels:
+        failures += [f"level {i} term is {term}, expected exactly 1" for i, term in levels if term != 1]
+        if p > side.delta and math.gcd(p, n) != 1:
+            failures.append(f"gcd({p}, n) != 1 although p > {side.delta} divides {side.value}")
+        if nu_ratio < alpha - tau:
+            failures.append(f"nu_p(R) = {nu_ratio} < alpha - tau = {alpha - tau}")
 
     if multiplier_nu + nu_ratio < alpha:
         failures.append(
@@ -202,7 +201,7 @@ def trace(t: ParamTriple, p: int, side: ModulusSide) -> ProofTrace:
         gamma=gamma,
         tau=tau,
         branch=branch,
-        levels=tuple((i, terms[i]) for i in range(first, alpha + 1)),
+        levels=levels,
         satisfied=not failures,
         failures=tuple(failures),
     )

@@ -187,31 +187,28 @@ def test_07_legendre_kummer_direct_agreement():
 
 
 def test_08_proof_trace_level_laws():
-    """Level terms over the full sweep box obey the case-analysis laws of both
-    moduli: tau = nu_p(a-b) on 2bn+1 and max(nu_p(a-b), nu_p(3a-b)) on 2bn+3."""
+    """Level terms over the full sweep box obey one case-analysis law on both
+    moduli 2bn+delta: tau = max over odd d <= delta of nu_p(delta*a - d*b), and
+    the levels (tau, alpha] are listed, each equal to 1."""
     traces = 0
     for a, b, n in _sweep_box():
         t = ParamTriple(a, b, n)
         if n % 9 == 0:
             assert nu_int(2 * b * n + 3, 3) == 1, (a, b, n)
         for side in ModulusSide:
+            delta = side.delta
             for p, alpha in factorize(side.at(t)):
                 trace = theorem.trace(t, p, side)
                 traces += 1
                 assert trace.satisfied, (a, b, n, p, side, trace.failures)
                 assert trace.alpha == alpha
-                tau = nu_int(a - b, p)
-                if side is ModulusSide.TWO_BN_PLUS_3:
-                    tau = max(tau, nu_int(3 * a - b, p))
+                tau = max(nu_int(delta * a - d * b, p) for d in range(1, delta + 1, 2))
                 assert trace.tau == tau
-                if alpha <= tau:
-                    assert trace.branch is TraceBranch.MULTIPLIER_COVERS and trace.levels == ()
-                elif side is ModulusSide.TWO_BN_PLUS_3 and p == 3 and n % 9 == 0:
-                    assert trace.branch is TraceBranch.NINE_DIVIDES_N
-                else:
-                    first = tau + 2 if side is ModulusSide.TWO_BN_PLUS_3 and p == 3 else tau + 1
-                    assert [i for i, _ in trace.levels] == list(range(first, alpha + 1))
-                    assert all(term == 1 for _, term in trace.levels), (a, b, n, p, side)
+                assert [i for i, _ in trace.levels] == list(range(tau + 1, alpha + 1))
+                assert all(term == 1 for _, term in trace.levels), (a, b, n, p, side)
+                assert (trace.branch is TraceBranch.MULTIPLIER_COVERS) == (alpha <= tau)
+                if p == 3 and n % 9 == 0:  # alpha = 1 <= nu_3(3a-3b)
+                    assert trace.branch is TraceBranch.MULTIPLIER_COVERS, (a, b, n)
     _report("8 level-term laws", f"{traces} traces on both moduli, every constrained level equals 1")
 
 

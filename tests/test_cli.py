@@ -419,7 +419,7 @@ def test_trace_nine_divides_n(capsys):
     )
     assert code == 0
     assert "2bn+3 = 21" in out
-    assert "nine-divides-n" in out
+    assert "p=3: 2bn+3 = 21, alpha=1, branch=multiplier-covers" in out.splitlines()
     assert "p=7" in out
 
 

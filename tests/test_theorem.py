@@ -192,19 +192,19 @@ def test_proof_trace_multiplier_covers_211():
     assert trace.satisfied
 
 
-def test_proof_trace_p3_empty_level_range():
+def test_proof_trace_p3_level_range():
     trace = theorem.trace(ParamTriple(5, 3, 1), 3, ModulusSide.TWO_BN_PLUS_3)  # 2bn+3 = 9
     assert (trace.alpha, trace.beta, trace.gamma, trace.tau) == (2, 0, 1, 1)
     assert trace.branch is TraceBranch.LEVEL_ANALYSIS
-    assert trace.levels == ()  # range tau+2..alpha is empty
+    assert trace.levels == ((2, 1),)  # p = 3 lists (tau, alpha] like every prime
     assert trace.satisfied
 
 
 def test_proof_trace_nine_divides_n():
     trace = theorem.trace(ParamTriple(3, 1, 9), 3, ModulusSide.TWO_BN_PLUS_3)  # 2bn+3 = 21
-    assert trace.branch is TraceBranch.NINE_DIVIDES_N
-    assert trace.alpha == 1
-    assert trace.satisfied
+    assert trace.branch is TraceBranch.MULTIPLIER_COVERS
+    assert (trace.alpha, trace.tau) == (1, 1)  # tau >= nu_3(3a-3b) >= 1 covers alpha = 1
+    assert trace.levels == () and trace.satisfied
 
 
 def test_proof_trace_requires_dividing_prime():
@@ -237,8 +237,8 @@ def test_proof_trace_refuses_a_prime_past_64_bits():
 
 def test_proof_trace_reports_every_failed_assertion(monkeypatch):
     """The analysis holds for every (a, b, n, p), so each failure is forced by
-    one wrong value: zero level terms on either modulus, a 9 | n modulus with
-    nu_3 = 2, and a modulus 25 that p = 5 shares with n = 5."""
+    one wrong value: zero level terms on either modulus, p = 3 on 2bn+3
+    included, and a modulus 25 that p = 5 shares with n = 5."""
     level_failures = (
         "level 1 term is 0, expected exactly 1",
         "nu_p(R) = 0 < alpha - tau = 1",
@@ -251,19 +251,20 @@ def test_proof_trace_reports_every_failed_assertion(monkeypatch):
             ((ParamTriple(2, 1, 3), 7, ModulusSide.TWO_BN_PLUS_1), level_failures),  # 2bn+1 = 7
             # 2bn+1 = 3: the multiplier's 3 still covers alpha = 1
             ((ParamTriple(2, 1, 1), 3, ModulusSide.TWO_BN_PLUS_1), level_failures[:2]),
+            # 2bn+3 = 9, tau = nu_3(3a-3b) = 1: level 2 is analysed, the multiplier's 3 covers one
+            ((ParamTriple(2, 1, 3), 3, ModulusSide.TWO_BN_PLUS_3), (
+                "level 2 term is 0, expected exactly 1",
+                "nu_p(R) = 0 < alpha - tau = 1",
+                "nu_p(3(a-b)(3a-b)R) = 1 < alpha = 2",
+            )),
         ):
             trace = theorem.trace(*args)
             assert trace.branch is TraceBranch.LEVEL_ANALYSIS and not trace.satisfied
             assert trace.failures == failures, args
-    with monkeypatch.context() as m:
-        m.setattr(theorem, "nu_int", lambda k, p: nu_int(k, p) + (k == 21))  # 2bn+3 = 21 at n = 9
-        trace = theorem.trace(ParamTriple(3, 1, 9), 3, ModulusSide.TWO_BN_PLUS_3)
-    assert trace.branch is TraceBranch.NINE_DIVIDES_N
-    assert trace.failures[0] == "9 | n but nu_3(2bn+3) = 2 != 1"
     monkeypatch.setattr(ModulusSide, "at", lambda side, t: 25)
     trace = theorem.trace(ParamTriple(3, 1, 5), 5, ModulusSide.TWO_BN_PLUS_3)
     assert trace.branch is TraceBranch.LEVEL_ANALYSIS
-    assert "gcd(5, n) != 1 although p >= 5 divides 2bn+3" in trace.failures
+    assert "gcd(5, n) != 1 although p > 3 divides 2bn+3" in trace.failures
 
 
 def test_proof_trace_2bn_plus_1_examples():
@@ -538,23 +539,39 @@ def test_run_sweep_builds_no_pair_list(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the 2bn+1 level rule from Lemma 1 (the level laws of both moduli run in acceptance)
+# the window level rule from Lemma 1 (the level laws of both moduli run in acceptance)
 
-def test_2bn_plus_1_levels_follow_lemma1_margin():
+def test_2bn_plus_delta_levels_follow_lemma1_margin():
     """Lemma 1's closed form on exact rationals, a route that shares no code
-    with ``ratio_level_terms``: for p^alpha || 2bn+1 and i <= alpha, the level-i
-    term of nu_p(R) is 1 exactly when p^i does not divide a-b, and a 2bn+1
-    trace lists exactly the levels where it is 1, with that value."""
-    levels = 0
+    with ``ratio_level_terms``, pins the level rule of 2bn+delta for delta in
+    {1, 3, 5}, with tau = max over odd d <= delta of nu_p(delta*a - d*b).  For
+    p^alpha || 2bn+delta and P = p^i, i <= alpha: at p > delta a level is zero
+    exactly when d = (-2an) mod P is odd and <= delta, and then P divides
+    delta*a - d*b and no other window form; at every p, p = 3 on 2bn+3 and
+    2bn+5 included, zero levels are <= tau; and for delta in {1, 3} a trace
+    lists exactly the levels (tau, alpha], each equal to 1."""
+    sides = {side.delta: side for side in ModulusSide}
+    levels = zeros = 0
     for a, b in sweep_pairs(12, 11):
-        for n in range(1, 201):
+        for n in range(1, 301):
             t = ParamTriple(a, b, n)
-            for p, alpha in factorize(2 * b * n + 1):
-                beta = nu_int(a - b, p)
-                rule = {i: int(i > beta) for i in range(1, alpha + 1)}
-                for i, term in rule.items():
-                    assert lemma1_margin(Fraction(a * n, p**i), Fraction(b * n, p**i)) == term, (t, p, i)
-                trace = theorem.trace(t, p, ModulusSide.TWO_BN_PLUS_1)
-                assert trace.levels == tuple((i, term) for i, term in rule.items() if term), (t, p)
-                levels += alpha
-    assert levels == 25150
+            for delta in (1, 3, 5):
+                for p, alpha in factorize(2 * b * n + delta):
+                    tau = max(nu_int(delta * a - d * b, p) for d in range(1, delta + 1, 2))
+                    terms = {
+                        i: lemma1_margin(Fraction(a * n, p**i), Fraction(b * n, p**i)) for i in range(1, alpha + 1)
+                    }
+                    for i, term in terms.items() if p > delta else ():
+                        d = -2 * a * n % p**i
+                        forms = [e for e in range(1, delta + 1, 2) if (delta * a - e * b) % p**i == 0]
+                        assert (term == 0) == (d % 2 == 1 and d <= delta), (t, delta, p, i)
+                        assert forms == [d] * (term == 0), (t, delta, p, i)
+                    assert all(i <= tau for i, term in terms.items() if term == 0), (t, delta, p)
+                    zeros += sum(term == 0 for term in terms.values())
+                    if delta in sides:
+                        trace = theorem.trace(t, p, sides[delta])
+                        assert trace.tau == tau, (t, delta, p)
+                        assert trace.levels == tuple((i, terms[i]) for i in range(tau + 1, alpha + 1)), (t, delta, p)
+                        assert all(term == 1 for _, term in trace.levels), (t, delta, p)
+                    levels += alpha
+    assert (levels, zeros) == (124930, 27179)
