@@ -33,8 +33,8 @@ which, ns)`` decides a batch of such (claim, n) rows with one table of
 (row, p, required, available): the moduli values are factored together
 by ``valuation._trial_division``, and available is nu_p(multipliers) +
 nu_p(core).  This module is the only place that comparison is made; a
-row's least failing prime is its witness.  A call holds at most a
-2^20-cell trial-division tile and the table of 2^13 rows at a time.
+row's least failing prime is its witness.  A call builds its claims' tables once,
+then holds at most a 2^20-cell trial-division tile and 2^10 table rows at a time.
 Other rows take the full prime enumeration, which ``verify_claim``
 always uses.  Both paths take their Legendre sums from the one kernel
 ``valuation.nu_factorial_over_primes``: the ledger over an array of
@@ -80,8 +80,9 @@ _I64_MAX = 2**63
 #: array, 8 MiB) that ``integral_for_all_n`` attempts a certificate for.
 LANDAU_MAX_BREAKPOINTS = 1 << 20
 
-#: Certified rows per ``_modulus_table`` in ``claims_hold``; bounds its arrays.
-_TABLE_ROWS = 1 << 13
+#: Certified rows per ``_modulus_table`` in ``claims_hold``: its Legendre cells
+#: and trial-division tile stay in L2.
+_TABLE_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -390,38 +391,42 @@ def _claim_valuations(
     return primes, required, available, witness
 
 
-def _modulus_table(
-    claims: Sequence[DivisibilityClaim], which: np.ndarray, ns: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """(row, p, required, available) int64 columns sorted by (row, p), one per
-    prime p of the moduli values of row i = (claims[which[i]], ns[i]); the
-    claims are certified and checked.  available is nu_p of the multiplier
-    product, by repeated division, plus the core's Legendre sums, one
-    ``nu_factorial_over_primes`` call over the (row, term) cells with one
-    prime per row; int64 sums of signed terms wrap but end exact."""
+def _claim_tables(claims: Sequence[DivisibilityClaim]) -> tuple[np.ndarray, ...]:
+    """Per claim, int64: moduli as (coeff, value at n = 1) padded with (0, 1), core
+    terms as (coeff, exponent) padded with (0, 0), and the multiplier product."""
     def table(rows: list[list[tuple[int, int]]], fill: tuple[int, int]) -> np.ndarray:
-        width = max(1, *map(len, rows))
-        return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.int64)[which]
+        width = max([1, *map(len, rows)])
+        return np.array([r + [fill] * (width - len(r)) for r in rows], dtype=np.int64)
 
-    # past int64, n (and a modulus coeff) passes _instance only where it is multiplied by 0
-    ns = np.minimum(ns, _I64_MAX - 1).astype(np.int64)
+    # past int64, a modulus coeff (and n) passes _instance only where it is multiplied by 0
     moduli = table([[(min(m.coeff, _I64_MAX - 1), m.coeff + m.offset) for m in c.divisor_moduli]
                     for c in claims], (0, 1))
     core = table([[(f.coeff, e) for f, e in c.core.terms] for c in claims], (0, 0))
-    values = moduli[..., 0] * (ns[:, None] - 1) + moduli[..., 1]  # c(n-1) + (c+d) <= value
+    return moduli, core, np.array([math.prod(c.multiplier_constants) for c in claims], dtype=np.int64)
+
+
+def _modulus_table(tables: tuple[np.ndarray, ...], which: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(row, p, required, available) int64 columns sorted by (row, p), one per prime p
+    of the moduli values of row i = (claim ``which[i]`` of the ``_claim_tables``,
+    ``ns[i]``); the claims are certified and checked.  available is nu_p of the
+    multiplier product, by repeated division, plus the core's Legendre sums, one
+    ``nu_factorial_over_primes`` call over the (row, term) cells with one prime per
+    row; int64 sums of signed terms wrap but end exact."""
+    moduli, core, product = tables
+    ns = np.minimum(ns, _I64_MAX - 1).astype(np.int64)  # clipped as a modulus coeff in _claim_tables
+    values = moduli[which, :, 0] * (ns[:, None] - 1) + moduli[which, :, 1]  # c(n-1) + (c+d) <= value
     index, p, e = _trial_division(values.ravel())
     order = np.lexsort((p, index // values.shape[1]))
     row, p, e = index[order] // values.shape[1], p[order], e[order]
     first = np.flatnonzero(np.concatenate(([True], (row[1:] != row[:-1]) | (p[1:] != p[:-1])))[: p.size])
     row, p, required = row[first], p[first], np.add.reduceat(e, first)  # moduli sharing p add up
 
-    available = np.zeros_like(p)
-    rest = np.array([math.prod(c.multiplier_constants) for c in claims], dtype=np.int64)[which[row]]
+    available, rest, terms = np.zeros_like(p), product[which[row]], core[which[row]]
     while (live := np.flatnonzero(rest % p == 0)).size:
         rest[live] //= p[live]
         available[live] += 1
-    nu = nu_factorial_over_primes(core[row, :, 0] * ns[row, None], p[:, None])
-    available += (core[row, :, 1] * nu).sum(axis=1)
+    nu = nu_factorial_over_primes(terms[..., 0] * ns[row, None], p[:, None])
+    available += (terms[..., 1] * nu).sum(axis=1)
     return row, p, required, available
 
 
@@ -454,12 +459,11 @@ def claims_hold(
         sieve = primes_upto(max(reach[k] for k in present.tolist() if not certified[k]))
     for i in full.tolist():
         witness[i] = _claim_valuations(claims[which[i]], int(ns[i]), sieve)[3] or 0
-    kept = np.flatnonzero(certified).tolist()
-    rows = np.flatnonzero(certified[which])
+    kept, rows = np.flatnonzero(certified), np.flatnonzero(certified[which])
+    tables = _claim_tables([claims[k] for k in kept.tolist()])
     for lo in range(0, rows.size, _TABLE_ROWS):
         part = rows[lo : lo + _TABLE_ROWS]
-        local = np.searchsorted(kept, which[part])
-        row, p, required, available = _modulus_table([claims[k] for k in kept], local, ns[part])
+        row, p, required, available = _modulus_table(tables, np.searchsorted(kept, which[part]), ns[part])
         failing = available < required
         row, least = np.unique(row[failing], return_index=True)  # primes ascend in a row
         witness[part[row]] = p[failing][least]

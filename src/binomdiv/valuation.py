@@ -15,7 +15,7 @@ The tests pin it to a scalar Legendre sum, and that sum to incremental
 factor counting and to Kummer's carry count of binomials.
 
 The floor inequality (Lemma 1) is proved in closed form by
-``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it.
+``lemma1_margin``; ``lemma_fuzz`` pins its int64 floors to it on SplitMix64 draws.
 
 All public operations are pure functions of their inputs.  ``primes_upto``
 is the one sieve and ``is_prime`` the one primality test.  The module keeps
@@ -42,7 +42,7 @@ SIEVE_LIMIT = 2**31
 #: every int64 intermediate (numerator*denominator products) exact.
 FUZZ_MAX_DEN = 10**9
 
-#: Samples per block of ``lemma_fuzz``: its int64 arrays (128 KiB each) stay in L2.
+#: Samples per block of ``lemma_fuzz``: its int64 rows (128 KiB each) and draw buffers stay in L2.
 _FUZZ_BLOCK = 1 << 14
 
 #: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
@@ -259,33 +259,55 @@ def lemma1_margin(x: Fraction, y: Fraction) -> int:
     return (2 * u >= 1) - (2 * v >= 1) + (u < v)
 
 
+def _fuzz_draws(seed: int, lo: int, max_den: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows xn, xd, yn, yd of samples lo, ..., lo + size - 1 as int64, written over z,
+    a (4, size) uint64 array, with t as scratch.  Sample i's values are SplitMix64's
+    outputs at counters c = 4i, ..., 4i + 3, mix(seed + (c + 1) gamma) mod 2^64, each
+    mapped to [low, max_den] as low + output * span // 2^64 (span < 2^31) by a
+    multiply-high exact on its 32-bit halves.  No floating point; the mix and the
+    map write in place."""
+    gamma = 0x9E3779B97F4A7C15  # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014)
+    keys = np.array([[(seed + j * gamma) % 2**64] for j in range(1, 5)], dtype=np.uint64)
+    np.add(np.arange(lo, lo + z.shape[1], dtype=np.uint64) * np.uint64(4 * gamma % 2**64), keys, out=z)
+    for shift, multiplier in (30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB):
+        z ^= np.right_shift(z, shift, out=t)
+        z *= np.uint64(multiplier)
+    z ^= np.right_shift(z, 31, out=t)
+    span = np.array([[2 * max_den + 1], [max_den]] * 2, dtype=np.uint64)  # of [-max_den, max_den], [1, max_den]
+    np.multiply(np.bitwise_and(z, 2**32 - 1, out=t), span, out=t)  # low and high halves' products < 2^63
+    np.multiply(np.right_shift(z, 32, out=z), span, out=z)
+    z += np.right_shift(t, 32, out=t)
+    z >>= 32
+    return np.add(z.view(np.int64), [[-max_den], [1]] * 2, out=z.view(np.int64))
+
+
 def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fraction, Fraction], ...]:
     """The pairs (x, y) among ``samples`` seeded pseudo-random rationals, with
     |numerator| <= max_den and 1 <= denominator <= max_den, that violate the
     floor inequality; the expected result is ().
 
     One pass over blocks of ``_FUZZ_BLOCK`` samples, so memory is bounded
-    whatever ``samples`` is: each block draws its xn, xd, yn and yd in turn
-    from the one generator, evaluates the five floors as one exact int64
-    margin, and keeps its own violating pairs.  The margins of the run's first
-    256 samples must equal the closed form ``lemma1_margin``
+    whatever ``samples`` is: each block draws its xn, xd, yn and yd into the
+    run's two buffers by ``_fuzz_draws``, a counter-based SplitMix64 stream in
+    which sample i is a pure function of (seed, i), evaluates the five floors
+    as one exact int64 margin, and keeps its own violating pairs.  The margins
+    of the run's first 256 samples must equal the closed form ``lemma1_margin``
     (``IntegrityError``), so the floor arrays cannot drift from the proof.
-    Deterministic: the same (samples, max_den, seed) yields the same sample
-    stream and result.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if max_den < 1:
         raise ValueError(f"max_den must be >= 1, got {max_den}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if max_den > FUZZ_MAX_DEN:
         raise ResourceLimitError(
             f"max_den {max_den} exceeds the int64-exactness guard {FUZZ_MAX_DEN}"
         )
-    rng, violations = np.random.default_rng(seed), []
+    violations, (z, t) = [], np.empty((2, 4, min(samples, _FUZZ_BLOCK)), dtype=np.uint64)
     for lo in range(0, samples, _FUZZ_BLOCK):
         size = min(_FUZZ_BLOCK, samples - lo)
-        xn, xd, yn, yd = (rng.integers(low, max_den + 1, size=size, dtype=np.int64)
-                          for low in (-max_den, 1, -max_den, 1))
+        xn, xd, yn, yd = _fuzz_draws(seed, lo, max_den, z[:, :size], t[:, :size])
         margin = (2 * xn) // xd + yn // yd - xn // xd - (xn * yd - yn * xd) // (xd * yd) - (2 * yn) // yd
         pinned = min(max(256 - lo, 0), size)
         for i in np.union1d(np.arange(pinned), np.flatnonzero(margin < 0)).tolist():

@@ -9,7 +9,8 @@ import numpy as np
 
 from binomdiv.oracle import _exact_quotient, big_binomial
 from binomdiv.ratio import (
-    Certificate, LinearForm, _argument, _check_n, _instance, _modulus_table, binomial_ratio, integral_for_all_n,
+    Certificate, LinearForm, _argument, _check_n, _claim_tables, _instance, _modulus_table, binomial_ratio,
+    integral_for_all_n,
 )
 from binomdiv.theorem import s_integrality_claim
 from binomdiv.valuation import nu_int
@@ -80,7 +81,7 @@ def modulus_rows(claim, n):
     if not integral_for_all_n(claim.core):
         raise ValueError(f"core ratio of {claim} has no Landau certificate")
     _instance(claim, n)
-    _, p, required, available = _modulus_table((claim,), np.zeros(1, np.intp), [n])
+    _, p, required, available = _modulus_table(_claim_tables((claim,)), np.zeros(1, np.intp), [n])
     return zip(p.tolist(), required.tolist(), available.tolist())
 
 
@@ -104,3 +105,21 @@ def s_valuation(n, p):
 def t_valuation(n, p):
     """nu_p(t_n), computed from valuations alone (may be negative)."""
     return ratio_valuation(t_binomial_ratio(), n, p) - nu_int(10 * n + 1, p)
+
+
+def splitmix64(seed):
+    """SplitMix64's outputs from state ``seed``, one by one, in Python integers."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+def fuzz_samples(seed, max_den, count):
+    """The first ``count`` (xn, xd, yn, yd) of the lemma fuzzer: four outputs z
+    per sample, each mapped to low + floor(z (max_den + 1 - low) / 2^64)."""
+    stream = splitmix64(seed)
+    return [tuple(low + (next(stream) * (max_den + 1 - low) >> 64) for low in (-max_den, 1, -max_den, 1))
+            for _ in range(count)]

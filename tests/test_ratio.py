@@ -794,6 +794,28 @@ def test_claims_hold_mixes_certified_and_uncertified_claims():
     assert {k for (h, _), k in zip(got, which) if not h} == {4, 5}
 
 
+def test_claims_hold_is_the_same_for_any_table_slice(monkeypatch):
+    """Failing weakened claims, moduli-free integrality claims and an uncertified
+    claim in one batch: the verdicts and witnesses of the full ledger for any
+    ``_TABLE_ROWS``, with the per-claim tables built once per call."""
+    claims = [dataclasses.replace(conjecture_claim(a, b), multiplier_constants=(1,)) for a, b in sweep_pairs(6, 5)]
+    claims += [integrality_claim(CENTRAL), integrality_claim(conjecture_ratio(5, 2)), OFFSET_T_CONGRUENCE]
+    rng = random.Random(33)
+    which = [rng.randrange(len(claims)) for _ in range(700)]
+    ns = [rng.randint(1, 90) for _ in which]
+    expected = [(c.holds, c.witness) for c in map(verify_claim, (claims[k] for k in which), ns)]
+    assert 0 < sum(not h for h, _ in expected) < len(expected)
+    builds = []
+    monkeypatch.setattr(ratio_module, "_claim_tables",
+                        lambda kept, real=ratio_module._claim_tables: builds.append(len(kept)) or real(kept))
+    for rows in (1, 7, 1 << 10, 1 << 13):
+        monkeypatch.setattr(ratio_module, "_TABLE_ROWS", rows)
+        builds.clear()
+        holds, witness = claims_hold(claims, which, ns)
+        assert list(zip(holds.tolist(), (w or None for w in witness.tolist()))) == expected, rows
+        assert builds == [len(claims) - 1], rows  # every claim but the uncertified one
+
+
 def test_uncertified_rows_of_one_call_share_one_sieve(monkeypatch):
     """The full-ledger rows of one call slice one sieve, up to their largest
     bound (10n+1 at n = 40), and keep the verdicts of ``verify_claim``."""

@@ -538,6 +538,20 @@ def test_run_sweep_builds_no_pair_list(monkeypatch):
     assert peak < 1 << 20, f"peak {peak} bytes"
 
 
+def test_run_sweep_of_the_desk_box_stays_under_3_mib():
+    """The 30,000 triples of (25, 24, 100) in one block: the per-claim tables are
+    built once per call and the verdict table is cut in slices of 2^10 rows
+    (8.5 MiB with every table rebuilt per 2^13-row slice)."""
+    tracemalloc.start()
+    try:
+        report = run_sweep(25, 24, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.checked == 30000 and not report.violations
+    assert peak < 3 << 20, f"peak {peak} bytes"
+
+
 # ---------------------------------------------------------------------------
 # the window level rule from Lemma 1 (the level laws of both moduli run in acceptance)
 

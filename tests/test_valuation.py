@@ -2,7 +2,10 @@
 
 import math
 import random
+import re
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +26,7 @@ from binomdiv.valuation import (
     prime_pi_table,
     primes_upto,
 )
-from references import kummer_binomial_valuation, nu_factorial
+from references import fuzz_samples, kummer_binomial_valuation, nu_factorial, splitmix64
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -474,6 +477,10 @@ def test_lemma_fuzz_argument_guards():
         lemma_fuzz(0, 10)
     with pytest.raises(ValueError):
         lemma_fuzz(10, 0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2^64), got {seed}")):
+            lemma_fuzz(10, 10, seed=seed)
+    assert lemma_fuzz(10, 10, seed=0) == lemma_fuzz(10, 10, seed=2**64 - 1) == ()
     with pytest.raises(ResourceLimitError):
         lemma_fuzz(10, 10**9 + 1)
 
@@ -484,21 +491,58 @@ def test_lemma_fuzz_at_the_int64_exactness_edge():
     assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3) == ()
 
 
+def test_splitmix64_reference_gives_the_published_outputs():
+    """The reference generator against the first outputs of SplitMix64 from 1234567."""
+    stream = splitmix64(1234567)
+    assert [next(stream) for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431, 16408922859458223821,
+    ]
+
+
 def test_lemma_fuzz_checks_the_first_256_pairs_of_the_block_stream(monkeypatch):
-    """The pairs handed to ``lemma1_margin`` are the run's first 256 in the
-    documented order: each block draws xn, xd, yn and yd in turn from
-    default_rng(seed), here with blocks shorter than 256 and with one block."""
+    """The pairs handed to ``lemma1_margin`` are the run's first 256 of the
+    stream that the Python-integer SplitMix64 reference gives, here with blocks
+    of 112 (the third one short, drawn into part of the buffers) and with one
+    block: sample i is a function of (seed, i)."""
     real, checked = valuation.lemma1_margin, []
     monkeypatch.setattr(valuation, "lemma1_margin", lambda x, y: checked.append((x, y)) or real(x, y))
-    for block in (100, valuation._FUZZ_BLOCK):
+    expected = [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in fuzz_samples(5, 1000, 256)]
+    for block in (112, 1 << 14):
         monkeypatch.setattr(valuation, "_FUZZ_BLOCK", block)
         checked.clear()
         assert lemma_fuzz(300, 1000, seed=5) == ()
-        rng, expected = np.random.default_rng(5), []
-        for lo in range(0, 300, block):
-            xn, xd, yn, yd = (rng.integers(low, 1001, size=min(block, 300 - lo)) for low in (-1000, 1, -1000, 1))
-            expected += [(Fraction(int(a), int(b)), Fraction(int(c), int(d))) for a, b, c, d in zip(xn, xd, yn, yd)]
-        assert checked == expected[:256], block
+        assert checked == expected, block
+
+
+def fuzz_draws(seed, lo, size, max_den):
+    """``valuation._fuzz_draws`` of samples lo, ..., lo + size - 1, on fresh buffers."""
+    z, t = np.empty((2, 4, size), dtype=np.uint64)
+    return valuation._fuzz_draws(seed, lo, max_den, z, t)
+
+
+def test_fuzz_draws_match_the_reference_from_any_sample():
+    """Every draw of a block starting past sample 0, at both ends of the seed
+    range and of max_den: the multiply-high on 32-bit halves is the exact
+    product of Python integers, and a seed names its own stream."""
+    for seed in (0, 5, 2**64 - 1):
+        for max_den in (1, 1000, FUZZ_MAX_DEN):
+            rows = fuzz_samples(seed, max_den, 1300)[300:]
+            assert fuzz_draws(seed, 300, 1000, max_den).T.tolist() == [list(r) for r in rows]
+    assert fuzz_samples(1, 1000, 20) != fuzz_samples(2, 1000, 20)
+
+
+def test_lemma_fuzz_draws_every_value_at_max_den_2():
+    xn, xd, yn, yd = fuzz_draws(42, 0, 10**4, 2)
+    assert set(xn.tolist()) == set(yn.tolist()) == {-2, -1, 0, 1, 2}
+    assert set(xd.tolist()) == set(yd.tolist()) == {1, 2}
+    assert lemma_fuzz(10**4, 2) == ()
+
+
+def test_lemma_fuzz_loads_no_numpy_random():
+    code = ("import sys\nfrom binomdiv.valuation import lemma_fuzz\nassert lemma_fuzz(1000, 10) == ()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_lemma_fuzz_cross_check_fires(monkeypatch):
