@@ -22,9 +22,9 @@ only for a report that prints it or checks against it.  With an uncertified
 core ``claim_holds`` would rerun the ledger's code on a second sieve, so the
 one ledger gives the verdict, checked against the counted ledger if any.
 ``sweep`` checks each violation's ledger against its witness the same way.
-``_render`` alone turns a report into json, csv or human text chunks, and
-``_run`` streams them with ``writelines`` to stdout or to ``--out``, opened
-only once the JSON skeleton is encoded.  ``main(argv)`` parses, then runs.
+``_render`` alone turns a report into json, csv or human UTF-8 chunks, and
+``_run`` streams them with ``writelines`` to stdout's buffer or to ``--out``,
+opened only once the JSON skeleton is encoded.  ``main(argv)`` parses, then runs.
 
 Exit codes: 0 = all checks passed; 1 = a mathematical violation was
 found (the report counts violations); 2 = usage, domain or resource error.
@@ -36,14 +36,14 @@ JSON report schema (schema_version 1):
      "summary": {"checked": <int>, "violations": <int>, "seconds": <float>}}
 
 Each result carries certificate entries as {"p": p, "required": r,
-"available": a}; ``_json_chunks`` writes them from a ``Certificate``'s
-read-only int64 columns ``primes``, ``required`` and ``available`` in
-blocks of 2^14 rows, so no report is held whole in memory.  Reports are
-deterministic for a fixed config and seed, except for the wall-clock seconds:
-``_render`` reads one clock around the whole handler and, for JSON, the
-results it builds (human text: the lines before its "wall time" line), and
-that reading is ``summary.seconds``, the CSV ``seconds`` column and the
-human "wall time" line.
+"available": a}; ``_json_chunks`` writes them as bytes, in blocks of 2^14 rows
+and runs of equal field widths, from a ``Certificate``'s read-only int64
+columns ``primes``, ``required`` and ``available``, so no report is held whole
+in memory.  Reports are deterministic for a fixed config and seed, except for
+the wall-clock seconds: ``_render`` reads one clock around the whole handler
+and, for JSON, the results it builds (human text: the lines before its "wall
+time" line), and that reading is ``summary.seconds``, the CSV ``seconds``
+column and the human "wall time" line.
 
 CSV output (verify / sweep / integrality only; the parser refuses it
 elsewhere) has the fixed header ``a,b,n,verdict,witness_prime,seconds``;
@@ -142,11 +142,16 @@ def _trace_dict(trace: ProofTrace) -> dict:
     return doc
 
 
-def _json_chunks(doc: dict) -> Iterator[str]:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` in chunks, each Certificate
+def _json_chunks(doc: dict) -> Iterator[bytes]:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` in UTF-8 chunks, each Certificate
     in doc as its entries list.  The skeleton, with a token "\\u0000<k>" per
-    Certificate, is encoded now; the iterator yields the text between tokens
-    and each entries list in blocks of ``_JSON_BLOCK_ROWS`` rows."""
+    Certificate, is encoded now; the chunks are the bytes between tokens and each
+    list in blocks of ``_JSON_BLOCK_ROWS`` rows.  Fields are right-aligned words
+    0000..9999 (q % 10^4, q //= 10^4 on the uint64 view of abs, so -2^63 too); a
+    block's rows go in runs of equal widths (sign included), each one array filled
+    from a template row.  Runs are few: p ascends, so its width changes at most 18
+    times in a ledger, and the others pass one digit only at small primes or those of
+    the moduli and multipliers ((7, 5) at n = 10^6+123: 10 runs): no Python per row."""
     certificates: list[Certificate] = []
 
     def token(cert: object) -> str:
@@ -155,29 +160,41 @@ def _json_chunks(doc: dict) -> Iterator[str]:
         certificates.append(cert)
         return f"\0{len(certificates) - 1}"
 
-    def entries(cert: Certificate, pad: str) -> Iterator[str]:
-        def text(column: np.ndarray, template: str) -> np.ndarray:
-            values, inverse = np.unique(column, return_inverse=True)
-            return np.array([template % v for v in values.tolist()], dtype=object)[inverse]
-
+    def entries(cert: Certificate, pad: str) -> Iterator[bytes]:
+        row = f',\n{pad}  {{\n{pad}    "available": \0,\n{pad}    "p": \0,\n{pad}    "required": \0\n{pad}  }}'
+        pieces = row.encode().split(b"\0")  # the row less its three fields
+        table = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")  # row q: the 4 digits of q
+        words = np.ascontiguousarray(table).view(np.uint32)
         for lo in range(0, cert.primes.size, _JSON_BLOCK_ROWS):
-            block = slice(lo, lo + _JSON_BLOCK_ROWS)
-            rows = np.empty((cert.primes[block].size, 3), dtype=object)
-            rows[:, 0] = text(cert.available[block], f',\n{pad}  {{\n{pad}    "available": %d,\n{pad}    "p": ')
-            rows[:, 1] = list(map(str, cert.primes[block].tolist()))
-            rows[:, 2] = text(cert.required[block], f',\n{pad}    "required": %d\n{pad}  }}')
-            if not lo:
-                rows[0, 0] = "[" + rows[0, 0][1:]
-            yield "".join(rows.ravel().tolist())
-        yield f"\n{pad}]" if cert.primes.size else "[]"
+            block = np.stack([c[lo : lo + _JSON_BLOCK_ROWS] for c in (cert.available, cert.primes, cert.required)])
+            widths, digits = (block < 0).astype(np.int64), np.empty((*block.shape, 20), dtype=np.uint8)
+            for i, q in enumerate(np.abs(block).view(np.uint64)):  # field i of each row in its last bytes
+                low, high = len(str(q.min())), len(str(q.max()))
+                widths[i] += low + sum(q >= 10**k for k in range(low, high))
+                for k in range(1, (high + 7) // 4):
+                    rest = q // 10**4  # q - rest 10^4 is q % 10^4, without numpy's slower remainder
+                    digits.view(np.uint32)[i, :, -k], q = words[q - rest * 10**4, 0], rest
+            digits[block < 0, 20 - widths[block < 0]] = ord("-")
+            changes = np.flatnonzero((widths[:, 1:] != widths[:, :-1]).any(axis=0)) + 1
+            runs = []
+            for start, stop in zip([0, *changes.tolist()], [*changes.tolist(), block.shape[1]]):
+                fields = widths[:, start].tolist()
+                runs.append(bytearray(b"".join(p + b"0" * w for p, w in zip(pieces, [*fields, 0]))) * (stop - start))
+                rows, end = np.frombuffer(runs[-1], dtype=np.uint8).reshape(stop - start, -1), 0
+                for piece, width, field in zip(pieces, fields, digits[:, start:stop]):
+                    end += len(piece) + width
+                    rows[:, end - width : end] = field[:, 20 - width :]
+            runs[0][0] = ord("," if lo else "[")
+            yield b"".join(runs)
+        yield f"\n{pad}]".encode() if cert.primes.size else b"[]"
 
-    def chunks(text: str) -> Iterator[str]:
+    def chunks(text: str) -> Iterator[bytes]:
         start = 0
         for match in re.finditer(r'^( *)"entries": ("\\u0000(\d+)")', text, flags=re.MULTILINE):
-            yield text[start : match.start(2)]
+            yield text[start : match.start(2)].encode()
             yield from entries(certificates[int(match[3])], match[1])
             start = match.end()
-        yield text[start:]
+        yield text[start:].encode()
 
     return chunks(json.dumps(doc, indent=2, sort_keys=True, default=token))
 
@@ -233,8 +250,8 @@ def _trace_lines(trace: ProofTrace) -> list[str]:
     return lines
 
 
-def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
-    """Run the command and render its report in ``--format`` as text chunks.
+def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[bytes]]:
+    """Run the command and render its report in ``--format`` as UTF-8 chunks.
 
     The only code that reads ``--format``.  A JSON skeleton that cannot be
     encoded raises here, before any write.
@@ -254,15 +271,15 @@ def _render(args: argparse.Namespace) -> tuple[_Report, Iterable[str]]:
                 "seconds": elapsed(),
             },
         }
-        return report, itertools.chain(_json_chunks(doc), ["\n"])
+        return report, itertools.chain(_json_chunks(doc), [b"\n"])
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")  # writes None as ""
         writer.writerow(["a", "b", "n", "verdict", "witness_prime", "seconds"])
         seconds = elapsed()
         writer.writerows((*row, f"{seconds:.6f}") for row in report.rows())
-        return report, [buffer.getvalue()]
-    return report, ["\n".join(report.lines(elapsed)) + "\n"]
+        return report, [buffer.getvalue().encode()]
+    return report, [("\n".join(report.lines(elapsed)) + "\n").encode()]
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +469,12 @@ def _run(args: argparse.Namespace) -> int:
     try:
         report, chunks = _render(args)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as out:
+            with open(args.out, "wb") as out:
                 out.writelines(chunks)
             print(f"{report.summary_line} (report written to {args.out})")
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # text printed before goes first
+            sys.stdout.buffer.writelines(chunks)
     except IntegrityError as exc:
         print(f"integrity violation: {exc}", file=sys.stderr)
         return 1

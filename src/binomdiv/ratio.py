@@ -494,6 +494,11 @@ def verify_claim(claim: DivisibilityClaim, n: int) -> Certificate:
     return Certificate(n, primes[keep], required, available, witness)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:  # np.unique less its mask test, which loads numpy.ma
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][np.diff(values) != 0]))
+
+
 def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
     """``verify_claim(claim, n).summary()``, the count and least margin but no
     verdict, else None: where a ratio term has an offset or (L n)^3 >
@@ -515,13 +520,13 @@ def counted_ledger(claim: DivisibilityClaim, n: int) -> LedgerSummary | None:
         raise ResourceLimitError(f"counted ledger size L n = {size} exceeds the work bound (L n)^3 <= "
                                  f"{SIEVE_LIMIT}^4, and sieve limit {bound} exceeds the {SIEVE_LIMIT} memory guard")
     root = math.isqrt(size)
-    cuts = np.unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
+    cuts = _sorted_unique(np.concatenate([[root], *(a // np.arange(1, a // (root + 1) + 1) for a in args)]))
     cuts = cuts[cuts <= max(bound, root)]  # root, then the breakpoints up to the bound
     special = np.concatenate((_trial_division(np.array(moduli_values, dtype=np.int64))[1],
                               claim._multiplier_nu[0]))
-    special = np.unique(special[special <= bound])
+    special = _sorted_unique(special[special <= bound])
     head, large = prime_pi_table(size)
-    _, required, available, _ = _claim_valuations(claim, n, np.union1d(head, special))
+    _, required, available, _ = _claim_valuations(claim, n, _sorted_unique(np.concatenate((head, special))))
     ends = cuts[1:]  # > root: size // end indexes large; Legendre's sum at any x > isqrt(a) is a // x
     pi = np.concatenate(([head.size], large[size // ends]))
     counts = np.diff(pi - np.searchsorted(special, cuts, "right"))  # less the special primes

@@ -27,6 +27,7 @@ to below 2^20: both shapes of the factorizer divide by the table before
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from fractions import Fraction
@@ -44,6 +45,8 @@ FUZZ_MAX_DEN = 10**9
 
 #: Samples per block of ``lemma_fuzz``: its int64 rows (128 KiB each) and draw buffers stay in L2.
 _FUZZ_BLOCK = 1 << 14
+
+_PI_CELLS = 1 << 14  # cells (p, j) per group of ``prime_pi_table``'s primes above icbrt(limit)
 
 #: Odd numbers per sieve segment: a 1 MiB flag array, which stays in L2.
 _SEGMENT = 1 << 20
@@ -95,18 +98,29 @@ def prime_pi_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     and large[j] = pi(limit // j) for 1 <= j <= r, by Legendre-Meissel's
     recurrence in Lucy_Hedgehog's form over small[v] = pi(v) for v <= r: from
     S(v) = v - 1, each prime p <= r takes S(v) -= S(v // p) - pi(p - 1) for
-    v >= p^2.  O(limit^(3/4)) time, O(r) memory, and one sieve, to r."""
+    v >= p^2.  O(limit^(3/4)) time, O(r) memory, and one sieve, to r.  The
+    primes p <= icbrt(limit) go one by one.  A larger one writes only
+    large[1 .. limit // p^2], all below p, and reads only large[j p], at p or
+    above, and small, final as p^2 > r: none reads what another writes, so they
+    go in one pass, in groups of at most ``_PI_CELLS`` cells (p, j)."""
     r = math.isqrt(limit)
     j = np.arange(r + 1, dtype=np.int64)
     small, large = np.maximum(j - 1, 0), np.maximum(limit // np.maximum(j, 1) - 1, 0)
-    for p in (primes := primes_upto(r)).tolist():
-        sp, top = small[p - 1], min(r, limit // (p * p))
-        k = min(top, r // p)  # large[j p] for j <= k, small[(limit // p) // j] above
-        large[1 : k + 1] -= large[p : p * k + 1 : p] - sp
-        if top > k:
-            large[k + 1 : top + 1] -= small[(limit // p) // j[k + 1 : top + 1]] - sp
+    primes = primes_upto(r)
+    split = bisect.bisect(plist := primes.tolist(), limit, key=lambda p: p**3)  # p <= icbrt(limit)
+    for p in plist[:split]:  # r // p <= limit // p^2: large[j p] for j <= r // p, small[(limit // p) // j] above
+        sp, k, top = small[p - 1], r // p, min(r, limit // (p * p))
+        large[1 : k + 1] -= large[p::p] - sp
+        large[k + 1 : top + 1] -= small[(limit // p) // j[k + 1 : top + 1]] - sp
         if p * p <= r:  # after large, which reads the old small
             small[p * p :] -= small[j[p * p :] // p] - sp
+    big = primes[split:]
+    tops = limit // (big * big)
+    for group in np.split(big, np.searchsorted(np.cumsum(tops), range(_PI_CELLS, tops.sum(), _PI_CELLS))):
+        p = np.repeat(group, limit // (group * group))  # cell (p, q) for 1 <= q <= limit // p^2
+        q = np.arange(1, p.size + 1) - np.searchsorted(p, p)
+        terms = np.where(q * p <= r, large[np.minimum(q * p, r)], small[np.minimum(limit // p // q, r)])
+        np.subtract.at(large, q, terms - small[p - 1])
     return primes, large
 
 
@@ -310,7 +324,7 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fracti
         xn, xd, yn, yd = _fuzz_draws(seed, lo, max_den, z[:, :size], t[:, :size])
         margin = (2 * xn) // xd + yn // yd - xn // xd - (xn * yd - yn * xd) // (xd * yd) - (2 * yn) // yd
         pinned = min(max(256 - lo, 0), size)
-        for i in np.union1d(np.arange(pinned), np.flatnonzero(margin < 0)).tolist():
+        for i in sorted({*range(pinned), *np.flatnonzero(margin < 0).tolist()}):
             x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))
             if i < pinned and margin[i] != (ref := lemma1_margin(x, y)):
                 raise IntegrityError(

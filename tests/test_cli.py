@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -169,7 +170,7 @@ def test_json_text_writes_entries_at_any_depth():
     rows = [{"p": 2, "required": 1, "available": 3}, {"p": 3, "required": 2, "available": 2}]
     doc = {"entries": cert, "x": [{"y": {"entries": cert}}, {"entries": empty}]}
     reference = {"entries": rows, "x": [{"y": {"entries": rows}}, {"entries": []}]}
-    assert "".join(cli._json_chunks(doc)) == json.dumps(reference, indent=2, sort_keys=True)
+    assert b"".join(cli._json_chunks(doc)).decode() == json.dumps(reference, indent=2, sort_keys=True)
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli._json_chunks({"x": object()})  # the skeleton is encoded before any chunk is asked for
 
@@ -202,8 +203,50 @@ def test_json_chunks_match_the_stdlib_encoder_at_block_boundaries(monkeypatch):
         "x": [{"y": {"entries": _rows(c)}, "z": -1} for c in certs[1:]],
     }
     chunks = list(cli._json_chunks(doc))
-    assert "".join(chunks) == json.dumps(reference, indent=2, sort_keys=True)
-    assert max(chunk.count('"p": ') for chunk in chunks) == _BLOCK_ROWS
+    assert b"".join(chunks).decode() == json.dumps(reference, indent=2, sort_keys=True)
+    assert max(chunk.count(b'"p": ') for chunk in chunks) == _BLOCK_ROWS
+
+
+def _random_certificate(seed: int, size: int) -> Certificate:
+    """``size`` rows of random int64 columns, each in runs of random length
+    whose values share a random sign and number of digits; rows 0-2 hold
+    -2^63, 2^63 - 1 and 0, and available reads -5 then 10 (one width, two
+    signs) at rows 3 and 4."""
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(3):
+        column = []
+        while len(column) < size:
+            digits, sign, length = rng.randint(1, 19), rng.choice((1, -1)), rng.choice((1, 2, 3, 50, 2000))
+            low, high = (10 ** (digits - 1) if digits > 1 else 0), min(10**digits, 2**63) - 1
+            column += [sign * rng.randint(low, high) for _ in range(length)]
+        columns.append(column[:size])
+    for column in columns:
+        column[:3] = rng.sample([-(2**63), 2**63 - 1, 0], 3)
+    columns[0][3:5] = [-5, 10]
+    available, primes, required = columns
+    return certificate_from_rows(seed, zip(primes, required, available))
+
+
+@pytest.mark.parametrize("block_rows", [4, 2**14])
+def test_json_chunks_match_the_stdlib_encoder_on_random_certificates(monkeypatch, block_rows):
+    monkeypatch.setattr(cli, "_JSON_BLOCK_ROWS", block_rows)
+    cert = _random_certificate(34, 3 * 2**14 + 5)
+    doc, reference = {"x": [{"entries": cert}], "z": -1}, {"x": [{"entries": _rows(cert)}], "z": -1}
+    chunks = list(cli._json_chunks(doc))
+    assert all(type(chunk) is bytes for chunk in chunks)
+    assert b"".join(chunks).decode() == json.dumps(reference, indent=2, sort_keys=True)
+
+
+def test_verify_json_to_stdout_equals_its_out_file(capfdbinary, tmp_path):
+    argv = ["verify", "--a", "7", "--b", "5", "--n", "60123", "--format", "json"]
+    seconds = re.compile(rb'"seconds": [0-9.e-]+')
+    assert main(argv) == 0
+    stdout = capfdbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    assert b"report written" in capfdbinary.readouterr().out
+    out = (tmp_path / "r.json").read_bytes()
+    assert len(stdout) > 10**6 and seconds.sub(b"", stdout) == seconds.sub(b"", out)
 
 
 @pytest.mark.parametrize("size", _BLOCK_SIZES)
@@ -974,6 +1017,23 @@ def test_command_line_refusals_import_no_numpy(tmp_path, argv, code, message):
     assert not {m for m in imported if m.startswith("binomdiv.")} - {"binomdiv.args"}  # no layer module
     if message:
         assert message.format(missing=missing) in proc.stderr.splitlines()[-1]
+
+
+_VERIFY_7_5 = ["verify", "--a", "7", "--b", "5", "--n"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*_VERIFY_7_5, "1000123", "--format", fmt] for fmt in ("human", "json", "csv")]
+    + [[*_VERIFY_7_5, "10000123"], ["lemma-fuzz", "--samples", "20000"]],
+    ids=["verify-human", "verify-json", "verify-csv", "verify-human-10^7", "lemma-fuzz"],
+)
+def test_no_command_imports_numpy_ma(tmp_path, argv):
+    """``np.unique`` without its return_* arrays, and so ``np.union1d``, imports
+    numpy.ma (8-13 ms) to test for a mask; numpy.matrixlib always loads."""
+    proc = _python("-X", "importtime", "-m", "binomdiv", *argv, "--out", str(tmp_path / "r"))
+    assert proc.returncode == 0 and "| binomdiv.cli" in proc.stderr, proc.stderr
+    assert not re.search(r"\| *numpy\.ma$", proc.stderr, flags=re.MULTILINE)
 
 
 def test_import_binomdiv_loads_no_numpy():

@@ -110,6 +110,18 @@ def test_prime_pi_table_at_every_quotient():
         assert large[1:].tolist() == np.searchsorted(primes, limit // j, "right").tolist(), limit
 
 
+@pytest.mark.parametrize("cells", [1, 7, valuation._PI_CELLS])
+def test_prime_pi_table_below_3000(monkeypatch, cells):
+    """large[j] = pi(limit // j), the sieve's count, for every limit below 3000
+    and every j <= isqrt(limit), with the primes above icbrt(limit) in groups
+    of at most one cell, 7 cells and ``_PI_CELLS``."""
+    monkeypatch.setattr(valuation, "_PI_CELLS", cells)
+    primes = primes_upto(2999)
+    for limit in range(3000):
+        j = np.arange(1, math.isqrt(limit) + 1)
+        assert prime_pi_table(limit)[1][1:].tolist() == np.searchsorted(primes, limit // j, "right").tolist(), limit
+
+
 def test_prime_pi_table_at_powers_of_ten():
     known = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534, 455052511, 4118054813]
     assert [int(prime_pi_table(10**k)[1][1]) for k in range(1, 12)] == known
@@ -543,6 +555,22 @@ def test_lemma_fuzz_loads_no_numpy_random():
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_lemma_fuzz_reports_a_negative_margin_past_the_pinned_samples(monkeypatch):
+    """The inequality holds for every draw, so only int64 products that wrap
+    can give a negative margin: planted at sample 300, past the 256 checked
+    against the closed form, that draw is reported, and no other."""
+    plant, real = (-1936491312797304342, 403123853, -121751464, 1674216078), valuation._fuzz_draws
+
+    def draws(seed, lo, max_den, z, t):
+        out = real(seed, lo, max_den, z, t)
+        if lo <= 300 < lo + out.shape[1]:
+            out[:, 300 - lo] = plant
+        return out
+
+    monkeypatch.setattr(valuation, "_fuzz_draws", draws)
+    assert lemma_fuzz(1000, 10) == ((Fraction(*plant[:2]), Fraction(*plant[2:])),)
 
 
 def test_lemma_fuzz_cross_check_fires(monkeypatch):
