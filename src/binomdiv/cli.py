@@ -12,16 +12,14 @@ The parser lives in ``args``, which loads no engine: it validates and
 converts every input, and the namespace less ``command`` and ``out`` is a
 JSON report's ``config``.  ``_COMMANDS`` maps ``command`` to its ``_cmd_*``
 handler, which runs its library call and returns a ``_Report``.
-``verify`` with a certified core reads its verdict and witness, all csv
-prints, from ``claim_holds``, and its human count and margin from
-``counted_ledger``, holding no ledger over every prime; the full ledger of
-``verify_claim`` gives them where the counted ledger does not apply, the JSON
-entries (built inside the clock) and a human table of at most 60 rows, and
-is checked against both (``IntegrityError``).  Each is a cached thunk, run
-only for a report that prints it or checks against it.  With an uncertified
-core ``claim_holds`` would rerun the ledger's code on a second sieve, so the
-one ledger gives the verdict, checked against the counted ledger if any.
-``sweep`` checks each violation's ledger against its witness the same way.
+``verify`` reads its verdict and witness, all csv prints, from ``claim_holds``
+(every core ``conjecture_claim`` builds is certified, R(a, b) by its shape),
+and its human count and margin from ``counted_ledger``, holding no ledger over
+every prime; the full ledger of ``verify_claim`` gives them where the counted
+ledger does not apply, the JSON entries (built inside the clock) and a human
+table of at most 60 rows, and is checked against both (``IntegrityError``).
+Each is a cached thunk, run only for a report that prints it or checks against
+it.  ``sweep`` checks each violation's ledger against its witness the same way.
 ``_render`` alone turns a report into json, csv or human UTF-8 chunks, and
 ``_run`` streams them with ``writelines`` to stdout's buffer or to ``--out``,
 opened only once the JSON skeleton is encoded.  ``main(argv)`` parses, then runs.
@@ -85,7 +83,7 @@ from .crosscheck import run_all
 from .errors import IntegrityError, ResourceLimitError
 from .ratio import (
     Certificate, DivisibilityClaim, FactorialRatio, LedgerSummary, LinearForm, claim_holds, claims_hold,
-    counted_ledger, integral_for_all_n, integrality_claim, verify_claim,
+    counted_ledger, integrality_claim, verify_claim,
 )
 from .theorem import (
     ModulusSide, ParamTriple, ProofTrace, conjecture_claim, conjecture_ratio, run_sweep, traces_for_modulus,
@@ -289,14 +287,9 @@ def _cmd_verify(args: argparse.Namespace) -> _Report:
     triple = ParamTriple(args.a, args.b, args.n)
     claim = conjecture_claim(args.a, args.b)
     counted = functools.cache(lambda: counted_ledger(claim, args.n))
-    if integral_for_all_n(claim.core):
-        witness = claim_holds(claim, args.n)[1]
-        # verify_claim first: past SIEVE_LIMIT its refusal comes before the count's work
-        ledger = functools.cache(lambda: _checked_ledger(verify_claim(claim, args.n), claim, witness, counted()))
-    else:  # claim_holds would run verify_claim's code again: one sieve, one ledger decides
-        full = verify_claim(claim, args.n)
-        witness = _checked_ledger(full, claim, full.witness, counted()).witness
-        ledger = lambda: full
+    witness = claim_holds(claim, args.n)[1]
+    # verify_claim first: past SIEVE_LIMIT its refusal comes before the count's work
+    ledger = functools.cache(lambda: _checked_ledger(verify_claim(claim, args.n), claim, witness, counted()))
     verdict = _verdict(witness)
     return _Report(
         checked=1,

@@ -23,7 +23,9 @@ prod ((c_i n)!)^(e_i) integral for every n >= 1 (Landau 1900; Bober
 nu_p(r(n)) = sum_{i>=1} f(n / p^i) for f(t) = sum e_i floor(c_i t), and
 f(t+1) = f(t) + s, so f >= 0 on [0, 1) suffices.  f steps down only at
 the breakpoints k/c_i with e_i < 0, so one numpy pass per such c_i
-checks it there with exact int64 arithmetic: a proof.
+checks it there with exact int64 arithmetic: a proof.  The paper's R(a, b) =
+C(2an,an)C(an,bn)/C(2bn,bn) needs no pass at any size: s = 0, and its f(t) is
+Lemma 1's margin at (at, bt), >= 0 in closed form by ``valuation.lemma1_margin``.
 
 Reduced verdicts.  A claim's ``core`` is the ratio dividend/divisor,
 computed once per claim and certified once per ratio by the cached
@@ -166,6 +168,12 @@ def binomial_ratio(top: LinearForm, bottom: LinearForm) -> FactorialRatio:
     return FactorialRatio.from_terms([(top, 1), (bottom, -1), (diff, -1)])
 
 
+def _r_sides(a: int, b: int) -> tuple[FactorialRatio, FactorialRatio]:
+    """C(2bn, bn) and C(2an, an) C(an, bn): R(a, b) is the second over the first."""
+    f = lambda c: LinearForm(c, 0)
+    return binomial_ratio(f(2 * b), f(b)), binomial_ratio(f(2 * a), f(a)) * binomial_ratio(f(a), f(b))
+
+
 def _argument(form: LinearForm, n: int) -> int:
     value = form.evaluate(n)
     if value < 0:
@@ -242,10 +250,18 @@ def integral_for_all_n(r: FactorialRatio) -> bool:
     on [0, 1) is at one of them; f(t+1) = f(t) + s, so each level term
     f(n/p^i) of nu_p(r(n)) is >= f({n/p^i}) >= 0.  False means "not
     certified", not "non-integral": a c > ``LANDAU_MAX_BREAKPOINTS`` with
-    e < 0, or sum |e|*c * (largest such c) >= 2^63, is not tried.
+    e < 0, or sum |e|*c * (largest such c) >= 2^63, is not tried.  R(a, b),
+    a > b >= 1, goes first at any size (Lemma 1, module docstring): its (2an)!
+    and (bn)! merge with no other term ((bn)! cancels at a = 2b), so a is half
+    the top positive coeff and b the other one, or a / 2.
     """
     if any(form.offset != 0 or form.coeff < 0 for form, _ in r.terms):
         return False
+    ups = [form.coeff for form, e in r.terms if e > 0]  # descending
+    a = ups[0] // 2 if ups else 0
+    b = ups[-1] if len(ups) > 1 else a // 2
+    if a > b >= 1 and r == (sides := _r_sides(a, b))[1] / sides[0]:
+        return True
     terms = [(form.coeff, e) for form, e in r.terms if form.coeff > 0]
     widest = max((c for c, e in terms if e < 0), default=0)
     if (sum(e * c for c, e in terms) < 0 or widest > LANDAU_MAX_BREAKPOINTS

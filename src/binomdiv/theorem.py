@@ -59,6 +59,7 @@ from .ratio import (
     FactorialRatio,
     LinearForm,
     _instance,
+    _r_sides,
     binomial_ratio,
     claims_hold,
     ratio_level_terms,
@@ -88,13 +89,8 @@ class ParamTriple:
 def _r_integrality_claim(a: int, b: int) -> DivisibilityClaim:
     """R(a,b,n) is an integer: C(2bn,bn) | C(2an,an)C(an,bn)."""
     _check_pair(a, b)
-    return DivisibilityClaim(
-        divisor_moduli=(),
-        divisor_ratio=binomial_ratio(LinearForm(2 * b, 0), LinearForm(b, 0)),
-        multiplier_constants=(),
-        dividend_ratio=binomial_ratio(LinearForm(2 * a, 0), LinearForm(a, 0))
-        * binomial_ratio(LinearForm(a, 0), LinearForm(b, 0)),
-    )
+    divisor, dividend = _r_sides(a, b)
+    return DivisibilityClaim((), divisor, (), dividend)
 
 
 def conjecture_claim(a: int, b: int) -> DivisibilityClaim:
@@ -216,14 +212,8 @@ def traces_for_modulus(t: ParamTriple, side: ModulusSide) -> list[ProofTrace]:
 # the S_n and t_n congruences
 
 def s_integrality_claim() -> DivisibilityClaim:
-    """S_n is an integer: 2(2n+1)C(2n,n) | C(6n,3n)C(3n,n)."""
-    return DivisibilityClaim(
-        divisor_moduli=(LinearForm(0, 2), LinearForm(2, 1)),
-        divisor_ratio=binomial_ratio(LinearForm(2, 0), LinearForm(1, 0)),
-        multiplier_constants=(),
-        dividend_ratio=binomial_ratio(LinearForm(6, 0), LinearForm(3, 0))
-        * binomial_ratio(LinearForm(3, 0), LinearForm(1, 0)),
-    )
+    """S_n is an integer: 2(2n+1)C(2n,n) | C(6n,3n)C(3n,n), the sides of R(3, 1)."""
+    return replace(_r_integrality_claim(3, 1), divisor_moduli=(LinearForm(0, 2), LinearForm(2, 1)))
 
 
 def t_integrality_claim() -> DivisibilityClaim:

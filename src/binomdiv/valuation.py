@@ -161,14 +161,19 @@ def _split(m: int) -> Counter[int]:
     """The prime factors, with multiplicity, of m > 1 with no prime factor
     below 2^10: m when ``is_prime(m)`` (always below 2^20), else those of the
     two parts at the factor g that Pollard rho finds (Floyd cycle detection; a
-    walk that closes on g = m restarts with c + 1)."""
+    walk that closes on g = m restarts with c + 1).  Composite m has a prime
+    p <= sqrt(m), met in about sqrt(p) <= m^(1/4) steps: a walk that meets no
+    factor in 16 (floor(m^(1/4)) + 1) steps means ``is_prime`` erred (``IntegrityError``)."""
     if is_prime(m):
         return Counter({m: 1})
+    cap = 16 * (math.isqrt(math.isqrt(m)) + 1)
     for c in range(1, m):  # rho finds a factor long before c runs out
-        x, y, g = 2, 2, 1
-        while g == 1:
-            x, y = (x * x + c) % m, ((y * y + c) ** 2 + c) % m
+        x, y, g, steps = 2, 2, 1, 0
+        while g == 1 and steps < cap:
+            x, y, steps = (x * x + c) % m, ((y * y + c) ** 2 + c) % m, steps + 1
             g = math.gcd(x - y, m)
+        if g == 1:
+            raise IntegrityError(f"Pollard rho met no factor of {m} in {cap} steps: is_prime({m}) erred")
         if g != m:
             return _split(g) + _split(m // g)
 
@@ -319,10 +324,11 @@ def lemma_fuzz(samples: int, max_den: int, seed: int = 42) -> tuple[tuple[Fracti
             f"max_den {max_den} exceeds the int64-exactness guard {FUZZ_MAX_DEN}"
         )
     violations, (z, t) = [], np.empty((2, 4, min(samples, _FUZZ_BLOCK)), dtype=np.uint64)
+    floor = lambda q, d: ((q ^ (s := q >> 63)) // d) ^ s  # ~q = -q-1 >= 0 for q < 0: q // d = ~(~q // d)
     for lo in range(0, samples, _FUZZ_BLOCK):
         size = min(_FUZZ_BLOCK, samples - lo)
         xn, xd, yn, yd = _fuzz_draws(seed, lo, max_den, z[:, :size], t[:, :size])
-        margin = (2 * xn) // xd + yn // yd - xn // xd - (xn * yd - yn * xd) // (xd * yd) - (2 * yn) // yd
+        margin = floor(2 * xn, xd) + floor(yn, yd) - floor(xn, xd) - floor(xn * yd - yn * xd, xd * yd) - floor(2 * yn, yd)
         pinned = min(max(256 - lo, 0), size)
         for i in sorted({*range(pinned), *np.flatnonzero(margin < 0).tolist()}):
             x, y = Fraction(int(xn[i]), int(xd[i])), Fraction(int(yn[i]), int(yd[i]))

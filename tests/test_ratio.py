@@ -408,14 +408,16 @@ def test_landau_certificate_refuses_what_it_cannot_prove():
     assert integral_for_all_n(FactorialRatio.from_terms([(form(2), 1), (form(1), -1)]))
     assert not integral_for_all_n(FactorialRatio.from_terms([(form(1), 1), (form(2), -1)]))
     assert not integral_for_all_n(OFFSET_T_INTEGRALITY.core)  # offsets
-    # C(2mn, mn) with m past the cap is integral, but its breakpoint array is too long to try
+    # C(2mn, mn) with odd m past the cap is integral, but not R(m, m/2), and its
+    # breakpoint array is too long to try
     m = LANDAU_MAX_BREAKPOINTS + 1
     wide = binomial_ratio(form(2 * m), form(m))
     assert not integral_for_all_n(wide)
     assert claim_holds(integrality_claim(wide), 1) == (True, None)
-    # the cap is on the largest negative-exponent coefficient, max(a, 2b) for the core
+    # the cap is on the largest negative-exponent coefficient, max(a, 2b) for the
+    # core, but R(a, b) is matched by its shape before it, past the cap too
     assert integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS, 1))
-    assert not integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS + 1, 1))
+    assert integral_for_all_n(conjecture_ratio(LANDAU_MAX_BREAKPOINTS + 1, 1))
     # c*k would not fit in int64: "not certified", never an exception
     huge = FactorialRatio.from_terms([(form(10**20), 1), (form(1), -1)])
     assert integral_for_all_n(huge) is False
@@ -475,6 +477,65 @@ def test_landau_certificate_matches_every_breakpoint_reference():
         verdicts[certified] += 1
         surplus += certified and sum(f.coeff * e for f, e in r.terms) > 0
     assert min(verdicts.values()) >= 200 and surplus >= 50, (verdicts, surplus)
+
+
+def landau_routes(monkeypatch, ratios):
+    """Per ratio, ``integral_for_all_n`` with the numeric pass cut off (a cap of
+    0, so only R's shape can certify) and with the shape test bypassed (no
+    rebuilt R matches), each from a cleared cache."""
+    verdicts = []
+    for name, value in ("LANDAU_MAX_BREAKPOINTS", 0), ("_r_sides", lambda a, b: (FactorialRatio(),) * 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(ratio_module, name, value)
+            integral_for_all_n.cache_clear()
+            verdicts.append([integral_for_all_n(r) for r in ratios])
+    integral_for_all_n.cache_clear()
+    return list(zip(*verdicts))
+
+
+def test_landau_shape_route_agrees_with_the_numeric_pass(monkeypatch):
+    """Every R(a, b) core is certified by its shape and by the numeric pass:
+    all pairs with a <= 100 (a = 2b and a = 3b among them, where terms merge),
+    300 seeded pairs with a <= 300 and 10 with 2^19 < a <= 2^20 and 2b <= 2^20.
+    Past the cap only the shape certifies: 10 seeded pairs and (10^9, 7)."""
+    rng = random.Random(36)
+    pairs = sweep_pairs(100, 99) + [(a, rng.randrange(1, a)) for a in (rng.randint(101, 300) for _ in range(300))]
+    pairs += [(rng.randint(2**19 + 1, 2**20), rng.randint(1, 2**19)) for _ in range(10)]
+    assert {(2, 1), (4, 2), (6, 2), (99, 33)} <= set(pairs)
+    cores = [conjecture_claim(a, b).core for a, b in pairs]
+    assert all(integral_for_all_n(r) for r in cores)
+    assert landau_routes(monkeypatch, cores) == [(True, True)] * len(pairs)
+    wide = [(rng.randint(2**20 + 1, 10**9), 0) for _ in range(10)] + [(10**9, 7)]  # 9a^2 < 2^63
+    wide = [(a, b or rng.randrange(1, a)) for a, b in wide]
+    cores = [conjecture_claim(a, b).core for a, b in wide]
+    assert all(integral_for_all_n(r) for r in cores)
+    assert landau_routes(monkeypatch, cores) == [(True, False)] * len(wide)
+
+
+def test_landau_shape_route_refuses_near_misses(monkeypatch):
+    """R with one exponent, one coefficient or one offset changed, and C(2mn, mn)
+    at odd m (R(m, m/2) at even m), never take the shape route, and each verdict
+    is the numeric pass's."""
+    def changed(r, i, exponent=0, coeff=0, offset=0):
+        (f, e), rest = r.terms[i], r.terms[:i] + r.terms[i + 1 :]
+        return FactorialRatio.from_terms(rest + ((form(f.coeff + coeff, f.offset + offset), e + exponent),))
+
+    near = []
+    for a, b in sweep_pairs(20, 19):
+        r = conjecture_ratio(a, b)
+        for i in range(len(r.terms)):
+            near += [changed(r, i, exponent=1), changed(r, i, exponent=-1), changed(r, i, coeff=1),
+                     changed(r, i, offset=1)]
+    near += [binomial_ratio(form(2 * m), form(m)) for m in [*range(1, 200, 2), LANDAU_MAX_BREAKPOINTS + 1]]
+    verdicts = [integral_for_all_n(r) for r in near]
+    routes = landau_routes(monkeypatch, near)
+    assert [shape for shape, _ in routes] == [False] * len(near)
+    assert verdicts == [numeric for _, numeric in routes]
+    assert 0 < sum(verdicts) < len(near)
+    # C(2mn, mn) at even m is R(m, m/2): the shape route, past the cap too
+    evens = [binomial_ratio(form(2 * m), form(m)) for m in (2, 200, 2**21)]
+    assert evens[0] == conjecture_ratio(2, 1)
+    assert landau_routes(monkeypatch, evens) == [(True, True)] * 2 + [(True, False)]
 
 
 def test_is_integral_sieves_only_to_the_largest_denominator_argument():

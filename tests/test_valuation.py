@@ -399,6 +399,20 @@ def test_is_prime_refuses_past_64_bits():
             is_prime(m)
 
 
+def test_split_stops_a_walk_that_cannot_succeed():
+    """With ``is_prime`` calling the prime 2^31 - 1 composite, every rho walk
+    closes on m itself: the first one stops at its 16 (floor(m^(1/4)) + 1)
+    steps and names m, within a second.  In a child, since the unbounded walks
+    never returned."""
+    code = ("import time\nfrom binomdiv import valuation\nfrom binomdiv.errors import IntegrityError\n"
+            "real = valuation.is_prime\nvaluation.is_prime = lambda m: m != 2**31 - 1 and real(m)\n"
+            "started = time.perf_counter()\ntry:\n    valuation.factorize(2**31 - 1)\n"
+            "except IntegrityError as exc:\n    print(time.perf_counter() - started < 1, exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout == ("True Pollard rho met no factor of 2147483647 in 3456 steps: "
+                           "is_prime(2147483647) erred\n"), proc.stderr
+
+
 def test_trial_division_keeps_cofactors_below_2_20_vectorized(monkeypatch):
     """Only cofactors >= 2^20 leave the vectorized column for ``_split``."""
     calls = []
@@ -501,6 +515,20 @@ def test_lemma_fuzz_at_the_int64_exactness_edge():
     """At max_den = FUZZ_MAX_DEN the cross term xn*yd - yn*xd reaches about
     2*FUZZ_MAX_DEN^2 < 2^63: no violation, and the closed-form check passes."""
     assert lemma_fuzz(100_000, FUZZ_MAX_DEN, seed=3) == ()
+
+
+def test_lemma_fuzz_floor_of_a_nonnegative_numerator_is_floor_division():
+    """``lemma_fuzz``'s floors divide ~q = -q-1 >= 0 where q < 0: ((q ^ s) // d) ^ s
+    with s = q >> 63 equals q // d for every int64 q and d >= 1, on 10^6 seeded
+    pairs over the whole range (d at every bit length) and at the edges."""
+    rng = np.random.default_rng(36)
+    q = rng.integers(-2**63, 2**63 - 1, size=10**6, dtype=np.int64, endpoint=True)
+    d = rng.integers(1, 2**63 - 1, size=q.size, dtype=np.int64, endpoint=True) >> rng.integers(0, 63, size=q.size)
+    edges = np.array([(x, y) for x in (-2**63, -1, 0, 1, 2**63 - 1) for y in (1, 3, 2**63 - 1)], dtype=np.int64)
+    q, d = np.concatenate((q, edges[:, 0])), np.maximum(np.concatenate((d, edges[:, 1])), 1)
+    s = q >> 63
+    assert np.array_equal(((q ^ s) // d) ^ s, q // d)
+    assert (q < 0).sum() > 4 * 10**5 and (d < 2**20).sum() > 10**5
 
 
 def test_splitmix64_reference_gives_the_published_outputs():
